@@ -1,0 +1,116 @@
+"""Golden-bytes gate for the CLI.
+
+Runs ``pseudospec.cli.main(argv)`` in-process over a fixed list of
+invocations and compares the exit code, the stdout bytes and the JSON
+error line on stderr with ``golden/cli.json``.  The fixture pins the
+numpy/scipy/LAPACK build it was generated with; regenerate it with
+``PYTHONPATH=src python tests/test_golden.py`` only when an output change
+is intended.
+"""
+
+import functools
+import io
+import json
+import pathlib
+import sys
+
+import pytest
+
+from pseudospec.cli import main
+
+FIXTURE = pathlib.Path(__file__).parent / "golden" / "cli.json"
+
+_RASHBA = ["--model", "rashba", "--lambda", "0.5", "--kx", "1", "--ky", "0.25"]
+_SCALAR = ["--model", "scalar_const", "--v0", "0.5", "--kx", "1"]
+_COSINE = ["--model", "scalar_grid", "--potential", "cosine", "--g", "1", "--grid-n", "32"]
+_GAUSS = ["--model", "scalar_grid", "--potential", "gaussian", "--g", "0.5",
+          "--width", "0.5", "--grid-n", "24", "--scheme", "central2"]
+
+_VALID = [
+    ["spectrum", *_RASHBA],
+    ["spectrum", *_SCALAR, "--m0", "1.5", "--c", "0.75", "--hbar", "1.25"],
+    ["spectrum", "--model", "scalar_const", "--v0", "2", "--kx", "0"],
+    ["spectrum", *_COSINE],
+    ["spectrum", *_GAUSS, "--bc", "dirichlet", "--grid-n", "25"],
+    ["metric", *_RASHBA, "--method", "all"],
+    ["metric", *_SCALAR, "--method", "all"],
+    ["metric", *_RASHBA, "--method", "paper", "--method", "spectral", "--normalize"],
+    ["metric", *_SCALAR, "--method", "paper"],
+    ["verify", *_RASHBA],
+    ["verify", "--model", "rashba", "--lambda", "1.2", "--kx", "0.5"],
+    ["verify", *_SCALAR],
+    ["verify", *_COSINE],
+    ["verify", *_GAUSS],
+    ["reduce", *_COSINE, "--form", "product_exact"],
+    ["reduce", *_COSINE, "--form", "analytic_U"],
+    ["sweep", *_RASHBA, "--sweep-param", "lambda", "--sweep-min", "0",
+     "--sweep-max", "2", "--sweep-steps", "5"],
+    ["sweep", *_RASHBA, "--sweep-param", "lambda", "--sweep-min", "0",
+     "--sweep-max", "0.8", "--sweep-steps", "3"],
+    ["sweep", *_SCALAR, "--sweep-param", "v0", "--sweep-min", "0",
+     "--sweep-max", "3", "--sweep-steps", "4"],
+    ["sweep", "--model", "scalar_grid", "--potential", "cosine", "--grid-n", "16",
+     "--sweep-param", "g", "--sweep-min", "5", "--sweep-max", "20", "--sweep-steps", "4"],
+    ["sweep", "--model", "scalar_grid", "--potential", "cosine", "--grid-n", "16",
+     "--sweep-param", "g", "--sweep-min", "0", "--sweep-max", "1", "--sweep-steps", "3"],
+    ["evolve", *_RASHBA, "--t", "0.5", "--t", "2"],
+    ["evolve", *_SCALAR, "--t", "0.5", "--t", "2", "--normalize"],
+    ["converge", "--model", "scalar_grid", "--potential", "cosine", "--g", "0.5",
+     "--scheme", "central2", "--N", "8", "--N", "16", "--track-level", "1"],
+    ["converge", "--model", "scalar_grid", "--v0", "0.5", "--N", "8", "--N", "16"],
+]
+
+_ERRORS = [
+    ["metric", *_COSINE],
+    ["reduce", *_RASHBA],
+    ["evolve", *_COSINE],
+    ["converge", *_SCALAR, "--N", "8"],
+    ["metric", *_SCALAR, "--method", "diagonal"],
+    ["sweep", *_RASHBA, "--sweep-param", "v0", "--sweep-min", "0",
+     "--sweep-max", "1", "--sweep-steps", "3"],
+    ["sweep", *_COSINE, "--sweep-param", "mode", "--sweep-min", "0",
+     "--sweep-max", "1", "--sweep-steps", "3"],
+    ["metric", "--model", "rashba", "--lambda", "2", "--kx", "1"],
+    ["metric", "--model", "rashba", "--method", "paper", "--lambda", "1.5", "--kx", "1"],
+]
+
+CASES = [argv + ["--format", fmt] for argv in _VALID for fmt in ("json", "csv")] + _ERRORS
+
+
+def run_main(argv: list[str]) -> dict:
+    """Exit code, stdout and the stderr error line of one in-process run."""
+    out, err = io.BytesIO(), io.BytesIO()
+    saved = sys.stdout, sys.stderr
+    sys.stdout = io.TextIOWrapper(out, encoding="utf-8", write_through=True)
+    sys.stderr = io.TextIOWrapper(err, encoding="utf-8", write_through=True)
+    try:
+        code = main(argv)
+    finally:
+        sys.stdout.detach()
+        sys.stderr.detach()
+        sys.stdout, sys.stderr = saved
+    errors = [line for line in err.getvalue().decode().splitlines()
+              if line.startswith('{"error"')]
+    return {"argv": argv, "exit": code, "stdout": out.getvalue().decode(),
+            "error": errors[0] if errors else None}
+
+
+@functools.cache
+def _load() -> dict:
+    return {tuple(c["argv"]): c for c in json.loads(FIXTURE.read_text("utf-8"))}
+
+
+def test_fixture_covers_every_case():
+    assert set(_load()) == {tuple(argv) for argv in CASES}
+
+
+@pytest.mark.parametrize("argv", CASES, ids=" ".join)
+def test_cli_output_matches_golden(argv):
+    assert run_main(argv) == _load()[tuple(argv)]
+
+
+if __name__ == "__main__":
+    FIXTURE.parent.mkdir(exist_ok=True)
+    FIXTURE.write_text(
+        json.dumps([run_main(argv) for argv in CASES], indent=1) + "\n", "utf-8"
+    )
