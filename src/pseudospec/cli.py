@@ -9,7 +9,8 @@ Grammar::
 
 Commands: spectrum, metric, verify, reduce, sweep, evolve, converge.
 Models: rashba (flags --lambda --kx --ky), scalar_const (--v0 --kx),
-scalar_grid (--potential ... plus grid flags).
+scalar_grid (--potential ... plus grid flags).  Each model is one entry
+of MODELS, which every command reads.
 
 Exit codes: 0 success, 2 usage/parameter error, 3 solver failure,
 4 regime violation.  Errors are mirrored as one-line JSON on stderr.
@@ -20,31 +21,35 @@ goes to stderr only.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
+import re
 import sys
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import grid as gridmod
 from .errors import (
-    AsymmetricGrid,
     ComplexSpectrum,
     ConvergenceFailure,
-    DimensionMismatch,
     ExceptionalPoint,
-    NoAnalyticDerivative,
     NotHermitian,
     NotPositiveDefinite,
-    OddPotential,
     PseudospecError,
-    SampleGridMismatch,
-    SchemeBoundaryMismatch,
     SingularDenominator,
 )
-from .linalg import DEFAULT_TOL, adjoint, eigendecompose, frob_norm, sort_by_re_im
+from .linalg import (
+    DEFAULT_TOL,
+    adjoint,
+    eigendecompose,
+    frob_norm,
+    sort_by_re_im,
+    validate_tol,
+)
 from .metric import (
     ALL_REAL,
     CONJUGATE_PAIRS,
@@ -75,35 +80,25 @@ RASHBA = "rashba"
 SCALAR_CONST = "scalar_const"
 SCALAR_GRID = "scalar_grid"
 
-COMMANDS = ("spectrum", "metric", "verify", "reduce", "sweep", "evolve", "converge")
-
 EXIT_USAGE = 2
 EXIT_SOLVER = 3
 EXIT_REGIME = 4
 
-_USAGE_ERRORS = (
-    ValueError,
-    OddPotential,
-    AsymmetricGrid,
-    SampleGridMismatch,
-    NoAnalyticDerivative,
-    SchemeBoundaryMismatch,
-    DimensionMismatch,
-    FileNotFoundError,
-)
-_SOLVER_ERRORS = (ConvergenceFailure, np.linalg.LinAlgError)
-_REGIME_ERRORS = (
-    ComplexSpectrum,
-    ExceptionalPoint,
-    SingularDenominator,
-    NotPositiveDefinite,
-    NotHermitian,
+# Errors main reports as a JSON line on stderr; any other error propagates.
+_REPORTED_ERRORS = (ValueError, FileNotFoundError, PseudospecError)
+# Exit code of each reported error; the first matching row wins, so the
+# last row takes every other PseudospecError (odd potential, asymmetric
+# grid, dimension mismatch, ...).  LinAlgError is a ValueError.
+_EXIT_CODES = (
+    ((ComplexSpectrum, ExceptionalPoint, SingularDenominator, NotPositiveDefinite,
+      NotHermitian), EXIT_REGIME),
+    ((ConvergenceFailure, np.linalg.LinAlgError), EXIT_SOLVER),
+    (_REPORTED_ERRORS, EXIT_USAGE),
 )
 
 
-def default_tol() -> float:
-    env = os.environ.get("PSEUDOSPEC_TOL")
-    return float(env) if env else DEFAULT_TOL
+#: Value of a model parameter that a RunConfig leaves out; 0 for the rest.
+_PARAM_DEFAULTS = {"m0": 1.0, "c": 1.0, "hbar": 1.0, "mode": 1, "width": 1.0}
 
 
 @dataclass
@@ -137,14 +132,17 @@ class RunConfig:
     ns: tuple[int, ...] = ()
     track_level: int = 0
 
-    def param(self, name: str, default: float = 0.0) -> float:
-        return float(self.params.get(name, default))
+    def param(self, name: str) -> float:
+        return float(self.params.get(name, _PARAM_DEFAULTS.get(name, 0.0)))
 
 
 def _phys(cfg: RunConfig) -> PhysParams:
-    return PhysParams(
-        m0=cfg.param("m0", 1.0), c=cfg.param("c", 1.0), hbar=cfg.param("hbar", 1.0)
-    )
+    return PhysParams(m0=cfg.param("m0"), c=cfg.param("c"), hbar=cfg.param("hbar"))
+
+
+_BLOCK = (RASHBA, SCALAR_CONST)
+_GRID = (SCALAR_GRID,)
+_ANY = (RASHBA, SCALAR_CONST, SCALAR_GRID)
 
 
 def _require_model(cfg: RunConfig, allowed: tuple[str, ...]) -> None:
@@ -157,24 +155,13 @@ def _require_model(cfg: RunConfig, allowed: tuple[str, ...]) -> None:
             raise ValueError(f"parameter {key} is not finite: {value}")
 
 
-def _block_and_analytic(cfg: RunConfig):
-    pp = _phys(cfg)
-    if cfg.model == RASHBA:
-        k = Momentum2(cfg.param("kx"), cfg.param("ky"))
-        lam = cfg.param("lambda")
-        return build_rashba(k, pp, lam), rashba_energy(k, pp, lam)
-    kx = cfg.param("kx")
-    v0 = cfg.param("v0")
-    return build_scalar_const(kx, pp, v0), scalar_energy(kx, pp, v0)
-
-
 def _potential(cfg: RunConfig) -> gridmod.PotentialSpec:
     if cfg.potential == "constant":
         return gridmod.PotentialSpec.constant(cfg.param("v0"))
     if cfg.potential == "cosine":
-        return gridmod.PotentialSpec.cosine(cfg.param("g"), int(cfg.param("mode", 1)))
+        return gridmod.PotentialSpec.cosine(cfg.param("g"), int(cfg.param("mode")))
     if cfg.potential == "gaussian":
-        return gridmod.PotentialSpec.gaussian(cfg.param("g"), cfg.param("width", 1.0))
+        return gridmod.PotentialSpec.gaussian(cfg.param("g"), cfg.param("width"))
     if cfg.potential == "samples":
         if not cfg.pot_file:
             raise ValueError("samples potential needs --file PATH")
@@ -182,27 +169,29 @@ def _potential(cfg: RunConfig) -> gridmod.PotentialSpec:
     raise ValueError(f"unknown potential {cfg.potential!r}")
 
 
-def _record_params(cfg: RunConfig) -> dict:
-    out: dict = {
-        "m0": cfg.param("m0", 1.0),
-        "c": cfg.param("c", 1.0),
-        "hbar": cfg.param("hbar", 1.0),
+def _grid_inputs(cfg: RunConfig):
+    """(potential, grid, physical parameters) of a grid command."""
+    pp = _phys(cfg)
+    g = gridmod.make_grid(cfg.grid_l, cfg.grid_n, cfg.bc)
+    return _potential(cfg), g, pp
+
+
+def _grid_params(cfg: RunConfig) -> dict:
+    return {
+        **_potential(cfg).describe(),
+        "grid_L": cfg.grid_l,
+        "grid_n": cfg.grid_n,
+        "bc": cfg.bc,
+        "scheme": cfg.scheme,
     }
-    if cfg.model == RASHBA:
-        out["lambda"] = cfg.param("lambda")
-        out["kx"] = cfg.param("kx")
-        out["ky"] = cfg.param("ky")
-    elif cfg.model == SCALAR_CONST:
-        out["v0"] = cfg.param("v0")
-        out["kx"] = cfg.param("kx")
-    else:
-        out.update(_potential(cfg).describe())
-        out["grid_L"] = cfg.grid_l
-        out["grid_n"] = cfg.grid_n
-        out["bc"] = cfg.bc
-        out["scheme"] = cfg.scheme
-    out["tol"] = cfg.tol
-    return out
+
+
+def _rashba_args(cfg: RunConfig):
+    return Momentum2(cfg.param("kx"), cfg.param("ky")), _phys(cfg), cfg.param("lambda")
+
+
+def _scalar_args(cfg: RunConfig):
+    return cfg.param("kx"), _phys(cfg), cfg.param("v0")
 
 
 def _sorted_pair(pair) -> np.ndarray:
@@ -210,198 +199,9 @@ def _sorted_pair(pair) -> np.ndarray:
     return vals[sort_by_re_im(vals)]
 
 
-def run_spectrum(cfg: RunConfig) -> ResultRecord:
-    """Numerical (and, for 2x2 models, analytic) spectrum with classification."""
-    _require_model(cfg, (RASHBA, SCALAR_CONST, SCALAR_GRID))
-    if cfg.model in (RASHBA, SCALAR_CONST):
-        h, analytic = _block_and_analytic(cfg)
-        es = eigendecompose(h, cfg.tol)
-        cls = classify_spectrum(es.values, cfg.tol)
-        return ResultRecord(
-            model=cfg.model,
-            params=_record_params(cfg),
-            eigenvalues=complex_table(es.values),
-            analytic_eigenvalues=complex_table(_sorted_pair(analytic)),
-            classification=cls.kind,
-        )
-    pp = _phys(cfg)
-    g = gridmod.make_grid(cfg.grid_l, cfg.grid_n, cfg.bc)
-    op = gridmod.build_dirac_grid(_potential(cfg), g, pp, cfg.scheme)
-    es = eigendecompose(op.matrix, cfg.tol)
-    cls = classify_spectrum(es.values, cfg.tol)
-    return ResultRecord(
-        model=cfg.model,
-        params=_record_params(cfg),
-        eigenvalues=complex_table(es.values),
-        classification=cls.kind,
-    )
-
-
-def _metric_candidates(cfg: RunConfig, h, pp: PhysParams) -> dict:
-    out: dict = {}
-    for method in cfg.methods:
-        if method == "spectral":
-            out[method] = spectral_metric(h, normalize=cfg.normalize, tol=cfg.tol)
-        elif method == "paper":
-            if cfg.model == RASHBA:
-                k = Momentum2(cfg.param("kx"), cfg.param("ky"))
-                eta = eta_paper_rashba(k, pp, cfg.param("lambda"))
-            else:
-                eta = eta_paper_scalar(cfg.param("kx"), pp, cfg.param("v0"))
-            out[method] = make_metric(eta, "paper_printed")
-        elif method == "diagonal":
-            if cfg.model != RASHBA:
-                raise ValueError("--method diagonal applies to the rashba model only")
-            out[method] = make_metric(eta_diag_rashba(pp, cfg.param("lambda")),
-                                      "diagonal_derived")
-        else:
-            raise ValueError(f"unknown metric method {method!r}")
-    return out
-
-
-def run_metric(cfg: RunConfig) -> ResultRecord:
-    """Construct the requested metric candidates and adjudicate each one."""
-    _require_model(cfg, (RASHBA, SCALAR_CONST))
-    pp = _phys(cfg)
-    h, _ = _block_and_analytic(cfg)
-    candidates = _metric_candidates(cfg, h, pp)
-    reports = {name: check_metric(h, eta, cfg.tol) for name, eta in candidates.items()}
-    es = eigendecompose(h, cfg.tol)
-    cls = classify_spectrum(es.values, cfg.tol)
-    record = ResultRecord(
-        model=cfg.model,
-        params=_record_params(cfg),
-        eigenvalues=complex_table(es.values),
-        classification=cls.kind,
-    )
-    if len(reports) == 1:
-        record.metric_report = next(iter(reports.values()))
-    else:
-        record.metric_reports = reports
-    return record
-
-
-def _sweep_point(cfg: RunConfig, value: float):
-    params = dict(cfg.params)
-    params[cfg.sweep_param] = value
-    sub = RunConfig(
-        command="spectrum",
-        model=cfg.model,
-        params=params,
-        tol=cfg.tol,
-        grid_l=cfg.grid_l,
-        grid_n=cfg.grid_n,
-        bc=cfg.bc,
-        scheme=cfg.scheme,
-        potential=cfg.potential,
-        pot_file=cfg.pot_file,
-    )
-    if cfg.model in (RASHBA, SCALAR_CONST):
-        h, _ = _block_and_analytic(sub)
-        values = eigendecompose(h, cfg.tol).values
-    else:
-        pp = _phys(sub)
-        g = gridmod.make_grid(cfg.grid_l, cfg.grid_n, cfg.bc)
-        op = gridmod.build_reduced(_potential(sub), g, pp, cfg.scheme, cfg.form)
-        values = eigendecompose(op.matrix, cfg.tol).values
-    kind = classify_spectrum(values, cfg.tol).kind
-    return values, kind
-
-
-_SWEEPABLE = {
-    RASHBA: ("lambda", "kx", "ky"),
-    SCALAR_CONST: ("v0", "kx"),
-    SCALAR_GRID: ("v0", "g", "width"),
-}
-
-
-def run_sweep(cfg: RunConfig) -> ResultRecord:
-    """Classify the spectrum along a 1-parameter sweep; bisect a reality threshold.
-
-    For the grid model the classified spectrum is the component-eliminated
-    operator's, whose reality breaking is the object of interest.
-    """
-    _require_model(cfg, (RASHBA, SCALAR_CONST, SCALAR_GRID))
-    if cfg.sweep_param is None or cfg.sweep_steps < 2:
-        raise ValueError("sweep needs --sweep-param, --sweep-min/max and --sweep-steps >= 2")
-    if cfg.sweep_param not in _SWEEPABLE[cfg.model]:
-        raise ValueError(
-            f"cannot sweep {cfg.sweep_param!r} for model {cfg.model!r}; "
-            f"choose from {_SWEEPABLE[cfg.model]}"
-        )
-    if not cfg.sweep_max > cfg.sweep_min:
-        raise ValueError("sweep range must satisfy max > min")
-    grid_values = np.linspace(cfg.sweep_min, cfg.sweep_max, cfg.sweep_steps)
-    points = []
-    kinds = []
-    for v in grid_values:
-        values, kind = _sweep_point(cfg, float(v))
-        kinds.append(kind)
-        points.append(
-            {
-                "value": float(v),
-                "eigenvalues": complex_table(values),
-                "classification": kind,
-            }
-        )
-    threshold = None
-    for i in range(len(grid_values) - 1):
-        if kinds[i] == ALL_REAL and kinds[i + 1] != ALL_REAL:
-            lo, hi = float(grid_values[i]), float(grid_values[i + 1])
-            while hi - lo > 1e-9 * max(1.0, abs(hi)):
-                mid = 0.5 * (lo + hi)
-                _, kind = _sweep_point(cfg, mid)
-                if kind == ALL_REAL:
-                    lo = mid
-                else:
-                    hi = mid
-            threshold = {"param": cfg.sweep_param, "value": 0.5 * (lo + hi)}
-            break
-    return ResultRecord(
-        model=cfg.model,
-        params=_record_params(cfg),
-        sweep={
-            "param": cfg.sweep_param,
-            "min": cfg.sweep_min,
-            "max": cfg.sweep_max,
-            "steps": cfg.sweep_steps,
-            "points": points,
-        },
-        threshold=threshold,
-        include_threshold=True,
-    )
-
-
-def run_reduce(cfg: RunConfig) -> ResultRecord:
-    """Grid solve: Dirac spectrum, component-eliminated spectrum, exact identity check."""
-    _require_model(cfg, (SCALAR_GRID,))
-    pp = _phys(cfg)
-    g = gridmod.make_grid(cfg.grid_l, cfg.grid_n, cfg.bc)
-    spec = _potential(cfg)
-    dirac = gridmod.build_dirac_grid(spec, g, pp, cfg.scheme)
-    reduced = gridmod.build_reduced(spec, g, pp, cfg.scheme, cfg.form)
-    dirac_es = eigendecompose(dirac.matrix, cfg.tol)
-    reduced_es = eigendecompose(reduced.matrix, cfg.tol)
-    mapped = gridmod.reduced_to_dirac_energies(reduced_es.values, pp)
-    mapped = mapped[sort_by_re_im(mapped)]
-    mismatch = gridmod.reduction_identity_mismatch(
-        dirac_es.values, reduced_es.values, pp
-    )
-    cls = classify_spectrum(dirac_es.values, cfg.tol)
-    reduced_cls = classify_spectrum(reduced_es.values, max(cfg.tol, 1e-8))
-    return ResultRecord(
-        model=cfg.model,
-        params=_record_params(cfg),
-        eigenvalues=complex_table(dirac_es.values),
-        classification=cls.kind,
-        reduction={
-            "form": cfg.form,
-            "identity_mismatch": mismatch,
-            "reduced_classification": reduced_cls.kind,
-            "reduced_eigenvalues": complex_table(reduced_es.values),
-            "mapped_eigenvalues": complex_table(mapped),
-        },
-    )
+def _pseudo_unitarity(u: np.ndarray, eta: np.ndarray) -> float:
+    """||U^dag eta U - eta||_F / ||eta||_F."""
+    return frob_norm(u.conj().T @ eta @ u - eta) / frob_norm(eta)
 
 
 def _check(name: str, value: float, tol: float | None, gate: bool = True) -> dict:
@@ -409,13 +209,40 @@ def _check(name: str, value: float, tol: float | None, gate: bool = True) -> dic
     return {"name": name, "value": float(value), "tol": tol, "pass": ok}
 
 
+def _rashba_checks(cfg: RunConfig, h: np.ndarray) -> list[dict]:
+    k, pp, lam = _rashba_args(cfg)
+    checks = []
+    if abs(lam) < pp.c:
+        diag_rep = check_metric(h, eta_diag_rashba(pp, lam), cfg.tol)
+        checks.append(
+            _check("diagonal_metric_relation", diag_rep.relation_residual, 1e-14)
+        )
+    parity = rashba_parity_residuals(k, pp, lam)
+    return checks + [
+        _check("parity_conjugation_vs_adjoint", parity["parity_vs_adjoint"],
+               cfg.tol, gate=False),
+        _check("parity_with_reversal_vs_adjoint",
+               parity["parity_with_reversal_vs_adjoint"], cfg.tol, gate=False),
+        _check("parity_conjugation_vs_reflected_k", parity["parity_vs_reflected_k"],
+               1e-12),
+    ]
+
+
+def _scalar_checks(cfg: RunConfig, h: np.ndarray) -> list[dict]:
+    return [
+        _check("parity_with_momentum_reversal_vs_adjoint",
+               scalar_parity_residual(*_scalar_args(cfg)), 1e-12)
+    ]
+
+
 def _verify_block(cfg: RunConfig) -> list[dict]:
+    model = MODELS[cfg.model]
     pp = _phys(cfg)
-    h, analytic = _block_and_analytic(cfg)
+    h = model.matrix(cfg)
+    ana = _sorted_pair(model.analytic(cfg))
     hd = adjoint(h)
     scale = max(1.0, frob_norm(h))
     es = eigendecompose(h, cfg.tol)
-    ana = _sorted_pair(analytic)
     checks = [
         _check(
             "spectrum_matches_closed_form",
@@ -428,21 +255,11 @@ def _verify_block(cfg: RunConfig) -> list[dict]:
             1e-12,
         ),
     ]
-    if cfg.model == RASHBA:
-        k = Momentum2(cfg.param("kx"), cfg.param("ky"))
-        lam = cfg.param("lambda")
-        spinors = rashba_adjoint_spinors(k, pp, lam)
-        try:
-            paper_eta = eta_paper_rashba(k, pp, lam)
-        except SingularDenominator:
-            paper_eta = None  # closed form undefined at E^2 = (m0 c^2)^2
-    else:
-        kx, v0 = cfg.param("kx"), cfg.param("v0")
-        spinors = scalar_adjoint_spinors(kx, pp, v0)
-        try:
-            paper_eta = eta_paper_scalar(kx, pp, v0)
-        except SingularDenominator:
-            paper_eta = None
+    spinors = model.spinors(cfg)
+    try:
+        paper_eta = model.paper_eta(cfg)
+    except SingularDenominator:
+        paper_eta = None  # closed form undefined at E^2 = (m0 c^2)^2
     e = spinors.energy
     checks.append(
         _check(
@@ -479,63 +296,14 @@ def _verify_block(cfg: RunConfig) -> list[dict]:
         )
     )
     checks.append(_check("printed_metric_min_eig", paper_rep.min_eig, None))
-    if cfg.model == RASHBA:
-        lam = cfg.param("lambda")
-        if abs(lam) < pp.c:
-            diag_rep = check_metric(h, eta_diag_rashba(pp, lam), cfg.tol)
-            checks.append(
-                _check("diagonal_metric_relation", diag_rep.relation_residual, 1e-14)
-            )
-        parity = rashba_parity_residuals(
-            Momentum2(cfg.param("kx"), cfg.param("ky")), pp, lam
-        )
-        checks.append(
-            _check(
-                "parity_conjugation_vs_adjoint",
-                parity["parity_vs_adjoint"],
-                cfg.tol,
-                gate=False,
-            )
-        )
-        checks.append(
-            _check(
-                "parity_with_reversal_vs_adjoint",
-                parity["parity_with_reversal_vs_adjoint"],
-                cfg.tol,
-                gate=False,
-            )
-        )
-        checks.append(
-            _check(
-                "parity_conjugation_vs_reflected_k",
-                parity["parity_vs_reflected_k"],
-                1e-12,
-            )
-        )
-    else:
-        checks.append(
-            _check(
-                "parity_with_momentum_reversal_vs_adjoint",
-                scalar_parity_residual(cfg.param("kx"), pp, cfg.param("v0")),
-                1e-12,
-            )
-        )
+    checks += model.checks(cfg, h)
     u = evolve(h, 1.0, pp)
-    eta_norm = frob_norm(eta.eta)
-    checks.append(
-        _check(
-            "pseudo_unitarity_t1",
-            frob_norm(u.conj().T @ eta.eta @ u - eta.eta) / eta_norm,
-            1e-8,
-        )
-    )
+    checks.append(_check("pseudo_unitarity_t1", _pseudo_unitarity(u, eta.eta), 1e-8))
     return checks
 
 
 def _verify_grid(cfg: RunConfig) -> list[dict]:
-    pp = _phys(cfg)
-    g = gridmod.make_grid(cfg.grid_l, cfg.grid_n, cfg.bc)
-    spec = _potential(cfg)
+    spec, g, pp = _grid_inputs(cfg)
     d = gridmod.derivative_matrix(g, cfg.scheme)
     perm = gridmod.reflection_permutation(g)
     dirac = gridmod.build_dirac_grid(spec, g, pp, cfg.scheme)
@@ -575,28 +343,244 @@ def _verify_grid(cfg: RunConfig) -> list[dict]:
     return checks
 
 
+@dataclass(frozen=True)
+class Model:
+    """What the commands need to know of one model.
+
+    Each callable takes the RunConfig.  The entries reach model functions
+    through this module's globals when called, never by holding them, so
+    a wrapper installed on a module attribute sees every call.
+    """
+
+    params: tuple[str, ...]  # record parameters after m0, c, hbar, in order
+    sweepable: tuple[str, ...]
+    matrix: Callable  # the operator whose spectrum `spectrum` reports
+    sweep_matrix: Callable  # the operator whose spectrum `sweep` classifies
+    verify: Callable  # the `verify` battery: a list of checks
+    describe: Callable | None = None  # more record parameters, after `params`
+    methods: tuple[str, ...] = ()  # what `metric --method all` runs
+    analytic: Callable | None = None  # closed-form eigenvalue pair
+    paper_eta: Callable | None = None  # published metric candidate
+    diagonal_eta: Callable | None = None  # exact diagonal metric
+    spinors: Callable | None = None  # adjoint-block eigenvectors
+    checks: Callable | None = None  # (cfg, h) -> model-specific verify checks
+
+
+MODELS = {
+    RASHBA: Model(
+        params=("lambda", "kx", "ky"),
+        sweepable=("lambda", "kx", "ky"),
+        matrix=lambda cfg: build_rashba(*_rashba_args(cfg)),
+        sweep_matrix=lambda cfg: build_rashba(*_rashba_args(cfg)),
+        verify=_verify_block,
+        methods=("spectral", "paper", "diagonal"),
+        analytic=lambda cfg: rashba_energy(*_rashba_args(cfg)),
+        paper_eta=lambda cfg: eta_paper_rashba(*_rashba_args(cfg)),
+        diagonal_eta=lambda cfg: eta_diag_rashba(_phys(cfg), cfg.param("lambda")),
+        spinors=lambda cfg: rashba_adjoint_spinors(*_rashba_args(cfg)),
+        checks=_rashba_checks,
+    ),
+    SCALAR_CONST: Model(
+        params=("v0", "kx"),
+        sweepable=("v0", "kx"),
+        matrix=lambda cfg: build_scalar_const(*_scalar_args(cfg)),
+        sweep_matrix=lambda cfg: build_scalar_const(*_scalar_args(cfg)),
+        verify=_verify_block,
+        methods=("spectral", "paper"),
+        analytic=lambda cfg: scalar_energy(*_scalar_args(cfg)),
+        paper_eta=lambda cfg: eta_paper_scalar(*_scalar_args(cfg)),
+        spinors=lambda cfg: scalar_adjoint_spinors(*_scalar_args(cfg)),
+        checks=_scalar_checks,
+    ),
+    SCALAR_GRID: Model(
+        params=(),
+        sweepable=("v0", "g", "width"),
+        matrix=lambda cfg: gridmod.build_dirac_grid(
+            *_grid_inputs(cfg), cfg.scheme
+        ).matrix,
+        # the component-eliminated operator, whose reality breaking is the
+        # object of interest
+        sweep_matrix=lambda cfg: gridmod.build_reduced(
+            *_grid_inputs(cfg), cfg.scheme, cfg.form
+        ).matrix,
+        verify=_verify_grid,
+        describe=_grid_params,
+    ),
+}
+
+
+def _record(cfg: RunConfig, **sections) -> ResultRecord:
+    """Record of the run's model and parameters with the given sections."""
+    model = MODELS[cfg.model]
+    params = {name: cfg.param(name) for name in ("m0", "c", "hbar", *model.params)}
+    if model.describe is not None:
+        params.update(model.describe(cfg))
+    params["tol"] = cfg.tol
+    return ResultRecord(model=cfg.model, params=params, **sections)
+
+
+def run_spectrum(cfg: RunConfig) -> ResultRecord:
+    """Numerical (and, for 2x2 models, analytic) spectrum with classification."""
+    _require_model(cfg, _ANY)
+    model = MODELS[cfg.model]
+    h = model.matrix(cfg)
+    analytic = None if model.analytic is None else _sorted_pair(model.analytic(cfg))
+    es = eigendecompose(h, cfg.tol)
+    cls = classify_spectrum(es.values, cfg.tol)
+    return _record(
+        cfg,
+        eigenvalues=complex_table(es.values),
+        analytic_eigenvalues=None if analytic is None else complex_table(analytic),
+        classification=cls.kind,
+    )
+
+
+def _metric_candidates(cfg: RunConfig, h) -> dict:
+    model = MODELS[cfg.model]
+    out: dict = {}
+    for method in cfg.methods:
+        if method == "spectral":
+            out[method] = spectral_metric(h, normalize=cfg.normalize, tol=cfg.tol)
+        elif method == "paper":
+            out[method] = make_metric(model.paper_eta(cfg), "paper_printed")
+        elif method == "diagonal":
+            if model.diagonal_eta is None:
+                raise ValueError("--method diagonal applies to the rashba model only")
+            out[method] = make_metric(model.diagonal_eta(cfg), "diagonal_derived")
+        else:
+            raise ValueError(f"unknown metric method {method!r}")
+    return out
+
+
+def run_metric(cfg: RunConfig) -> ResultRecord:
+    """Construct the requested metric candidates and adjudicate each one."""
+    _require_model(cfg, _BLOCK)
+    h = MODELS[cfg.model].matrix(cfg)
+    candidates = _metric_candidates(cfg, h)
+    reports = {name: check_metric(h, eta, cfg.tol) for name, eta in candidates.items()}
+    es = eigendecompose(h, cfg.tol)
+    cls = classify_spectrum(es.values, cfg.tol)
+    record = _record(
+        cfg,
+        eigenvalues=complex_table(es.values),
+        classification=cls.kind,
+    )
+    if len(reports) == 1:
+        record.metric_report = next(iter(reports.values()))
+    else:
+        record.metric_reports = reports
+    return record
+
+
+def _sweep_point(cfg: RunConfig, value: float):
+    sub = replace(cfg, params={**cfg.params, cfg.sweep_param: value})
+    values = eigendecompose(MODELS[cfg.model].sweep_matrix(sub), cfg.tol).values
+    kind = classify_spectrum(values, cfg.tol).kind
+    return values, kind
+
+
+def run_sweep(cfg: RunConfig) -> ResultRecord:
+    """Classify the spectrum along a 1-parameter sweep; bisect a reality threshold.
+
+    For the grid model the classified spectrum is the component-eliminated
+    operator's, whose reality breaking is the object of interest.
+    """
+    _require_model(cfg, _ANY)
+    if cfg.sweep_param is None or cfg.sweep_steps < 2:
+        raise ValueError("sweep needs --sweep-param, --sweep-min/max and --sweep-steps >= 2")
+    sweepable = MODELS[cfg.model].sweepable
+    if cfg.sweep_param not in sweepable:
+        raise ValueError(
+            f"cannot sweep {cfg.sweep_param!r} for model {cfg.model!r}; "
+            f"choose from {sweepable}"
+        )
+    if not cfg.sweep_max > cfg.sweep_min:
+        raise ValueError("sweep range must satisfy max > min")
+    grid_values = np.linspace(cfg.sweep_min, cfg.sweep_max, cfg.sweep_steps)
+    points = []
+    for v in grid_values:
+        values, kind = _sweep_point(cfg, float(v))
+        points.append(
+            {
+                "value": float(v),
+                "eigenvalues": complex_table(values),
+                "classification": kind,
+            }
+        )
+    kinds = [point["classification"] for point in points]
+    threshold = None
+    for i in range(len(grid_values) - 1):
+        if kinds[i] == ALL_REAL and kinds[i + 1] != ALL_REAL:
+            lo, hi = float(grid_values[i]), float(grid_values[i + 1])
+            while hi - lo > 1e-9 * max(1.0, abs(hi)):
+                mid = 0.5 * (lo + hi)
+                _, kind = _sweep_point(cfg, mid)
+                if kind == ALL_REAL:
+                    lo = mid
+                else:
+                    hi = mid
+            threshold = {"param": cfg.sweep_param, "value": 0.5 * (lo + hi)}
+            break
+    return _record(
+        cfg,
+        sweep={
+            "param": cfg.sweep_param,
+            "min": cfg.sweep_min,
+            "max": cfg.sweep_max,
+            "steps": cfg.sweep_steps,
+            "points": points,
+        },
+        threshold=threshold,
+    )
+
+
+def run_reduce(cfg: RunConfig) -> ResultRecord:
+    """Grid solve: Dirac spectrum, component-eliminated spectrum, exact identity check."""
+    _require_model(cfg, _GRID)
+    spec, g, pp = _grid_inputs(cfg)
+    dirac = gridmod.build_dirac_grid(spec, g, pp, cfg.scheme)
+    reduced = gridmod.build_reduced(spec, g, pp, cfg.scheme, cfg.form)
+    dirac_es = eigendecompose(dirac.matrix, cfg.tol)
+    reduced_es = eigendecompose(reduced.matrix, cfg.tol)
+    mapped = gridmod.reduced_to_dirac_energies(reduced_es.values, pp)
+    mapped = mapped[sort_by_re_im(mapped)]
+    mismatch = gridmod.reduction_identity_mismatch(
+        dirac_es.values, reduced_es.values, pp
+    )
+    cls = classify_spectrum(dirac_es.values, cfg.tol)
+    reduced_cls = classify_spectrum(reduced_es.values, max(cfg.tol, 1e-8))
+    return _record(
+        cfg,
+        eigenvalues=complex_table(dirac_es.values),
+        classification=cls.kind,
+        reduction={
+            "form": cfg.form,
+            "identity_mismatch": mismatch,
+            "reduced_classification": reduced_cls.kind,
+            "reduced_eigenvalues": complex_table(reduced_es.values),
+            "mapped_eigenvalues": complex_table(mapped),
+        },
+    )
+
+
 def run_verify(cfg: RunConfig) -> ResultRecord:
     """Certification battery for the chosen model at the given parameters."""
-    _require_model(cfg, (RASHBA, SCALAR_CONST, SCALAR_GRID))
-    checks = (
-        _verify_grid(cfg) if cfg.model == SCALAR_GRID else _verify_block(cfg)
-    )
+    _require_model(cfg, _ANY)
+    checks = MODELS[cfg.model].verify(cfg)
     gated = [c["pass"] for c in checks if c["pass"] is not None]
-    return ResultRecord(
-        model=cfg.model,
-        params=_record_params(cfg),
+    return _record(
+        cfg,
         checks=checks,
-        extra_scalars={"all_passed": bool(all(gated))},
+        all_passed=bool(all(gated)),
     )
 
 
 def run_evolve(cfg: RunConfig) -> ResultRecord:
     """Propagator checks: eta-pseudo-unitarity versus naive unitarity."""
-    _require_model(cfg, (RASHBA, SCALAR_CONST))
+    _require_model(cfg, _BLOCK)
     pp = _phys(cfg)
-    h, _ = _block_and_analytic(cfg)
-    eta = spectral_metric(h, normalize=cfg.normalize, tol=cfg.tol)
-    eta_norm = frob_norm(eta.eta)
+    h = MODELS[cfg.model].matrix(cfg)
+    eta = spectral_metric(h, normalize=cfg.normalize, tol=cfg.tol).eta
     ident = np.eye(h.shape[0])
     rows = []
     for t in cfg.times:
@@ -604,19 +588,16 @@ def run_evolve(cfg: RunConfig) -> ResultRecord:
         rows.append(
             {
                 "t": float(t),
-                "pseudo_unitarity_residual": frob_norm(
-                    u.conj().T @ eta.eta @ u - eta.eta
-                )
-                / eta_norm,
+                "pseudo_unitarity_residual": _pseudo_unitarity(u, eta),
                 "naive_unitarity_defect": frob_norm(u.conj().T @ u - ident),
             }
         )
-    return ResultRecord(model=cfg.model, params=_record_params(cfg), evolution=rows)
+    return _record(cfg, evolution=rows)
 
 
 def run_converge(cfg: RunConfig) -> ResultRecord:
     """Grid-refinement study of the lowest-|E| eigenvalue."""
-    _require_model(cfg, (SCALAR_GRID,))
+    _require_model(cfg, _GRID)
     if not cfg.ns:
         raise ValueError("converge needs at least one --N")
     study = gridmod.convergence_study(
@@ -629,9 +610,8 @@ def run_converge(cfg: RunConfig) -> ResultRecord:
         tol=cfg.tol,
         track_level=cfg.track_level,
     )
-    return ResultRecord(
-        model=cfg.model,
-        params=_record_params(cfg),
+    return _record(
+        cfg,
         study={
             "scheme": study.scheme,
             "track_level": study.track_level,
@@ -660,6 +640,8 @@ def run(cfg: RunConfig) -> ResultRecord:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # An option left out is absent from the namespace, so RunConfig's
+    # field defaults and RunConfig.param's defaults are the only defaults.
     p = argparse.ArgumentParser(
         prog="pseudospec",
         description=(
@@ -677,143 +659,116 @@ def _build_parser() -> argparse.ArgumentParser:
         ("evolve", "propagator pseudo-unitarity checks"),
         ("converge", "grid-refinement convergence study"),
     ):
-        sp = sub.add_parser(name, help=doc)
-        sp.add_argument(
-            "--model",
-            choices=(RASHBA, SCALAR_CONST, SCALAR_GRID),
-            default=RASHBA,
-        )
-        sp.add_argument("--m0", type=float, default=1.0)
-        sp.add_argument("--c", type=float, default=1.0)
-        sp.add_argument("--hbar", type=float, default=1.0)
-        sp.add_argument("--lambda", dest="lam", type=float, default=0.0,
+        sp = sub.add_parser(name, help=doc, argument_default=argparse.SUPPRESS)
+        sp.add_argument("--model", choices=tuple(MODELS))
+        sp.add_argument("--m0", type=float)
+        sp.add_argument("--c", type=float)
+        sp.add_argument("--hbar", type=float)
+        sp.add_argument("--lambda", type=float,
                         help="imaginary spin-orbit coupling strength (rashba)")
-        sp.add_argument("--kx", type=float, default=0.0)
-        sp.add_argument("--ky", type=float, default=0.0)
-        sp.add_argument("--v0", type=float, default=0.0,
+        sp.add_argument("--kx", type=float)
+        sp.add_argument("--ky", type=float)
+        sp.add_argument("--v0", type=float,
                         help="scalar potential strength (scalar models)")
-        sp.add_argument("--grid-L", dest="grid_l", type=float, default=math.pi)
-        sp.add_argument("--grid-n", dest="grid_n", type=int, default=64)
-        sp.add_argument("--bc", choices=(gridmod.PERIODIC, gridmod.DIRICHLET),
-                        default=gridmod.PERIODIC)
-        sp.add_argument("--scheme", choices=(gridmod.CENTRAL2, gridmod.FOURIER),
-                        default=gridmod.FOURIER)
+        sp.add_argument("--grid-L", dest="grid_l", type=float)
+        sp.add_argument("--grid-n", dest="grid_n", type=int)
+        sp.add_argument("--bc", choices=(gridmod.PERIODIC, gridmod.DIRICHLET))
+        sp.add_argument("--scheme", choices=(gridmod.CENTRAL2, gridmod.FOURIER))
         sp.add_argument("--potential",
-                        choices=("constant", "cosine", "gaussian", "samples"),
-                        default="constant")
-        sp.add_argument("--g", type=float, default=0.0,
+                        choices=("constant", "cosine", "gaussian", "samples"))
+        sp.add_argument("--g", type=float,
                         help="amplitude for cosine/gaussian potentials")
-        sp.add_argument("--mode", type=int, default=1,
+        sp.add_argument("--mode", type=int,
                         help="cosine mode number")
-        sp.add_argument("--width", type=float, default=1.0,
+        sp.add_argument("--width", type=float,
                         help="gaussian width")
-        sp.add_argument("--file", dest="pot_file", default=None,
+        sp.add_argument("--file", dest="pot_file",
                         help="CSV file for the samples potential")
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--format", dest="fmt", choices=(JSON, CSV), default=JSON)
-        sp.add_argument("--out", default=None)
+        sp.add_argument("--tol", type=float)
+        sp.add_argument("--format", dest="fmt", choices=(JSON, CSV))
+        sp.add_argument("--out")
         if name == "sweep":
             sp.add_argument("--sweep-param", required=True)
             sp.add_argument("--sweep-min", type=float, required=True)
             sp.add_argument("--sweep-max", type=float, required=True)
             sp.add_argument("--sweep-steps", type=int, required=True)
-        if name == "metric":
-            sp.add_argument("--method", action="append",
-                            choices=("spectral", "paper", "diagonal", "all"),
-                            help="repeatable; default spectral")
+        if name in ("metric", "evolve"):
             sp.add_argument("--normalize", action="store_true",
                             help="unit-norm eigenvectors in the spectral sum")
+        if name == "metric":
+            sp.add_argument("--method", dest="methods", action="append",
+                            choices=("spectral", "paper", "diagonal", "all"),
+                            help="repeatable; default spectral")
         if name == "evolve":
-            sp.add_argument("--t", action="append", type=float,
+            sp.add_argument("--t", dest="times", action="append", type=float,
                             help="repeatable evolution time; default 1.0")
-            sp.add_argument("--normalize", action="store_true")
         if name == "reduce":
             sp.add_argument("--form",
-                            choices=(gridmod.PRODUCT_EXACT, gridmod.ANALYTIC_U),
-                            default=gridmod.PRODUCT_EXACT)
+                            choices=(gridmod.PRODUCT_EXACT, gridmod.ANALYTIC_U))
         if name == "converge":
             sp.add_argument("--N", dest="ns", action="append", type=int,
                             help="repeatable grid size; ascending")
             sp.add_argument("--track-level", dest="track_level", type=int,
-                            default=0,
                             help="which distinct |E| level to follow (0 = lowest)")
     return p
 
 
 def config_from_args(ns: argparse.Namespace) -> RunConfig:
-    params = {
-        "m0": ns.m0,
-        "c": ns.c,
-        "hbar": ns.hbar,
-        "lambda": ns.lam,
-        "kx": ns.kx,
-        "ky": ns.ky,
-        "v0": ns.v0,
-        "g": ns.g,
-        "mode": ns.mode,
-        "width": ns.width,
-    }
-    methods: tuple[str, ...] = ("spectral",)
-    if getattr(ns, "method", None):
-        if "all" in ns.method:
-            methods = ("spectral", "paper") + (
-                ("diagonal",) if ns.model == RASHBA else ()
-            )
+    """RunConfig from parsed flags; raises ValueError on a bad tolerance.
+
+    A flag that is not a RunConfig field is a model parameter.
+    ``PSEUDOSPEC_TOL`` sets the tolerance when ``--tol`` is not given.
+    """
+    args = dict(vars(ns))
+    known = {f.name for f in fields(RunConfig)}
+    params = {name: args.pop(name) for name in list(args) if name not in known}
+    if "tol" not in args:
+        args["tol"] = float(os.environ.get("PSEUDOSPEC_TOL") or DEFAULT_TOL)
+    validate_tol(args["tol"])
+    for key in ("methods", "times", "ns"):
+        if key in args:
+            args[key] = tuple(args[key])
+    cfg = RunConfig(params=params, **args)
+    if "all" in cfg.methods:
+        cfg.methods = MODELS[cfg.model].methods
+    else:
+        cfg.methods = tuple(dict.fromkeys(cfg.methods))
+    return cfg
+
+
+_NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """Pass '--ky -7e-05' as '--ky=-7e-05'.
+
+    argparse (Python 3.11) reads a dash followed by a number in scientific
+    notation as an option, not as a value; no option name here is a number.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and _NEGATIVE_NUMBER.fullmatch(arg):
+            out[-1] += "=" + arg
         else:
-            methods = tuple(dict.fromkeys(ns.method))
-    return RunConfig(
-        command=ns.command,
-        model=ns.model,
-        params=params,
-        tol=ns.tol if ns.tol is not None else default_tol(),
-        fmt=ns.fmt,
-        out=ns.out,
-        grid_l=ns.grid_l,
-        grid_n=ns.grid_n,
-        bc=ns.bc,
-        scheme=ns.scheme,
-        potential=ns.potential,
-        pot_file=ns.pot_file,
-        form=getattr(ns, "form", gridmod.PRODUCT_EXACT),
-        sweep_param=getattr(ns, "sweep_param", None),
-        sweep_min=getattr(ns, "sweep_min", 0.0),
-        sweep_max=getattr(ns, "sweep_max", 0.0),
-        sweep_steps=getattr(ns, "sweep_steps", 0),
-        methods=methods,
-        normalize=getattr(ns, "normalize", False),
-        times=tuple(ns.t) if getattr(ns, "t", None) else (1.0,),
-        ns=tuple(ns.ns) if getattr(ns, "ns", None) else (),
-        track_level=getattr(ns, "track_level", 0),
-    )
+            out.append(arg)
+    return out
 
 
 def _error_json(exc: Exception) -> str:
-    import json as _json
-
-    return _json.dumps(
-        {"error": {"type": type(exc).__name__, "message": str(exc)}}
-    )
+    return json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}})
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    ns = parser.parse_args(argv)
-    cfg = config_from_args(ns)
+    argv = sys.argv[1:] if argv is None else argv
+    ns = parser.parse_args(_join_negative_values(argv))
     started = time.monotonic()
     try:
+        cfg = config_from_args(ns)
         record = run(cfg)
-    except _REGIME_ERRORS as exc:
+    except _REPORTED_ERRORS as exc:
         print(_error_json(exc), file=sys.stderr)
-        return EXIT_REGIME
-    except _SOLVER_ERRORS as exc:
-        print(_error_json(exc), file=sys.stderr)
-        return EXIT_SOLVER
-    except _USAGE_ERRORS as exc:
-        print(_error_json(exc), file=sys.stderr)
-        return EXIT_USAGE
-    except PseudospecError as exc:
-        print(_error_json(exc), file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
     payload = emit(record, cfg.fmt)
     elapsed_ms = int(round(1000 * (time.monotonic() - started)))
     if cfg.out:

@@ -39,7 +39,7 @@ from .errors import (
     SampleGridMismatch,
     SchemeBoundaryMismatch,
 )
-from .linalg import DEFAULT_TOL, adjoint, as_cmatrix, eigendecompose, frob_norm
+from .linalg import DEFAULT_TOL, adjoint, as_cmatrix, eigendecompose, relative_residual
 from .models import PhysParams
 
 PERIODIC = "periodic"
@@ -214,10 +214,6 @@ class PotentialSpec:
                 xs.append(float(row[0]))
                 vs.append(float(row[1]))
         return cls.samples(xs, vs, source=path, parity_tol=parity_tol)
-
-    @property
-    def has_analytic_derivative(self) -> bool:
-        return self.family != "samples"
 
     def values(self, grid: Grid1D) -> np.ndarray:
         x = grid.points
@@ -424,7 +420,7 @@ def grid_parity_residual(matrix: np.ndarray, grid: Grid1D) -> float:
     pd = np.concatenate([perm, n + perm])
     sign = np.concatenate([np.ones(n), -np.ones(n)])
     conj = sign[:, None] * h[np.ix_(pd, pd)] * sign[None, :]
-    return frob_norm(conj - adjoint(h)) / max(1.0, frob_norm(h))
+    return relative_residual(conj - adjoint(h), h)
 
 
 def reflection_conjugation_residual(matrix: np.ndarray, grid: Grid1D) -> float:
@@ -432,7 +428,7 @@ def reflection_conjugation_residual(matrix: np.ndarray, grid: Grid1D) -> float:
     u = as_cmatrix(matrix)
     perm = reflection_permutation(grid)
     refl = u[np.ix_(perm, perm)]
-    return frob_norm(refl - u.conj()) / max(1.0, frob_norm(u))
+    return relative_residual(refl - u.conj(), u)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ and Frobenius distances.  Eigenvalues are always returned sorted by
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,16 @@ MAX_DIM = 1024
 
 #: Hermiticity gate, relative to max(1, ||A||_F).
 HERMITICITY_TOL = 1e-12
+
+
+def validate_tol(tol: float) -> None:
+    """Raise ValueError unless ``tol`` is finite and > 0.
+
+    A NaN tolerance would pass every ``resid > tol`` certificate, because
+    comparisons with NaN are false.
+    """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and > 0, got {tol}")
 
 
 def as_cmatrix(a) -> np.ndarray:
@@ -54,6 +65,11 @@ def frob_distance(a, b) -> float:
     return float(np.linalg.norm(a - b, "fro"))
 
 
+def relative_residual(r, a) -> float:
+    """||R||_F / max(1, ||A||_F): a residual measured against its matrix."""
+    return frob_norm(r) / max(1.0, frob_norm(a))
+
+
 def sort_by_re_im(values: np.ndarray) -> np.ndarray:
     """Indices that sort complex values by (Re, Im) ascending."""
     return np.lexsort((values.imag, values.real))
@@ -72,10 +88,6 @@ class EigenSystem:
     vectors: np.ndarray
     residual: float
 
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
 
 def eigendecompose(a, tol: float = DEFAULT_TOL) -> EigenSystem:
     """Full eigendecomposition of a general complex matrix.
@@ -89,8 +101,9 @@ def eigendecompose(a, tol: float = DEFAULT_TOL) -> EigenSystem:
     a : array_like
         Square complex matrix, dimension <= 1024.
     tol : float
-        Residual bound relative to max(1, ||A||_F).
+        Residual bound relative to max(1, ||A||_F); finite and > 0.
     """
+    validate_tol(tol)
     m = as_cmatrix(a)
     if m.shape[0] > MAX_DIM:
         raise DimensionMismatch(f"dimension {m.shape[0]} exceeds limit {MAX_DIM}")
@@ -110,7 +123,12 @@ def eigendecompose(a, tol: float = DEFAULT_TOL) -> EigenSystem:
 def hermiticity_defect(a) -> float:
     """||A - A^dag||_F / max(1, ||A||_F)."""
     m = as_cmatrix(a)
-    return frob_distance(m, m.conj().T) / max(1.0, frob_norm(m))
+    return relative_residual(m - m.conj().T, m)
+
+
+def min_eig_hermitian_part(m: np.ndarray) -> float:
+    """Smallest eigenvalue of the Hermitian part (M + M^dag)/2 of a complex array."""
+    return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
 
 
 def min_eig_hermitian(a) -> float:
@@ -120,11 +138,10 @@ def min_eig_hermitian(a) -> float:
     the symmetrized half-sum is handed to the Hermitian solver.
     """
     m = as_cmatrix(a)
-    if hermiticity_defect(m) > HERMITICITY_TOL:
-        raise NotHermitian(
-            f"matrix is not Hermitian (defect {hermiticity_defect(m):.3e})"
-        )
-    return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
+    defect = hermiticity_defect(m)
+    if defect > HERMITICITY_TOL:
+        raise NotHermitian(f"matrix is not Hermitian (defect {defect:.3e})")
+    return min_eig_hermitian_part(m)
 
 
 def mat_exp(a) -> np.ndarray:

@@ -15,11 +15,14 @@ import numpy as np
 from .errors import ComplexSpectrum, DimensionMismatch, ExceptionalPoint, NotHermitian
 from .linalg import (
     DEFAULT_TOL,
+    HERMITICITY_TOL,
     adjoint,
     as_cmatrix,
     eigendecompose,
-    frob_norm,
+    hermiticity_defect,
     mat_exp,
+    min_eig_hermitian_part,
+    relative_residual,
 )
 from .models import PhysParams
 
@@ -45,21 +48,17 @@ class MetricOperator:
     min_eig: float
 
     def __post_init__(self):
-        m = as_cmatrix(self.eta)
-        defect = frob_norm(m - m.conj().T) / max(1.0, frob_norm(m))
-        if defect > 1e-12:
+        defect = hermiticity_defect(self.eta)
+        if defect > HERMITICITY_TOL:
             raise NotHermitian(f"metric candidate not Hermitian (defect {defect:.3e})")
-
-    @property
-    def n(self) -> int:
-        return self.eta.shape[0]
 
 
 def make_metric(eta, provenance: str = "user_supplied") -> MetricOperator:
     """Wrap a Hermitian matrix as a MetricOperator, computing its smallest eigenvalue."""
     m = as_cmatrix(eta)
-    min_eig = float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
-    return MetricOperator(eta=m, provenance=provenance, min_eig=min_eig)
+    return MetricOperator(
+        eta=m, provenance=provenance, min_eig=min_eig_hermitian_part(m)
+    )
 
 
 @dataclass(frozen=True)
@@ -70,14 +69,6 @@ class MetricReport:
     hermiticity_residual: float
     min_eig: float
     verdict: str
-
-    def to_dict(self) -> dict:
-        return {
-            "relation_residual": self.relation_residual,
-            "hermiticity_residual": self.hermiticity_residual,
-            "min_eig": self.min_eig,
-            "verdict": self.verdict,
-        }
 
 
 @dataclass(frozen=True)
@@ -134,8 +125,9 @@ def spectral_metric(
             pivot = col[int(np.argmax(np.abs(col)))]
             vecs[:, i] = col / pivot
     eta = vecs @ vecs.conj().T
-    min_eig = float(np.linalg.eigvalsh(0.5 * (eta + eta.conj().T))[0])
-    return MetricOperator(eta=eta, provenance="spectral", min_eig=min_eig)
+    return MetricOperator(
+        eta=eta, provenance="spectral", min_eig=min_eig_hermitian_part(eta)
+    )
 
 
 def check_metric(h, eta, tol: float = DEFAULT_TOL) -> MetricReport:
@@ -151,9 +143,9 @@ def check_metric(h, eta, tol: float = DEFAULT_TOL) -> MetricReport:
     em = _eta_matrix(eta)
     if hm.shape != em.shape:
         raise DimensionMismatch(f"shapes {hm.shape} and {em.shape} differ")
-    relation = frob_norm(em @ hm - adjoint(hm) @ em) / max(1.0, frob_norm(hm))
-    hermiticity = frob_norm(em - em.conj().T) / max(1.0, frob_norm(em))
-    min_eig = float(np.linalg.eigvalsh(0.5 * (em + em.conj().T))[0])
+    relation = relative_residual(em @ hm - adjoint(hm) @ em, hm)
+    hermiticity = hermiticity_defect(em)
+    min_eig = min_eig_hermitian_part(em)
     if relation <= tol and min_eig > 0:
         verdict = VALID_METRIC
     elif relation > tol:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ExceptionalPoint, NotPositiveDefinite, SingularDenominator
-from .linalg import adjoint, as_cmatrix
+from .linalg import adjoint, as_cmatrix, relative_residual
 
 _DEGENERACY_FLOOR = 1e-12
 
@@ -214,26 +214,20 @@ def eta_diag_rashba(pp: PhysParams, lam: float) -> np.ndarray:
     return as_cmatrix([[pp.c + lam, 0.0], [0.0, pp.c - lam]])
 
 
-def parity_matrix(half_dim: int, delta: float = 0.0) -> np.ndarray:
-    """exp(i delta) * blockdiag(+I, -I) in the beta = diag(1, -1) representation.
-
-    The phase delta cancels in every conjugation P A P^-1, so the default 0
-    is observationally irrelevant; it is kept as a parameter for generality.
-    """
+def parity_matrix(half_dim: int) -> np.ndarray:
+    """blockdiag(+I, -I) in the beta = diag(1, -1) representation; its own inverse."""
     if half_dim < 1:
         raise ValueError("half_dim must be a positive integer")
-    phase = cmath.exp(1j * delta)
-    diag = np.concatenate([np.ones(half_dim), -np.ones(half_dim)])
-    return as_cmatrix(np.diag(phase * diag))
+    return as_cmatrix(np.diag(np.concatenate([np.ones(half_dim), -np.ones(half_dim)])))
 
 
 def rashba_parity_residuals(
-    k: Momentum2, pp: PhysParams, lam: float, delta: float = 0.0
+    k: Momentum2, pp: PhysParams, lam: float
 ) -> dict[str, float]:
     """Diagnostics for the parity conjugation of the model-I block.
 
-    Conjugating H(k) with P = beta*exp(i delta) reproduces H(-k) exactly,
-    so that residual is always zero; the residual against the adjoint
+    Conjugating H(k) with P = beta (its own inverse) reproduces H(-k)
+    exactly, so that residual is always zero; the residual against the adjoint
     H(k)^dag is not.  Including momentum reversal (conjugating H(-k), the
     operation that does produce the adjoint for the scalar model) still
     misses H(k)^dag by the off-diagonal 2*lam*p terms unless lam = 0.
@@ -242,34 +236,27 @@ def rashba_parity_residuals(
     adjoint relation at fixed k.
     """
     h = build_rashba(k, pp, lam)
-    p = parity_matrix(1, delta)
-    p_inv = np.linalg.inv(p)
-    conj = p @ h @ p_inv
-    scale = max(1.0, float(np.linalg.norm(h, "fro")))
+    p = parity_matrix(1)
+    conj = p @ h @ p
     h_reflected = build_rashba(Momentum2(-k.kx, -k.ky), pp, lam)
-    conj_reversed = p @ h_reflected @ p_inv
+    conj_reversed = p @ h_reflected @ p
     return {
-        "parity_vs_adjoint": float(np.linalg.norm(conj - adjoint(h), "fro")) / scale,
-        "parity_vs_reflected_k": float(np.linalg.norm(conj - h_reflected, "fro"))
-        / scale,
-        "parity_with_reversal_vs_adjoint": float(
-            np.linalg.norm(conj_reversed - adjoint(h), "fro")
-        )
-        / scale,
+        "parity_vs_adjoint": relative_residual(conj - adjoint(h), h),
+        "parity_vs_reflected_k": relative_residual(conj - h_reflected, h),
+        "parity_with_reversal_vs_adjoint": relative_residual(
+            conj_reversed - adjoint(h), h
+        ),
     }
 
 
-def scalar_parity_residual(
-    kx: float, pp: PhysParams, v0: float, delta: float = 0.0
-) -> float:
-    """||P H(-kx) P^-1 - H(kx)^dag||_F / max(1, ||H||_F) for model II.
+def scalar_parity_residual(kx: float, pp: PhysParams, v0: float) -> float:
+    """||P H(-kx) P - H(kx)^dag||_F / max(1, ||H||_F) for model II, P = P^-1 = beta.
 
     With momentum reversal included in the parity operation the relation
     holds exactly, mirroring the position-space conjugation by
     beta x reflection implemented in the grid module.
     """
     h = build_scalar_const(kx, pp, v0)
-    p = parity_matrix(1, delta)
-    conj = p @ build_scalar_const(-kx, pp, v0) @ np.linalg.inv(p)
-    scale = max(1.0, float(np.linalg.norm(h, "fro")))
-    return float(np.linalg.norm(conj - adjoint(h), "fro")) / scale
+    p = parity_matrix(1)
+    conj = p @ build_scalar_const(-kx, pp, v0) @ p
+    return relative_residual(conj - adjoint(h), h)

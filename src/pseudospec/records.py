@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,9 +57,20 @@ def complex_table(values) -> list[dict]:
     ]
 
 
+# Optional record sections, in output order.
+_SECTIONS = (
+    "eigenvalues", "analytic_eigenvalues", "classification", "metric_report",
+    "metric_reports", "sweep", "reduction", "checks", "evolution", "study",
+    "threshold", "all_passed",
+)
+
+
 @dataclass
 class ResultRecord:
-    """One run's output; optional sections are omitted when absent."""
+    """One run's output; optional sections are omitted when absent.
+
+    ``threshold`` is emitted, possibly as null, exactly when ``sweep`` is.
+    """
 
     model: str
     params: dict
@@ -74,10 +85,9 @@ class ResultRecord:
     evolution: list[dict] | None = None
     study: dict | None = None
     threshold: dict | None = None
-    include_threshold: bool = False
+    all_passed: bool | None = None
     schema_version: str = SCHEMA_VERSION
     runtime_ms: int = 0
-    extra_scalars: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         out: dict = {
@@ -85,32 +95,17 @@ class ResultRecord:
             "model": self.model,
             "params": self.params,
         }
-        if self.eigenvalues is not None:
-            out["eigenvalues"] = self.eigenvalues
-        if self.analytic_eigenvalues is not None:
-            out["analytic_eigenvalues"] = self.analytic_eigenvalues
-        if self.classification is not None:
-            out["classification"] = self.classification
+        for name in _SECTIONS:
+            value = getattr(self, name)
+            if value is not None or (name == "threshold" and self.sweep is not None):
+                out[name] = value
+        # metric reports are serialized as plain dicts, in the same place
         if self.metric_report is not None:
-            out["metric_report"] = self.metric_report.to_dict()
+            out["metric_report"] = asdict(self.metric_report)
         if self.metric_reports is not None:
             out["metric_reports"] = {
-                k: v.to_dict() for k, v in self.metric_reports.items()
+                k: asdict(v) for k, v in self.metric_reports.items()
             }
-        if self.sweep is not None:
-            out["sweep"] = self.sweep
-        if self.reduction is not None:
-            out["reduction"] = self.reduction
-        if self.checks is not None:
-            out["checks"] = self.checks
-        if self.evolution is not None:
-            out["evolution"] = self.evolution
-        if self.study is not None:
-            out["study"] = self.study
-        if self.include_threshold:
-            out["threshold"] = self.threshold
-        for k, v in self.extra_scalars.items():
-            out[k] = v
         out["runtime_ms"] = self.runtime_ms
         return out
 
@@ -138,24 +133,20 @@ def _csv_preamble(record: ResultRecord) -> list[str]:
     if record.metric_reports is not None:
         reports.update({f".{k}": v for k, v in record.metric_reports.items()})
     for suffix, rep in reports.items():
-        for k, v in rep.to_dict().items():
+        for k, v in asdict(rep).items():
             lines.append(f"# metric{suffix}.{k}={_preamble_value(v)}")
-    if record.reduction is not None:
-        for k, v in record.reduction.items():
+    for name, section in (("reduction", record.reduction), ("study", record.study)):
+        for k, v in (section or {}).items():
             if not isinstance(v, (list, tuple)):
-                lines.append(f"# reduction.{k}={_preamble_value(v)}")
-    if record.study is not None:
-        for k, v in record.study.items():
-            if not isinstance(v, (list, tuple)):
-                lines.append(f"# study.{k}={_preamble_value(v)}")
-    if record.include_threshold:
+                lines.append(f"# {name}.{k}={_preamble_value(v)}")
+    if record.sweep is not None:
         if record.threshold is None:
             lines.append("# threshold=none")
         else:
             for k, v in record.threshold.items():
                 lines.append(f"# threshold.{k}={_preamble_value(v)}")
-    for k, v in record.extra_scalars.items():
-        lines.append(f"# {k}={_preamble_value(v)}")
+    if record.all_passed is not None:
+        lines.append(f"# all_passed={_preamble_value(record.all_passed)}")
     lines.append(f"# runtime_ms={record.runtime_ms}")
     return lines
 

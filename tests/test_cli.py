@@ -119,7 +119,7 @@ def test_run_sweep_no_threshold_in_range():
         "sweep", sweep_param="lambda", sweep_min=0.0, sweep_max=0.8, sweep_steps=5
     )
     rec = run_sweep(cfg)
-    assert rec.include_threshold and rec.threshold is None
+    assert rec.sweep is not None and rec.threshold is None
 
 
 def test_run_sweep_validation():
@@ -177,7 +177,7 @@ def test_run_verify_block_models():
         RunConfig(command="verify", model="scalar_const", params={"v0": 0.5, "kx": 1.0}),
     ):
         rec = run_verify(cfg)
-        assert rec.extra_scalars["all_passed"] is True
+        assert rec.all_passed is True
         names = [c["name"] for c in rec.checks]
         assert "spectrum_matches_closed_form" in names
         assert "printed_metric_relation" in names
@@ -192,7 +192,7 @@ def test_run_verify_grid():
         grid_n=32,
     )
     rec = run_verify(cfg)
-    assert rec.extra_scalars["all_passed"] is True
+    assert rec.all_passed is True
 
 
 def test_run_evolve_rows():
@@ -291,3 +291,29 @@ def test_emitted_record_roundtrip_matches_api():
     rec = run_spectrum(rashba_cfg())
     payload = emit(rec, "json")
     assert json.loads(payload)["classification"] == "all_real"
+
+
+def test_cli_negative_values_in_scientific_notation(capsys):
+    code = main(["spectrum", "--model", "rashba", "--kx", "1", "--ky", "-7.04e-05",
+                 "--lambda", "-5E-1"])
+    assert code == 0
+    params = json.loads(capsys.readouterr().out)["params"]
+    assert params["ky"] == -7.04e-05 and params["lambda"] == -0.5
+
+
+@pytest.mark.parametrize(
+    "flag, env",
+    [("nan", None), ("inf", None), ("0", None), ("-1", None), (None, "abc"), (None, "nan")],
+)
+def test_cli_rejects_bad_tolerance(flag, env, monkeypatch, capsys):
+    argv = ["spectrum", "--model", "rashba", "--kx", "1"]
+    if flag is not None:
+        argv += ["--tol", flag]
+    if env is None:
+        monkeypatch.delenv("PSEUDOSPEC_TOL", raising=False)
+    else:
+        monkeypatch.setenv("PSEUDOSPEC_TOL", env)
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.splitlines()[0])["error"]["type"] == "ValueError"

@@ -106,6 +106,13 @@ def test_eigendecompose_unreachable_tolerance_raises():
         eigendecompose(a, tol=1e-30)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_eigendecompose_rejects_bad_tolerance(tol):
+    # NaN would otherwise pass the residual certificate silently
+    with pytest.raises(ValueError):
+        eigendecompose(np.eye(2), tol=tol)
+
+
 def test_eigendecompose_dimension_cap():
     with pytest.raises(DimensionMismatch):
         eigendecompose(np.eye(1025))

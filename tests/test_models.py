@@ -253,11 +253,8 @@ def test_eta_diag_rashba_relation_exact():
 
 def test_parity_matrix_values():
     assert np.array_equal(parity_matrix(1), np.diag([1.0, -1.0]).astype(complex))
-    p = parity_matrix(1, np.pi / 2)
-    assert np.allclose(p, np.diag([1j, -1j]), atol=1e-15)
-    for delta in (0.0, 0.4, np.pi / 2):
-        p = parity_matrix(2, delta)
-        assert np.allclose(p @ p, np.exp(2j * delta) * np.eye(4), atol=1e-14)
+    p = parity_matrix(2)
+    assert np.allclose(p @ p, np.eye(4), atol=1e-14)
 
 
 def test_rashba_parity_diagnostics():

@@ -76,7 +76,7 @@ def test_emit_csv_rows_match_eigenvalue_count():
 
 
 def test_emit_threshold_none_vs_value():
-    rec = ResultRecord(model="rashba", params={}, include_threshold=True)
+    rec = ResultRecord(model="rashba", params={}, sweep={"points": []})
     data = json.loads(emit(rec, "json"))
     assert data["threshold"] is None
     rec.threshold = {"param": "lambda", "value": 2**0.5}
