@@ -6,11 +6,18 @@ error line on stderr with ``golden/cli.json``.  The fixture pins the
 numpy/scipy/LAPACK build it was generated with; regenerate it with
 ``PYTHONPATH=src python tests/test_golden.py`` only when an output change
 is intended.
+
+The sampled-potential cases read CSV files from ``golden/`` by a relative
+path, run from that directory, so the recorded ``file`` parameter does not
+depend on the checkout: ``cos16.csv`` is cos x on the 16-point periodic
+grid of [-pi, pi] (written ``%.17g``), ``sin16.csv`` is the odd sin x on
+the same grid and ``cos15.csv`` drops the last row of ``cos16.csv``.
 """
 
 import functools
 import io
 import json
+import os
 import pathlib
 import sys
 
@@ -18,13 +25,15 @@ import pytest
 
 from pseudospec.cli import main
 
-FIXTURE = pathlib.Path(__file__).parent / "golden" / "cli.json"
+FIXTURE = pathlib.Path(__file__).resolve().parent / "golden" / "cli.json"
 
 _RASHBA = ["--model", "rashba", "--lambda", "0.5", "--kx", "1", "--ky", "0.25"]
 _SCALAR = ["--model", "scalar_const", "--v0", "0.5", "--kx", "1"]
 _COSINE = ["--model", "scalar_grid", "--potential", "cosine", "--g", "1", "--grid-n", "32"]
 _GAUSS = ["--model", "scalar_grid", "--potential", "gaussian", "--g", "0.5",
           "--width", "0.5", "--grid-n", "24", "--scheme", "central2"]
+_SAMPLES = ["--model", "scalar_grid", "--potential", "samples", "--file", "cos16.csv",
+            "--grid-n", "16"]
 
 _VALID = [
     ["spectrum", *_RASHBA],
@@ -58,6 +67,13 @@ _VALID = [
     ["converge", "--model", "scalar_grid", "--potential", "cosine", "--g", "0.5",
      "--scheme", "central2", "--N", "8", "--N", "16", "--track-level", "1"],
     ["converge", "--model", "scalar_grid", "--v0", "0.5", "--N", "8", "--N", "16"],
+    ["spectrum", *_SAMPLES],
+    ["reduce", *_SAMPLES, "--form", "product_exact"],
+    ["verify", *_SAMPLES],
+    ["sweep", *_SAMPLES, "--sweep-param", "g", "--sweep-min", "0", "--sweep-max", "1",
+     "--sweep-steps", "2"],
+    ["sweep", *_GAUSS, "--sweep-param", "width", "--sweep-min", "0.3",
+     "--sweep-max", "0.9", "--sweep-steps", "3"],
 ]
 
 _ERRORS = [
@@ -72,6 +88,21 @@ _ERRORS = [
      "--sweep-max", "1", "--sweep-steps", "3"],
     ["metric", "--model", "rashba", "--lambda", "2", "--kx", "1"],
     ["metric", "--model", "rashba", "--method", "paper", "--lambda", "1.5", "--kx", "1"],
+    ["spectrum", "--model", "scalar_grid", "--potential", "samples", "--file", "sin16.csv",
+     "--grid-n", "16"],
+    ["reduce", *_SAMPLES, "--form", "analytic_U"],
+    ["verify", "--model", "scalar_grid", "--potential", "samples", "--file", "cos15.csv",
+     "--grid-n", "16"],
+    ["spectrum", "--model", "scalar_grid", "--potential", "samples"],
+    ["spectrum", "--model", "scalar_grid", "--potential", "samples", "--file", "missing.csv",
+     "--grid-n", "16"],
+    ["spectrum", *_COSINE, "--bc", "dirichlet", "--grid-n", "25", "--scheme", "fourier"],
+    ["reduce", *_COSINE, "--bc", "dirichlet", "--grid-n", "24"],
+    ["spectrum", *_COSINE, "--mode", "0"],
+    ["converge", "--model", "scalar_grid", "--potential", "gaussian", "--width", "0",
+     "--N", "8"],
+    ["sweep", *_GAUSS, "--sweep-param", "width", "--sweep-min", "-1", "--sweep-max", "1",
+     "--sweep-steps", "3"],
 ]
 
 CASES = [argv + ["--format", fmt] for argv in _VALID for fmt in ("json", "csv")] + _ERRORS
@@ -105,12 +136,13 @@ def test_fixture_covers_every_case():
 
 
 @pytest.mark.parametrize("argv", CASES, ids=" ".join)
-def test_cli_output_matches_golden(argv):
+def test_cli_output_matches_golden(argv, monkeypatch):
+    monkeypatch.chdir(FIXTURE.parent)
     assert run_main(argv) == _load()[tuple(argv)]
 
 
 if __name__ == "__main__":
-    FIXTURE.parent.mkdir(exist_ok=True)
+    os.chdir(FIXTURE.parent)
     FIXTURE.write_text(
         json.dumps([run_main(argv) for argv in CASES], indent=1) + "\n", "utf-8"
     )
