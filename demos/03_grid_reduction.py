@@ -37,10 +37,10 @@ for name, spec in (
 ):
     dirac = build_dirac_grid(spec, grid, pp)
     reduced = build_reduced(spec, grid, pp)
-    parity = grid_parity_residual(dirac.matrix, grid)
-    reflect = reflection_conjugation_residual(reduced.matrix, grid)
-    de = eigendecompose(dirac.matrix)
-    re_ = eigendecompose(reduced.matrix)
+    parity = grid_parity_residual(dirac, grid)
+    reflect = reflection_conjugation_residual(reduced, grid)
+    de = eigendecompose(dirac)
+    re_ = eigendecompose(reduced)
     mismatch = reduction_identity_mismatch(de.values, re_.values, pp)
     kind = classify_spectrum(re_.values, 1e-8).kind
     print(f"{name:18s} parity residual {parity:.1e}  reflection-conj {reflect:.1e}")

@@ -85,10 +85,11 @@ EXIT_SOLVER = 3
 EXIT_REGIME = 4
 
 # Errors main reports as a JSON line on stderr; any other error propagates.
-_REPORTED_ERRORS = (ValueError, FileNotFoundError, PseudospecError)
+# OverflowError comes from a closed form squaring a huge Python float.
+_REPORTED_ERRORS = (ValueError, OverflowError, FileNotFoundError, PseudospecError)
 # Exit code of each reported error; the first matching row wins, so the
 # last row takes every other PseudospecError (odd potential, asymmetric
-# grid, dimension mismatch, ...).  LinAlgError is a ValueError.
+# grid, dimension mismatch, ...) and overflow.  LinAlgError is a ValueError.
 _EXIT_CODES = (
     ((ComplexSpectrum, ExceptionalPoint, SingularDenominator, NotPositiveDefinite,
       NotHermitian), EXIT_REGIME),
@@ -156,17 +157,16 @@ def _require_model(cfg: RunConfig, allowed: tuple[str, ...]) -> None:
 
 
 def _potential(cfg: RunConfig) -> gridmod.PotentialSpec:
-    if cfg.potential == "constant":
-        return gridmod.PotentialSpec.constant(cfg.param("v0"))
-    if cfg.potential == "cosine":
-        return gridmod.PotentialSpec.cosine(cfg.param("g"), int(cfg.param("mode")))
-    if cfg.potential == "gaussian":
-        return gridmod.PotentialSpec.gaussian(cfg.param("g"), cfg.param("width"))
+    """The run's potential, read from --file or built from its family's parameters."""
+    # Each analytic family has a PotentialSpec constructor of the same name.
     if cfg.potential == "samples":
         if not cfg.pot_file:
             raise ValueError("samples potential needs --file PATH")
         return gridmod.PotentialSpec.from_csv(cfg.pot_file)
-    raise ValueError(f"unknown potential {cfg.potential!r}")
+    if cfg.potential not in gridmod.FAMILIES:
+        raise ValueError(f"unknown potential {cfg.potential!r}")
+    names, _ = gridmod.FAMILIES[cfg.potential]
+    return getattr(gridmod.PotentialSpec, cfg.potential)(*map(cfg.param, names))
 
 
 def _grid_inputs(cfg: RunConfig):
@@ -174,16 +174,6 @@ def _grid_inputs(cfg: RunConfig):
     pp = _phys(cfg)
     g = gridmod.make_grid(cfg.grid_l, cfg.grid_n, cfg.bc)
     return _potential(cfg), g, pp
-
-
-def _grid_params(cfg: RunConfig) -> dict:
-    return {
-        **_potential(cfg).describe(),
-        "grid_L": cfg.grid_l,
-        "grid_n": cfg.grid_n,
-        "bc": cfg.bc,
-        "scheme": cfg.scheme,
-    }
 
 
 def _rashba_args(cfg: RunConfig):
@@ -259,22 +249,12 @@ def _verify_block(cfg: RunConfig) -> list[dict]:
     try:
         paper_eta = model.paper_eta(cfg)
     except SingularDenominator:
-        paper_eta = None  # closed form undefined at E^2 = (m0 c^2)^2
-    e = spinors.energy
-    checks.append(
-        _check(
-            "adjoint_spinor_residual_u1",
-            float(np.linalg.norm(hd @ spinors.u1 - e * spinors.u1)) / scale,
-            1e-10,
-        )
-    )
-    checks.append(
-        _check(
-            "adjoint_spinor_residual_u2",
-            float(np.linalg.norm(hd @ spinors.u2 + e * spinors.u2)) / scale,
-            1e-10,
-        )
-    )
+        paper_eta = None  # closed form undefined at E^2 = (m0 c^2)^2: no checks
+    # u1 belongs to E and u2 to -E
+    for name, u, e in (("u1", spinors.u1, spinors.energy),
+                       ("u2", spinors.u2, -spinors.energy)):
+        residual = float(np.linalg.norm(hd @ u - e * u)) / scale
+        checks.append(_check(f"adjoint_spinor_residual_{name}", residual, 1e-10))
     eta = spectral_metric(h, normalize=cfg.normalize, tol=cfg.tol)
     rep = check_metric(h, eta, cfg.tol)
     checks.append(_check("spectral_metric_relation", rep.relation_residual, cfg.tol))
@@ -286,30 +266,39 @@ def _verify_block(cfg: RunConfig) -> list[dict]:
             0.5,
         )
     )
-    paper_rep = check_metric(h, paper_eta, cfg.tol)
-    checks.append(
-        _check(
-            "printed_metric_relation",
-            paper_rep.relation_residual,
-            cfg.tol,
-            gate=False,
+    if paper_eta is not None:
+        paper_rep = check_metric(h, paper_eta, cfg.tol)
+        checks.append(
+            _check(
+                "printed_metric_relation",
+                paper_rep.relation_residual,
+                cfg.tol,
+                gate=False,
+            )
         )
-    )
-    checks.append(_check("printed_metric_min_eig", paper_rep.min_eig, None))
+        checks.append(_check("printed_metric_min_eig", paper_rep.min_eig, None))
     checks += model.checks(cfg, h)
     u = evolve(h, 1.0, pp)
     checks.append(_check("pseudo_unitarity_t1", _pseudo_unitarity(u, eta.eta), 1e-8))
     return checks
 
 
-def _verify_grid(cfg: RunConfig) -> list[dict]:
-    spec, g, pp = _grid_inputs(cfg)
+def _solve_pair(cfg: RunConfig, spec, g, pp: PhysParams, form: str):
+    """Both grid operators, their spectra and the identity mismatch between them."""
+    dirac = gridmod.build_dirac_grid(spec, g, pp, cfg.scheme)
+    reduced = gridmod.build_reduced(spec, g, pp, cfg.scheme, form)
+    dirac_es = eigendecompose(dirac, cfg.tol)
+    reduced_es = eigendecompose(reduced, cfg.tol)
+    mismatch = gridmod.reduction_identity_mismatch(dirac_es.values, reduced_es.values, pp)
+    return dirac, reduced, dirac_es.values, reduced_es.values, mismatch
+
+
+def _verify_grid(cfg: RunConfig, spec, g, pp: PhysParams) -> list[dict]:
     d = gridmod.derivative_matrix(g, cfg.scheme)
     perm = gridmod.reflection_permutation(g)
-    dirac = gridmod.build_dirac_grid(spec, g, pp, cfg.scheme)
-    reduced = gridmod.build_reduced(spec, g, pp, cfg.scheme, gridmod.PRODUCT_EXACT)
-    dirac_es = eigendecompose(dirac.matrix, cfg.tol)
-    reduced_es = eigendecompose(reduced.matrix, cfg.tol)
+    dirac, reduced, _, reduced_values, mismatch = _solve_pair(
+        cfg, spec, g, pp, gridmod.PRODUCT_EXACT
+    )
     checks = [
         _check(
             "derivative_reflects_odd",
@@ -318,21 +307,17 @@ def _verify_grid(cfg: RunConfig) -> list[dict]:
         ),
         _check(
             "grid_parity_pseudo_hermiticity",
-            gridmod.grid_parity_residual(dirac.matrix, g),
+            gridmod.grid_parity_residual(dirac, g),
             1e-12,
         ),
         _check(
             "reduced_reflection_conjugation",
-            gridmod.reflection_conjugation_residual(reduced.matrix, g),
+            gridmod.reflection_conjugation_residual(reduced, g),
             1e-12,
         ),
-        _check(
-            "reduction_identity_mismatch",
-            gridmod.reduction_identity_mismatch(dirac_es.values, reduced_es.values, pp),
-            1e-8,
-        ),
+        _check("reduction_identity_mismatch", mismatch, 1e-8),
     ]
-    kind = classify_spectrum(reduced_es.values, max(cfg.tol, 1e-8)).kind
+    kind = classify_spectrum(reduced_values, max(cfg.tol, 1e-8)).kind
     checks.append(
         _check(
             "reduced_spectrum_conjugate_closed",
@@ -347,7 +332,9 @@ def _verify_grid(cfg: RunConfig) -> list[dict]:
 class Model:
     """What the commands need to know of one model.
 
-    Each callable takes the RunConfig.  The entries reach model functions
+    Each callable takes the RunConfig; ``matrix``, ``sweep_matrix`` and
+    ``verify`` take after it the inputs that ``load`` builds once per
+    command (none for the 2x2 models).  The entries reach model functions
     through this module's globals when called, never by holding them, so
     a wrapper installed on a module attribute sees every call.
     """
@@ -355,9 +342,9 @@ class Model:
     params: tuple[str, ...]  # record parameters after m0, c, hbar, in order
     sweepable: tuple[str, ...]
     matrix: Callable  # the operator whose spectrum `spectrum` reports
-    sweep_matrix: Callable  # the operator whose spectrum `sweep` classifies
     verify: Callable  # the `verify` battery: a list of checks
-    describe: Callable | None = None  # more record parameters, after `params`
+    sweep_matrix: Callable | None = None  # what `sweep` classifies, if not `matrix`
+    load: Callable = lambda cfg: ()  # inputs built once per command
     methods: tuple[str, ...] = ()  # what `metric --method all` runs
     analytic: Callable | None = None  # closed-form eigenvalue pair
     paper_eta: Callable | None = None  # published metric candidate
@@ -371,7 +358,6 @@ MODELS = {
         params=("lambda", "kx", "ky"),
         sweepable=("lambda", "kx", "ky"),
         matrix=lambda cfg: build_rashba(*_rashba_args(cfg)),
-        sweep_matrix=lambda cfg: build_rashba(*_rashba_args(cfg)),
         verify=_verify_block,
         methods=("spectral", "paper", "diagonal"),
         analytic=lambda cfg: rashba_energy(*_rashba_args(cfg)),
@@ -384,7 +370,6 @@ MODELS = {
         params=("v0", "kx"),
         sweepable=("v0", "kx"),
         matrix=lambda cfg: build_scalar_const(*_scalar_args(cfg)),
-        sweep_matrix=lambda cfg: build_scalar_const(*_scalar_args(cfg)),
         verify=_verify_block,
         methods=("spectral", "paper"),
         analytic=lambda cfg: scalar_energy(*_scalar_args(cfg)),
@@ -395,26 +380,30 @@ MODELS = {
     SCALAR_GRID: Model(
         params=(),
         sweepable=("v0", "g", "width"),
-        matrix=lambda cfg: gridmod.build_dirac_grid(
-            *_grid_inputs(cfg), cfg.scheme
-        ).matrix,
+        load=_grid_inputs,
+        matrix=lambda cfg, spec, g, pp: gridmod.build_dirac_grid(spec, g, pp, cfg.scheme),
         # the component-eliminated operator, whose reality breaking is the
-        # object of interest
-        sweep_matrix=lambda cfg: gridmod.build_reduced(
-            *_grid_inputs(cfg), cfg.scheme, cfg.form
-        ).matrix,
+        # object of interest, at the swept value of the potential parameter
+        sweep_matrix=lambda cfg, spec, g, pp: gridmod.build_reduced(
+            replace(spec, **{cfg.sweep_param: cfg.param(cfg.sweep_param)}),
+            g, pp, cfg.scheme, cfg.form,
+        ),
         verify=_verify_grid,
-        describe=_grid_params,
     ),
 }
 
 
-def _record(cfg: RunConfig, **sections) -> ResultRecord:
-    """Record of the run's model and parameters with the given sections."""
+def _record(cfg: RunConfig, spec=None, *_, **sections) -> ResultRecord:
+    """Record of the run's model and parameters with the given sections.
+
+    A grid command passes its inputs; of those the potential is recorded,
+    followed by the grid flags.
+    """
     model = MODELS[cfg.model]
     params = {name: cfg.param(name) for name in ("m0", "c", "hbar", *model.params)}
-    if model.describe is not None:
-        params.update(model.describe(cfg))
+    if spec is not None:
+        params.update(spec.describe(), grid_L=cfg.grid_l, grid_n=cfg.grid_n,
+                      bc=cfg.bc, scheme=cfg.scheme)
     params["tol"] = cfg.tol
     return ResultRecord(model=cfg.model, params=params, **sections)
 
@@ -423,12 +412,14 @@ def run_spectrum(cfg: RunConfig) -> ResultRecord:
     """Numerical (and, for 2x2 models, analytic) spectrum with classification."""
     _require_model(cfg, _ANY)
     model = MODELS[cfg.model]
-    h = model.matrix(cfg)
+    inputs = model.load(cfg)
+    h = model.matrix(cfg, *inputs)
     analytic = None if model.analytic is None else _sorted_pair(model.analytic(cfg))
     es = eigendecompose(h, cfg.tol)
     cls = classify_spectrum(es.values, cfg.tol)
     return _record(
         cfg,
+        *inputs,
         eigenvalues=complex_table(es.values),
         analytic_eigenvalues=None if analytic is None else complex_table(analytic),
         classification=cls.kind,
@@ -472,9 +463,11 @@ def run_metric(cfg: RunConfig) -> ResultRecord:
     return record
 
 
-def _sweep_point(cfg: RunConfig, value: float):
+def _sweep_point(cfg: RunConfig, inputs: tuple, value: float):
     sub = replace(cfg, params={**cfg.params, cfg.sweep_param: value})
-    values = eigendecompose(MODELS[cfg.model].sweep_matrix(sub), cfg.tol).values
+    model = MODELS[cfg.model]
+    matrix = (model.sweep_matrix or model.matrix)(sub, *inputs)
+    values = eigendecompose(matrix, cfg.tol).values
     kind = classify_spectrum(values, cfg.tol).kind
     return values, kind
 
@@ -497,9 +490,10 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
     if not cfg.sweep_max > cfg.sweep_min:
         raise ValueError("sweep range must satisfy max > min")
     grid_values = np.linspace(cfg.sweep_min, cfg.sweep_max, cfg.sweep_steps)
+    inputs = MODELS[cfg.model].load(cfg)
     points = []
     for v in grid_values:
-        values, kind = _sweep_point(cfg, float(v))
+        values, kind = _sweep_point(cfg, inputs, float(v))
         points.append(
             {
                 "value": float(v),
@@ -514,7 +508,7 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
             lo, hi = float(grid_values[i]), float(grid_values[i + 1])
             while hi - lo > 1e-9 * max(1.0, abs(hi)):
                 mid = 0.5 * (lo + hi)
-                _, kind = _sweep_point(cfg, mid)
+                _, kind = _sweep_point(cfg, inputs, mid)
                 if kind == ALL_REAL:
                     lo = mid
                 else:
@@ -523,6 +517,7 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
             break
     return _record(
         cfg,
+        *inputs,
         sweep={
             "param": cfg.sweep_param,
             "min": cfg.sweep_min,
@@ -538,26 +533,21 @@ def run_reduce(cfg: RunConfig) -> ResultRecord:
     """Grid solve: Dirac spectrum, component-eliminated spectrum, exact identity check."""
     _require_model(cfg, _GRID)
     spec, g, pp = _grid_inputs(cfg)
-    dirac = gridmod.build_dirac_grid(spec, g, pp, cfg.scheme)
-    reduced = gridmod.build_reduced(spec, g, pp, cfg.scheme, cfg.form)
-    dirac_es = eigendecompose(dirac.matrix, cfg.tol)
-    reduced_es = eigendecompose(reduced.matrix, cfg.tol)
-    mapped = gridmod.reduced_to_dirac_energies(reduced_es.values, pp)
+    _, _, dirac_values, reduced_values, mismatch = _solve_pair(cfg, spec, g, pp, cfg.form)
+    mapped = gridmod.reduced_to_dirac_energies(reduced_values, pp)
     mapped = mapped[sort_by_re_im(mapped)]
-    mismatch = gridmod.reduction_identity_mismatch(
-        dirac_es.values, reduced_es.values, pp
-    )
-    cls = classify_spectrum(dirac_es.values, cfg.tol)
-    reduced_cls = classify_spectrum(reduced_es.values, max(cfg.tol, 1e-8))
+    cls = classify_spectrum(dirac_values, cfg.tol)
+    reduced_cls = classify_spectrum(reduced_values, max(cfg.tol, 1e-8))
     return _record(
         cfg,
-        eigenvalues=complex_table(dirac_es.values),
+        spec,
+        eigenvalues=complex_table(dirac_values),
         classification=cls.kind,
         reduction={
             "form": cfg.form,
             "identity_mismatch": mismatch,
             "reduced_classification": reduced_cls.kind,
-            "reduced_eigenvalues": complex_table(reduced_es.values),
+            "reduced_eigenvalues": complex_table(reduced_values),
             "mapped_eigenvalues": complex_table(mapped),
         },
     )
@@ -566,10 +556,13 @@ def run_reduce(cfg: RunConfig) -> ResultRecord:
 def run_verify(cfg: RunConfig) -> ResultRecord:
     """Certification battery for the chosen model at the given parameters."""
     _require_model(cfg, _ANY)
-    checks = MODELS[cfg.model].verify(cfg)
+    model = MODELS[cfg.model]
+    inputs = model.load(cfg)
+    checks = model.verify(cfg, *inputs)
     gated = [c["pass"] for c in checks if c["pass"] is not None]
     return _record(
         cfg,
+        *inputs,
         checks=checks,
         all_passed=bool(all(gated)),
     )
@@ -600,8 +593,9 @@ def run_converge(cfg: RunConfig) -> ResultRecord:
     _require_model(cfg, _GRID)
     if not cfg.ns:
         raise ValueError("converge needs at least one --N")
+    spec = _potential(cfg)
     study = gridmod.convergence_study(
-        _potential(cfg),
+        spec,
         _phys(cfg),
         list(cfg.ns),
         scheme=cfg.scheme,
@@ -612,9 +606,10 @@ def run_converge(cfg: RunConfig) -> ResultRecord:
     )
     return _record(
         cfg,
+        spec,
         study={
-            "scheme": study.scheme,
-            "track_level": study.track_level,
+            "scheme": cfg.scheme,
+            "track_level": cfg.track_level,
             "ref_n": study.ref_n,
             "ref_value": study.ref_value,
             "rows": [{"n": n, "error": err} for n, err in study.rows],
@@ -674,8 +669,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--grid-n", dest="grid_n", type=int)
         sp.add_argument("--bc", choices=(gridmod.PERIODIC, gridmod.DIRICHLET))
         sp.add_argument("--scheme", choices=(gridmod.CENTRAL2, gridmod.FOURIER))
-        sp.add_argument("--potential",
-                        choices=("constant", "cosine", "gaussian", "samples"))
+        sp.add_argument("--potential", choices=tuple(gridmod.FAMILIES))
         sp.add_argument("--g", type=float,
                         help="amplitude for cosine/gaussian potentials")
         sp.add_argument("--mode", type=int,
@@ -765,11 +759,10 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         cfg = config_from_args(ns)
-        record = run(cfg)
+        payload = emit(run(cfg), cfg.fmt)
     except _REPORTED_ERRORS as exc:
         print(_error_json(exc), file=sys.stderr)
         return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
-    payload = emit(record, cfg.fmt)
     elapsed_ms = int(round(1000 * (time.monotonic() - started)))
     if cfg.out:
         with open(cfg.out, "wb") as fh:

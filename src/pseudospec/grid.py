@@ -147,6 +147,17 @@ def derivative_matrix(grid: Grid1D, scheme: str = FOURIER) -> np.ndarray:
     raise SchemeBoundaryMismatch(f"unknown scheme {scheme!r}")
 
 
+# Each potential family: its record parameters, in record order, and the
+# relative tolerance of its evenness gate.  Analytic values are even to
+# rounding; sampled values only to the digits they were written with.
+FAMILIES = {
+    "constant": (("v0",), 1e-12),
+    "cosine": (("g", "mode"), 1e-12),
+    "gaussian": (("g", "width"), 1e-12),
+    "samples": ((), 1e-8),
+}
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     """Even potential on the grid: an analytic family or sampled values.
@@ -154,8 +165,9 @@ class PotentialSpec:
     Families: constant(v0); cosine(g, mode) = g*cos(mode*pi*x/L);
     gaussian(g, width) = g*exp(-x^2/(2 width^2)); samples from a
     two-column ``x,V`` CSV whose abscissae must coincide with the grid
-    (no interpolation).  ``parity_tol`` gates the evenness check
-    max_j |V(x_j) - V(-x_j)| <= parity_tol * max_j |V(x_j)|.
+    (no interpolation).  The grid builders gate evenness:
+    max_j |V(x_j) - V(-x_j)| <= tol * max_j |V(x_j)|, with the family's
+    tol from ``FAMILIES``.
     """
 
     family: str
@@ -166,7 +178,13 @@ class PotentialSpec:
     samples_x: np.ndarray | None = field(default=None, repr=False)
     samples_v: np.ndarray | None = field(default=None, repr=False)
     source: str | None = None
-    parity_tol: float = 1e-12
+
+    def __post_init__(self):
+        # here rather than in the constructors, so dataclasses.replace checks too
+        if self.family == "cosine" and self.mode < 1:
+            raise ValueError(f"cosine mode must be >= 1, got {self.mode}")
+        if self.family == "gaussian" and self.width <= 0:
+            raise ValueError(f"gaussian width must be > 0, got {self.width}")
 
     @classmethod
     def constant(cls, v0: float) -> "PotentialSpec":
@@ -174,32 +192,22 @@ class PotentialSpec:
 
     @classmethod
     def cosine(cls, g: float, mode: int = 1) -> "PotentialSpec":
-        if mode < 1:
-            raise ValueError(f"cosine mode must be >= 1, got {mode}")
         return cls(family="cosine", g=float(g), mode=int(mode))
 
     @classmethod
     def gaussian(cls, g: float, width: float) -> "PotentialSpec":
-        if width <= 0:
-            raise ValueError(f"gaussian width must be > 0, got {width}")
         return cls(family="gaussian", g=float(g), width=float(width))
 
     @classmethod
-    def samples(cls, x, v, source: str | None = None, parity_tol: float = 1e-8):
+    def samples(cls, x, v, source: str | None = None):
         xa = np.asarray(x, dtype=float)
         va = np.asarray(v, dtype=float)
         if xa.shape != va.shape or xa.ndim != 1:
             raise ValueError("sampled potential needs matching 1-D x and V arrays")
-        return cls(
-            family="samples",
-            samples_x=xa,
-            samples_v=va,
-            source=source,
-            parity_tol=parity_tol,
-        )
+        return cls(family="samples", samples_x=xa, samples_v=va, source=source)
 
     @classmethod
-    def from_csv(cls, path: str, parity_tol: float = 1e-8) -> "PotentialSpec":
+    def from_csv(cls, path: str) -> "PotentialSpec":
         """Load samples from a UTF-8 ``x,V`` CSV with a header row."""
         xs: list[float] = []
         vs: list[float] = []
@@ -213,7 +221,7 @@ class PotentialSpec:
                     continue
                 xs.append(float(row[0]))
                 vs.append(float(row[1]))
-        return cls.samples(xs, vs, source=path, parity_tol=parity_tol)
+        return cls.samples(xs, vs, source=path)
 
     def values(self, grid: Grid1D) -> np.ndarray:
         x = grid.points
@@ -252,47 +260,28 @@ class PotentialSpec:
     def describe(self) -> dict:
         """Parameter table for result records."""
         out: dict = {"potential": self.family}
-        if self.family == "constant":
-            out["v0"] = self.v0
-        elif self.family == "cosine":
-            out["g"] = self.g
-            out["mode"] = self.mode
-        elif self.family == "gaussian":
-            out["g"] = self.g
-            out["width"] = self.width
-        else:
+        for name in FAMILIES[self.family][0]:
+            out[name] = getattr(self, name)
+        if self.family == "samples":
             out["file"] = self.source or "<arrays>"
         return out
 
 
-def evenness_defect(values: np.ndarray, grid: Grid1D) -> float:
-    perm = reflection_permutation(grid)
-    return float(np.max(np.abs(values - values[perm])))
-
-
-def _gate_even(spec: PotentialSpec, values: np.ndarray, grid: Grid1D) -> None:
-    defect = evenness_defect(values, grid)
-    if defect > spec.parity_tol * float(np.max(np.abs(values), initial=0.0)):
+def _gated(spec: PotentialSpec, grid: Grid1D, scheme: str):
+    """D and V(x_j) for the grid builders, once V has passed the evenness gate."""
+    d = derivative_matrix(grid, scheme)
+    v = spec.values(grid)
+    defect = float(np.max(np.abs(v - v[reflection_permutation(grid)])))
+    if defect > FAMILIES[spec.family][1] * float(np.max(np.abs(v), initial=0.0)):
         raise OddPotential(
             f"potential fails the evenness gate: max |V(x) - V(-x)| = {defect:.3e}"
         )
+    return d, v
 
 
-@dataclass(frozen=True)
-class DiracGridOperator:
-    """Discretized 2N x 2N Dirac block with its grid and scheme."""
-
-    matrix: np.ndarray
-    grid: Grid1D
-    scheme: str
-
-
-@dataclass(frozen=True)
-class ReducedOperator:
-    """N x N component-eliminated operator; eps = E^2 - (m0 c^2)^2."""
-
-    matrix: np.ndarray
-    form: str  # product_exact | analytic_U
+def _coupling(d: np.ndarray, v: np.ndarray, pp: PhysParams):
+    """cP = -i c hbar D and V = diag(V(x_j)), the terms of the blocks cP +- V."""
+    return (-1j * pp.c * pp.hbar) * d, np.diag(v.astype(complex))
 
 
 PRODUCT_EXACT = "product_exact"
@@ -301,23 +290,16 @@ ANALYTIC_U = "analytic_U"
 
 def assemble_dirac_blocks(d: np.ndarray, v: np.ndarray, pp: PhysParams) -> np.ndarray:
     """Raw block assembly [[mI, cP+V], [cP-V, -mI]]; no evenness gate."""
-    n = len(v)
-    cp = (-1j * pp.c * pp.hbar) * d
-    vd = np.diag(v.astype(complex))
-    m = pp.rest_energy * np.eye(n)
+    cp, vd = _coupling(d, v, pp)
+    m = pp.rest_energy * np.eye(len(v))
     return np.block([[m, cp + vd], [cp - vd, -m]]).astype(np.complex128)
 
 
 def build_dirac_grid(
     spec: PotentialSpec, grid: Grid1D, pp: PhysParams, scheme: str = FOURIER
-) -> DiracGridOperator:
-    """Discretized Dirac operator for an even potential (gate enforced)."""
-    d = derivative_matrix(grid, scheme)
-    v = spec.values(grid)
-    _gate_even(spec, v, grid)
-    return DiracGridOperator(
-        matrix=assemble_dirac_blocks(d, v, pp), grid=grid, scheme=scheme
-    )
+) -> np.ndarray:
+    """Discretized 2N x 2N Dirac operator for an even potential (gate enforced)."""
+    return assemble_dirac_blocks(*_gated(spec, grid, scheme), pp)
 
 
 def build_reduced(
@@ -326,28 +308,25 @@ def build_reduced(
     pp: PhysParams,
     scheme: str = FOURIER,
     form: str = PRODUCT_EXACT,
-) -> ReducedOperator:
-    """Component-eliminated N x N operator.
+) -> np.ndarray:
+    """Component-eliminated N x N operator; eps = E^2 - (m0 c^2)^2.
 
     ``product_exact`` multiplies the blocks (cP+V)(cP-V) and preserves
     the Dirac correspondence exactly on the grid; ``analytic_U`` builds
     -c^2 hbar^2 D^2 + diag(i c hbar V' - V^2) from the closed-form
     derivative and differs by discretization error.
     """
-    d = derivative_matrix(grid, scheme)
-    v = spec.values(grid)
-    _gate_even(spec, v, grid)
-    ch = pp.c * pp.hbar
+    d, v = _gated(spec, grid, scheme)
     if form == PRODUCT_EXACT:
-        cp = (-1j * ch) * d
-        vd = np.diag(v.astype(complex))
+        cp, vd = _coupling(d, v, pp)
         matrix = (cp + vd) @ (cp - vd)
     elif form == ANALYTIC_U:
+        ch = pp.c * pp.hbar
         vprime = spec.derivative_values(grid)
         matrix = -(ch**2) * (d @ d) + np.diag(1j * ch * vprime - v**2)
     else:
         raise ValueError(f"unknown reduced form {form!r}")
-    return ReducedOperator(matrix=as_cmatrix(matrix), form=form)
+    return as_cmatrix(matrix)
 
 
 def reduced_to_dirac_energies(eps, pp: PhysParams) -> np.ndarray:
@@ -357,21 +336,21 @@ def reduced_to_dirac_energies(eps, pp: PhysParams) -> np.ndarray:
     return np.column_stack([roots, -roots]).ravel()
 
 
-def reduction_identity_mismatch(
-    dirac_values,
-    reduced_values,
-    pp: PhysParams,
-    exclude_tol: float = 1e-8,
-    window: int = 16,
-) -> float:
+#: Index half-width of the search window when matching the two spectra.
+MATCH_WINDOW = 16
+#: Distance from -m0 c^2 within which a value is left out of the match.
+SINGULAR_TOL = 1e-8
+
+
+def reduction_identity_mismatch(dirac_values, reduced_values, pp: PhysParams) -> float:
     """Largest relative gap between the Dirac spectrum and the mapped one.
 
     Both multisets are sorted by (Re, Im); each Dirac value is then matched
-    to the nearest unused mapped value within a small index window, which
+    to the nearest unused mapped value within MATCH_WINDOW indices, which
     keeps the matching stable when conjugate pairs differ in the last ulp
     of their real parts (a plain pairwise comparison of the sorted lists
-    would swap such pairs).  Values within ``exclude_tol`` of -m0 c^2,
-    where the component elimination is singular, are skipped.
+    would swap such pairs).  Values within SINGULAR_TOL of -m0 c^2, where
+    the component elimination is singular, are skipped.
     """
     a = np.asarray(dirac_values, dtype=np.complex128).ravel()
     b = reduced_to_dirac_energies(reduced_values, pp)
@@ -383,29 +362,20 @@ def reduction_identity_mismatch(
     used = np.zeros(n, dtype=bool)
     worst = 0.0
     for i in range(n):
-        lo = max(0, i - window)
-        hi = min(n, i + window + 1)
+        lo = max(0, i - MATCH_WINDOW)
+        hi = min(n, i + MATCH_WINDOW + 1)
         cand = np.arange(lo, hi)[~used[lo:hi]]
         if len(cand) == 0:
             cand = np.flatnonzero(~used)
         j = cand[int(np.argmin(np.abs(b[cand] - a[i])))]
         used[j] = True
         if (
-            abs(a[i] + pp.rest_energy) <= exclude_tol
-            or abs(b[j] + pp.rest_energy) <= exclude_tol
+            abs(a[i] + pp.rest_energy) <= SINGULAR_TOL
+            or abs(b[j] + pp.rest_energy) <= SINGULAR_TOL
         ):
             continue
         worst = max(worst, abs(a[i] - b[j]) / max(1.0, abs(a[i])))
     return float(worst)
-
-
-def dirac_parity_matrix(grid: Grid1D) -> np.ndarray:
-    """2N x 2N conjugation operator diag(R, -R); an involution."""
-    n = grid.n_points
-    perm = reflection_permutation(grid)
-    r = np.zeros((n, n))
-    r[np.arange(n), perm] = 1.0
-    return np.block([[r, np.zeros((n, n))], [np.zeros((n, n)), -r]])
 
 
 def grid_parity_residual(matrix: np.ndarray, grid: Grid1D) -> float:
@@ -438,17 +408,21 @@ class ConvergenceStudy:
     rows: list[tuple[int, float]]
     ref_n: int
     ref_value: float
-    scheme: str
-    track_level: int
 
 
-def _level_value(values: np.ndarray, track_level: int, cluster_rtol: float = 1e-3):
+#: Relative gap between consecutive |E| that starts a new level.
+LEVEL_RTOL = 1e-3
+#: Size of the reference grid of a convergence study, in multiples of the largest N.
+REF_FACTOR = 4
+
+
+def _level_value(values: np.ndarray, track_level: int):
     # Cluster the ascending |E| list into degenerate levels and return the
     # first member of the requested one.
     mags = np.sort(np.abs(values))
     level = 0
     for i in range(len(mags)):
-        if i > 0 and mags[i] - mags[i - 1] > cluster_rtol * max(1.0, mags[i]):
+        if i > 0 and mags[i] - mags[i - 1] > LEVEL_RTOL * max(1.0, mags[i]):
             level += 1
         if level == track_level:
             return float(mags[i])
@@ -462,13 +436,12 @@ def convergence_study(
     scheme: str = CENTRAL2,
     half_length: float = math.pi,
     bc: str = PERIODIC,
-    ref_factor: int = 4,
     tol: float = DEFAULT_TOL,
     track_level: int = 0,
 ) -> ConvergenceStudy:
     """Track one low-|E| Dirac eigenvalue level while refining the grid.
 
-    The reference is the same computation at ``ref_factor`` times the
+    The reference is the same computation at REF_FACTOR times the
     largest requested N (rounded up to odd for dirichlet grids); each row
     is (N, |e(N) - e(ref)|).  ``track_level`` selects which distinct |E|
     level is followed, counted from the bottom: level 0 is the lowest.
@@ -478,22 +451,15 @@ def convergence_study(
     """
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("Ns must be a non-empty ascending list")
-    ref_n = ref_factor * max(ns)
+    ref_n = REF_FACTOR * max(ns)
     if bc == DIRICHLET and ref_n % 2 == 0:
         ref_n += 1
 
     def tracked(n: int) -> float:
         grid = make_grid(half_length, n, bc)
-        op = build_dirac_grid(spec, grid, pp, scheme)
-        es = eigendecompose(op.matrix, tol)
+        es = eigendecompose(build_dirac_grid(spec, grid, pp, scheme), tol)
         return _level_value(es.values, track_level)
 
     ref_value = tracked(ref_n)
     rows = [(n, abs(tracked(n) - ref_value)) for n in ns]
-    return ConvergenceStudy(
-        rows=rows,
-        ref_n=ref_n,
-        ref_value=ref_value,
-        scheme=scheme,
-        track_level=track_level,
-    )
+    return ConvergenceStudy(rows=rows, ref_n=ref_n, ref_value=ref_value)

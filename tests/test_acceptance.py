@@ -187,8 +187,8 @@ def test_criterion_06_exact_reduction_identity():
     for spec in TEST_POTENTIALS:
         for n in (32, 64, 128):
             g = make_grid(math.pi, n)
-            de = eigendecompose(build_dirac_grid(spec, g, PP, FOURIER).matrix)
-            re_ = eigendecompose(build_reduced(spec, g, PP, FOURIER).matrix)
+            de = eigendecompose(build_dirac_grid(spec, g, PP, FOURIER))
+            re_ = eigendecompose(build_reduced(spec, g, PP, FOURIER))
             mismatch = reduction_identity_mismatch(de.values, re_.values, PP)
             assert mismatch <= 1e-8
             worst = max(worst, mismatch)
@@ -200,7 +200,7 @@ def test_criterion_07_conjugate_closure_and_odd_gate():
     for spec in TEST_POTENTIALS:
         for n in (32, 64, 128):
             g = make_grid(math.pi, n)
-            vals = eigendecompose(build_reduced(spec, g, PP, FOURIER).matrix).values
+            vals = eigendecompose(build_reduced(spec, g, PP, FOURIER)).values
             kind = classify_spectrum(vals, 1e-8).kind
             assert kind in (ALL_REAL, CONJUGATE_PAIRS)
             kinds.add(kind)
@@ -216,7 +216,7 @@ def test_criterion_08_grid_parity_pseudo_hermiticity():
     for spec in TEST_POTENTIALS:
         g = make_grid(math.pi, 64)
         op = build_dirac_grid(spec, g, PP, FOURIER)
-        resid = grid_parity_residual(op.matrix, g)
+        resid = grid_parity_residual(op, g)
         assert resid <= 1e-12
     g = make_grid(math.pi, 64)
     h_odd = assemble_dirac_blocks(

@@ -1,5 +1,6 @@
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -317,3 +318,60 @@ def test_cli_rejects_bad_tolerance(flag, env, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err.splitlines()[0])["error"]["type"] == "ValueError"
+
+
+@pytest.mark.parametrize(
+    "argv, code, error",
+    [
+        # the printed closed-form metric is singular at E^2 = (m0 c^2)^2
+        (["verify", "--model", "rashba", "--lambda", "0", "--kx", "0"], 0, None),
+        (["verify", "--model", "scalar_const", "--v0", "0", "--kx", "0"], 0, None),
+        # a non-finite result cannot be serialized
+        (["metric", "--model", "scalar_const", "--kx", "1e200"], EXIT_USAGE, "ValueError"),
+        # the closed form overflows a Python float
+        (["spectrum", "--model", "rashba", "--m0", "1e200", "--kx", "1"], EXIT_USAGE,
+         "OverflowError"),
+    ],
+)
+def test_cli_exit_code_contract_at_singular_and_huge_inputs(argv, code, error, capsys):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if line.startswith('{"error"')]
+    if error is None:
+        assert errors == []
+        record = json.loads(captured.out)
+        assert record["all_passed"] is True
+        assert not any(c["name"].startswith("printed_metric") for c in record["checks"])
+    else:
+        assert captured.out == ""
+        assert len(errors) == 1
+        assert json.loads(errors[0])["error"]["type"] == error
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify"],
+        ["reduce", "--form", "product_exact"],
+        ["sweep", "--sweep-param", "g", "--sweep-min", "0", "--sweep-max", "1",
+         "--sweep-steps", "5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_grid_command_reads_sampled_potential_once(argv, monkeypatch, capsys):
+    from pseudospec.grid import PotentialSpec
+
+    path = pathlib.Path(__file__).parent / "golden" / "cos16.csv"  # cos x, N=16
+    read = PotentialSpec.from_csv
+    paths = []
+
+    def counted(p):
+        paths.append(p)
+        return read(p)
+
+    monkeypatch.setattr(PotentialSpec, "from_csv", staticmethod(counted))
+    code = main([*argv, "--model", "scalar_grid", "--potential", "samples",
+                 "--file", str(path), "--grid-n", "16"])
+    assert code == 0
+    assert paths == [str(path)]
+    assert json.loads(capsys.readouterr().out)["params"]["file"] == str(path)

@@ -22,7 +22,6 @@ from pseudospec.grid import (
     build_reduced,
     convergence_study,
     derivative_matrix,
-    dirac_parity_matrix,
     grid_parity_residual,
     make_grid,
     reduced_to_dirac_energies,
@@ -236,17 +235,17 @@ def test_dirac_block_structure():
     n = 16
     d = derivative_matrix(g, FOURIER)
     v = spec.values(g)
-    assert np.array_equal(op.matrix[:n, :n], np.eye(n).astype(complex))
-    assert np.array_equal(op.matrix[n:, n:], -np.eye(n).astype(complex))
-    assert np.allclose(op.matrix[:n, n:], -1j * d + np.diag(v), atol=0)
-    assert np.allclose(op.matrix[n:, :n], -1j * d - np.diag(v), atol=0)
+    assert np.array_equal(op[:n, :n], np.eye(n).astype(complex))
+    assert np.array_equal(op[n:, n:], -np.eye(n).astype(complex))
+    assert np.allclose(op[:n, n:], -1j * d + np.diag(v), atol=0)
+    assert np.allclose(op[n:, :n], -1j * d - np.diag(v), atol=0)
 
 
 def test_free_dirac_dispersion_exact():
     n, L = 32, math.pi
     g = make_grid(L, n)
     op = build_dirac_grid(PotentialSpec.constant(0.0), g, PP, FOURIER)
-    es = eigendecompose(op.matrix)
+    es = eigendecompose(op)
     expected = dispersion_multiset(fourier_mode_wavenumbers(n, L), 0.0)
     assert np.max(np.abs(es.values - expected)) <= 1e-10
     assert classify_spectrum(es.values, 1e-8).kind == ALL_REAL
@@ -256,7 +255,7 @@ def test_constant_potential_matches_closed_form_per_mode():
     n, L = 32, math.pi
     g = make_grid(L, n)
     op = build_dirac_grid(PotentialSpec.constant(0.5), g, PP, FOURIER)
-    es = eigendecompose(op.matrix)
+    es = eigendecompose(op)
     expected = dispersion_multiset(fourier_mode_wavenumbers(n, L), 0.5)
     assert np.max(np.abs(es.values - expected)) <= 1e-10
 
@@ -264,17 +263,11 @@ def test_constant_potential_matches_closed_form_per_mode():
 def test_grid_parity_pseudo_hermiticity_even_and_odd():
     g = make_grid(math.pi, 32)
     op = build_dirac_grid(PotentialSpec.cosine(1.0, 1), g, PP, FOURIER)
-    assert grid_parity_residual(op.matrix, g) <= 1e-12 * max(1.0, frob_norm(op.matrix))
+    assert grid_parity_residual(op, g) <= 1e-12 * max(1.0, frob_norm(op))
     # negative control: deliberately odd potential through the raw assembler
     d = derivative_matrix(g, FOURIER)
     h_odd = assemble_dirac_blocks(d, np.sin(g.points), PP)
     assert grid_parity_residual(h_odd, g) >= 1e-3
-
-
-def test_dirac_parity_matrix_is_involution():
-    g = make_grid(math.pi, 16)
-    pd = dirac_parity_matrix(g)
-    assert np.array_equal(pd @ pd, np.eye(32))
 
 
 # --------------------------------------------------------- reduced forms
@@ -283,8 +276,8 @@ def test_dirac_parity_matrix_is_involution():
 def test_reduced_constant_forms_agree():
     g = make_grid(math.pi, 32)
     spec = PotentialSpec.constant(0.7)
-    pe = build_reduced(spec, g, PP, FOURIER, PRODUCT_EXACT).matrix
-    au = build_reduced(spec, g, PP, FOURIER, ANALYTIC_U).matrix
+    pe = build_reduced(spec, g, PP, FOURIER, PRODUCT_EXACT)
+    au = build_reduced(spec, g, PP, FOURIER, ANALYTIC_U)
     assert frob_distance(pe, au) <= 1e-10 * max(1.0, frob_norm(pe))
 
 
@@ -296,8 +289,8 @@ def test_reduced_cosine_forms_differ_by_aliasing_only():
     n = 64
     g = make_grid(math.pi, n)
     spec = PotentialSpec.cosine(1.0, 1)
-    pe = build_reduced(spec, g, PP, FOURIER, PRODUCT_EXACT).matrix
-    au = build_reduced(spec, g, PP, FOURIER, ANALYTIC_U).matrix
+    pe = build_reduced(spec, g, PP, FOURIER, PRODUCT_EXACT)
+    au = build_reduced(spec, g, PP, FOURIER, ANALYTIC_U)
     assert frob_distance(pe, au) == pytest.approx(n / 2, abs=1e-8)
     rng = np.random.default_rng(30)
     for _ in range(3):
@@ -316,7 +309,7 @@ def test_reduced_reflection_conjugation():
     for spec in (PotentialSpec.cosine(1.0, 1), PotentialSpec.gaussian(1.0, 0.5)):
         for scheme in (FOURIER, CENTRAL2):
             red = build_reduced(spec, g, PP, scheme)
-            assert reflection_conjugation_residual(red.matrix, g) <= 1e-12
+            assert reflection_conjugation_residual(red, g) <= 1e-12
 
 
 def test_reduced_requires_analytic_derivative_for_analytic_form(tmp_path):
@@ -348,8 +341,8 @@ def test_reduction_identity_across_potentials_and_schemes():
         for scheme in (FOURIER, CENTRAL2):
             for n in (32, 64):
                 g = make_grid(math.pi, n)
-                de = eigendecompose(build_dirac_grid(spec, g, PP, scheme).matrix)
-                re_ = eigendecompose(build_reduced(spec, g, PP, scheme).matrix)
+                de = eigendecompose(build_dirac_grid(spec, g, PP, scheme))
+                re_ = eigendecompose(build_reduced(spec, g, PP, scheme))
                 assert (
                     reduction_identity_mismatch(de.values, re_.values, PP) <= 1e-8
                 )
@@ -363,7 +356,7 @@ def test_reduced_spectra_conjugate_closed():
         ("cos", PotentialSpec.cosine(1.0, 1)),
         ("gauss", PotentialSpec.gaussian(1.0, 0.5)),
     ):
-        vals = eigendecompose(build_reduced(spec, g, PP, FOURIER).matrix).values
+        vals = eigendecompose(build_reduced(spec, g, PP, FOURIER)).values
         kinds[name] = classify_spectrum(vals, 1e-8).kind
     assert kinds["const"] == ALL_REAL
     assert kinds["cos"] == ALL_REAL
@@ -375,7 +368,7 @@ def test_strong_cosine_breaks_reality():
     # g = 10 and is broken by g = 20 on this grid
     g = make_grid(math.pi, 64)
     vals = eigendecompose(
-        build_reduced(PotentialSpec.cosine(20.0, 1), g, PP, FOURIER).matrix
+        build_reduced(PotentialSpec.cosine(20.0, 1), g, PP, FOURIER)
     ).values
     assert classify_spectrum(vals, 1e-8).kind == CONJUGATE_PAIRS
 
