@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -31,23 +31,35 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _scalar(v, csv: bool = False) -> str:
+    """A leaf value as JSON, or as CSV text: strings bare, None empty."""
+    if isinstance(v, (float, np.floating)):  # almost every leaf
+        return format_float(v)
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    if isinstance(v, str):
+        return v if csv else json.dumps(v)
+    if v is None:
+        return "" if csv else "null"
+    raise TypeError(f"cannot serialize {type(v).__name__}")
+
+
+def _fields(v) -> dict:
+    """A dataclass's fields, in order, without copying their values."""
+    return {f.name: getattr(v, f.name) for f in fields(v)}
+
+
 def _json_value(v) -> str:
     if isinstance(v, dict):
         items = ",".join(f"{json.dumps(str(k))}:{_json_value(x)}" for k, x in v.items())
         return "{" + items + "}"
     if isinstance(v, (list, tuple)):
-        return "[" + ",".join(_json_value(x) for x in v) + "]"
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return format_float(v)
-    if isinstance(v, str):
-        return json.dumps(v)
-    if v is None:
-        return "null"
-    raise TypeError(f"cannot serialize {type(v).__name__}")
+        return "[" + ",".join(map(_json_value, v)) + "]"
+    if is_dataclass(v):
+        return _json_value(_fields(v))
+    return _scalar(v)
 
 
 def complex_table(values) -> list[dict]:
@@ -57,19 +69,12 @@ def complex_table(values) -> list[dict]:
     ]
 
 
-# Optional record sections, in output order.
-_SECTIONS = (
-    "eigenvalues", "analytic_eigenvalues", "classification", "metric_report",
-    "metric_reports", "sweep", "reduction", "checks", "evolution", "study",
-    "threshold", "all_passed",
-)
-
-
 @dataclass
 class ResultRecord:
-    """One run's output; optional sections are omitted when absent.
+    """One run's output; its fields are the record's sections, in output order.
 
-    ``threshold`` is emitted, possibly as null, exactly when ``sweep`` is.
+    Absent (None) sections are omitted, except that ``threshold`` is
+    emitted, possibly as null, exactly when ``sweep`` is.
     """
 
     model: str
@@ -86,108 +91,57 @@ class ResultRecord:
     study: dict | None = None
     threshold: dict | None = None
     all_passed: bool | None = None
-    schema_version: str = SCHEMA_VERSION
-    runtime_ms: int = 0
 
     def to_dict(self) -> dict:
-        out: dict = {
-            "schema_version": self.schema_version,
-            "model": self.model,
-            "params": self.params,
-        }
-        for name in _SECTIONS:
-            value = getattr(self, name)
-            if value is not None or (name == "threshold" and self.sweep is not None):
-                out[name] = value
-        # metric reports are serialized as plain dicts, in the same place
-        if self.metric_report is not None:
-            out["metric_report"] = asdict(self.metric_report)
-        if self.metric_reports is not None:
-            out["metric_reports"] = {
-                k: asdict(v) for k, v in self.metric_reports.items()
-            }
-        out["runtime_ms"] = self.runtime_ms
+        out: dict = {"schema_version": SCHEMA_VERSION}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None or (f.name == "threshold" and self.sweep is not None):
+                out[f.name] = value
+        out["runtime_ms"] = 0
         return out
 
 
-def _preamble_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return format_float(v)
-    return str(v)
+# Preamble key of each section whose name differs; the sweep is left to the table.
+_PREAMBLE_KEYS = {"params": "param", "metric_report": "metric", "metric_reports": "metric",
+                  "sweep": None}
 
 
-def _csv_preamble(record: ResultRecord) -> list[str]:
-    lines = [
-        f"# schema_version={record.schema_version}",
-        f"# model={record.model}",
-    ]
-    for k, v in record.params.items():
-        lines.append(f"# param.{k}={_preamble_value(v)}")
-    if record.classification is not None:
-        lines.append(f"# classification={record.classification}")
-    reports = {}
-    if record.metric_report is not None:
-        reports[""] = record.metric_report
-    if record.metric_reports is not None:
-        reports.update({f".{k}": v for k, v in record.metric_reports.items()})
-    for suffix, rep in reports.items():
-        for k, v in asdict(rep).items():
-            lines.append(f"# metric{suffix}.{k}={_preamble_value(v)}")
-    for name, section in (("reduction", record.reduction), ("study", record.study)):
-        for k, v in (section or {}).items():
-            if not isinstance(v, (list, tuple)):
-                lines.append(f"# {name}.{k}={_preamble_value(v)}")
-    if record.sweep is not None:
-        if record.threshold is None:
-            lines.append("# threshold=none")
-        else:
-            for k, v in record.threshold.items():
-                lines.append(f"# threshold.{k}={_preamble_value(v)}")
-    if record.all_passed is not None:
-        lines.append(f"# all_passed={_preamble_value(record.all_passed)}")
-    lines.append(f"# runtime_ms={record.runtime_ms}")
-    return lines
+def _preamble(key: str, value) -> list[str]:
+    """`# key=value` lines of one section; lists go to the table, null reads none."""
+    if is_dataclass(value):
+        value = _fields(value)
+    if isinstance(value, dict):
+        return [line for k, v in value.items() for line in _preamble(f"{key}.{k}", v)]
+    if isinstance(value, (list, tuple)):
+        return []
+    return [f"# {key}={'none' if value is None else _scalar(value, True)}"]
 
 
 def _csv_table(record: ResultRecord) -> list[str]:
+    """Header and rows of the first of sweep, checks, evolution, study, eigenvalues."""
     if record.sweep is not None:
-        lines = ["param,index,re,im"]
-        for point in record.sweep["points"]:
-            val = format_float(point["value"])
-            for i, ev in enumerate(point["eigenvalues"]):
-                lines.append(
-                    f"{val},{i},{format_float(ev['re'])},{format_float(ev['im'])}"
-                )
-        return lines
-    if record.checks is not None:
-        lines = ["name,value,tol,pass"]
-        for chk in record.checks:
-            tol = "" if chk.get("tol") is None else format_float(chk["tol"])
-            ok = chk.get("pass")
-            ok_s = "" if ok is None else ("true" if ok else "false")
-            lines.append(f"{chk['name']},{format_float(chk['value'])},{tol},{ok_s}")
-        return lines
-    if record.evolution is not None:
-        lines = ["t,pseudo_unitarity_residual,naive_unitarity_defect"]
-        for row in record.evolution:
-            lines.append(
-                f"{format_float(row['t'])},{format_float(row['pseudo_unitarity_residual'])},"
-                f"{format_float(row['naive_unitarity_defect'])}"
-            )
-        return lines
-    if record.study is not None:
-        lines = ["n,error"]
-        for row in record.study["rows"]:
-            lines.append(f"{row['n']},{format_float(row['error'])}")
-        return lines
-    if record.eigenvalues is not None:
-        lines = ["index,re,im"]
-        for i, ev in enumerate(record.eigenvalues):
-            lines.append(f"{i},{format_float(ev['re'])},{format_float(ev['im'])}")
-        return lines
-    return []
+        header = "param,index,re,im"
+        rows = [(point["value"], i, ev["re"], ev["im"])
+                for point in record.sweep["points"]
+                for i, ev in enumerate(point["eigenvalues"])]
+    elif record.checks is not None:
+        header = "name,value,tol,pass"
+        rows = [(chk["name"], chk["value"], chk.get("tol"), chk.get("pass"))
+                for chk in record.checks]
+    elif record.evolution is not None:
+        header = "t,pseudo_unitarity_residual,naive_unitarity_defect"
+        rows = [(row["t"], row["pseudo_unitarity_residual"], row["naive_unitarity_defect"])
+                for row in record.evolution]
+    elif record.study is not None:
+        header = "n,error"
+        rows = [(row["n"], row["error"]) for row in record.study["rows"]]
+    elif record.eigenvalues is not None:
+        header = "index,re,im"
+        rows = [(i, ev["re"], ev["im"]) for i, ev in enumerate(record.eigenvalues)]
+    else:
+        return []
+    return [header] + [",".join([_scalar(x, True) for x in row]) for row in rows]
 
 
 def emit(record: ResultRecord, fmt: str = JSON) -> bytes:
@@ -195,6 +149,11 @@ def emit(record: ResultRecord, fmt: str = JSON) -> bytes:
     if fmt == JSON:
         return (_json_value(record.to_dict()) + "\n").encode("utf-8")
     if fmt == CSV:
-        lines = _csv_preamble(record) + _csv_table(record)
+        lines = []
+        for key, value in record.to_dict().items():
+            key = _PREAMBLE_KEYS.get(key, key)
+            if key is not None:
+                lines += _preamble(key, value)
+        lines += _csv_table(record)
         return ("\n".join(lines) + "\n").encode("utf-8")
     raise ValueError(f"unknown output format {fmt!r}")
