@@ -340,7 +340,6 @@ class Model:
     """
 
     params: tuple[str, ...]  # record parameters after m0, c, hbar, in order
-    sweepable: tuple[str, ...]
     matrix: Callable  # the operator whose spectrum `spectrum` reports
     verify: Callable  # the `verify` battery: a list of checks
     sweep_matrix: Callable | None = None  # what `sweep` classifies, if not `matrix`
@@ -356,7 +355,6 @@ class Model:
 MODELS = {
     RASHBA: Model(
         params=("lambda", "kx", "ky"),
-        sweepable=("lambda", "kx", "ky"),
         matrix=lambda cfg: build_rashba(*_rashba_args(cfg)),
         verify=_verify_block,
         methods=("spectral", "paper", "diagonal"),
@@ -368,7 +366,6 @@ MODELS = {
     ),
     SCALAR_CONST: Model(
         params=("v0", "kx"),
-        sweepable=("v0", "kx"),
         matrix=lambda cfg: build_scalar_const(*_scalar_args(cfg)),
         verify=_verify_block,
         methods=("spectral", "paper"),
@@ -379,7 +376,6 @@ MODELS = {
     ),
     SCALAR_GRID: Model(
         params=(),
-        sweepable=("v0", "g", "width"),
         load=_grid_inputs,
         matrix=lambda cfg, spec, g, pp: gridmod.build_dirac_grid(spec, g, pp, cfg.scheme),
         # the component-eliminated operator, whose reality breaking is the
@@ -463,6 +459,14 @@ def run_metric(cfg: RunConfig) -> ResultRecord:
     return record
 
 
+def _sweepable(cfg: RunConfig, spec=None, *_) -> tuple[str, ...]:
+    """What a sweep may vary: the model's parameters, or a grid command's
+    potential's float parameters (none for sampled values)."""
+    if spec is None:
+        return MODELS[cfg.model].params
+    return tuple(k for k, v in spec.describe().items() if isinstance(v, float))
+
+
 def _sweep_point(cfg: RunConfig, inputs: tuple, value: float):
     sub = replace(cfg, params={**cfg.params, cfg.sweep_param: value})
     model = MODELS[cfg.model]
@@ -481,7 +485,8 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
     _require_model(cfg, _ANY)
     if cfg.sweep_param is None or cfg.sweep_steps < 2:
         raise ValueError("sweep needs --sweep-param, --sweep-min/max and --sweep-steps >= 2")
-    sweepable = MODELS[cfg.model].sweepable
+    inputs = MODELS[cfg.model].load(cfg)
+    sweepable = _sweepable(cfg, *inputs)
     if cfg.sweep_param not in sweepable:
         raise ValueError(
             f"cannot sweep {cfg.sweep_param!r} for model {cfg.model!r}; "
@@ -490,7 +495,6 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
     if not cfg.sweep_max > cfg.sweep_min:
         raise ValueError("sweep range must satisfy max > min")
     grid_values = np.linspace(cfg.sweep_min, cfg.sweep_max, cfg.sweep_steps)
-    inputs = MODELS[cfg.model].load(cfg)
     points = []
     for v in grid_values:
         values, kind = _sweep_point(cfg, inputs, float(v))

@@ -353,8 +353,6 @@ def test_cli_exit_code_contract_at_singular_and_huge_inputs(argv, code, error, c
     [
         ["verify"],
         ["reduce", "--form", "product_exact"],
-        ["sweep", "--sweep-param", "g", "--sweep-min", "0", "--sweep-max", "1",
-         "--sweep-steps", "5"],
     ],
     ids=lambda argv: argv[0],
 )
@@ -375,3 +373,31 @@ def test_grid_command_reads_sampled_potential_once(argv, monkeypatch, capsys):
     assert code == 0
     assert paths == [str(path)]
     assert json.loads(capsys.readouterr().out)["params"]["file"] == str(path)
+
+
+_FAMILY_FLAGS = {
+    "constant": ["--v0", "0.5"],
+    "cosine": ["--g", "0.5"],
+    "gaussian": ["--g", "0.5"],
+    "samples": ["--file", str(pathlib.Path(__file__).parent / "golden" / "cos16.csv")],
+}
+_FAMILY_SWEEPS = {"constant": ("v0",), "cosine": ("g",), "gaussian": ("g", "width"),
+                  "samples": ()}
+
+
+@pytest.mark.parametrize("param", ["v0", "g", "width", "mode"])
+@pytest.mark.parametrize("family", list(_FAMILY_FLAGS))
+def test_grid_sweep_takes_the_potential_familys_float_parameters(family, param, capsys):
+    code = main(["sweep", "--model", "scalar_grid", "--potential", family,
+                 *_FAMILY_FLAGS[family], "--grid-n", "16", "--sweep-param", param,
+                 "--sweep-min", "0.1", "--sweep-max", "0.5", "--sweep-steps", "2"])
+    captured = capsys.readouterr()
+    if param in _FAMILY_SWEEPS[family]:
+        assert code == 0
+        first, last = json.loads(captured.out)["sweep"]["points"]
+        assert first["eigenvalues"] != last["eigenvalues"]
+    else:
+        assert code == EXIT_USAGE and captured.out == ""
+        error = json.loads(captured.err.splitlines()[0])["error"]
+        assert error["message"] == (f"cannot sweep {param!r} for model 'scalar_grid'; "
+                                    f"choose from {_FAMILY_SWEEPS[family]}")

@@ -70,8 +70,6 @@ _VALID = [
     ["spectrum", *_SAMPLES],
     ["reduce", *_SAMPLES, "--form", "product_exact"],
     ["verify", *_SAMPLES],
-    ["sweep", *_SAMPLES, "--sweep-param", "g", "--sweep-min", "0", "--sweep-max", "1",
-     "--sweep-steps", "2"],
     ["sweep", *_GAUSS, "--sweep-param", "width", "--sweep-min", "0.3",
      "--sweep-max", "0.9", "--sweep-steps", "3"],
 ]
@@ -86,6 +84,8 @@ _ERRORS = [
      "--sweep-max", "1", "--sweep-steps", "3"],
     ["sweep", *_COSINE, "--sweep-param", "mode", "--sweep-min", "0",
      "--sweep-max", "1", "--sweep-steps", "3"],
+    ["sweep", *_SAMPLES, "--sweep-param", "g", "--sweep-min", "0", "--sweep-max", "1",
+     "--sweep-steps", "2"],
     ["metric", "--model", "rashba", "--lambda", "2", "--kx", "1"],
     ["metric", "--model", "rashba", "--method", "paper", "--lambda", "1.5", "--kx", "1"],
     ["spectrum", "--model", "scalar_grid", "--potential", "samples", "--file", "sin16.csv",
