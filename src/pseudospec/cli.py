@@ -429,11 +429,11 @@ def _metric_candidates(cfg: RunConfig, h) -> dict:
         if method == "spectral":
             out[method] = spectral_metric(h, normalize=cfg.normalize, tol=cfg.tol)
         elif method == "paper":
-            out[method] = make_metric(model.paper_eta(cfg), "paper_printed")
+            out[method] = make_metric(model.paper_eta(cfg))
         elif method == "diagonal":
             if model.diagonal_eta is None:
                 raise ValueError("--method diagonal applies to the rashba model only")
-            out[method] = make_metric(model.diagonal_eta(cfg), "diagonal_derived")
+            out[method] = make_metric(model.diagonal_eta(cfg))
         else:
             raise ValueError(f"unknown metric method {method!r}")
     return out
@@ -597,6 +597,11 @@ def run_converge(cfg: RunConfig) -> ResultRecord:
     _require_model(cfg, _GRID)
     if not cfg.ns:
         raise ValueError("converge needs at least one --N")
+    if cfg.potential == "samples":
+        raise ValueError(
+            f"converge cannot use sampled values: its reference grid has "
+            f"{gridmod.REF_FACTOR}x the largest --N points, which no sample file matches"
+        )
     spec = _potential(cfg)
     study = gridmod.convergence_study(
         spec,

@@ -41,10 +41,9 @@ MIXED = "mixed"
 
 @dataclass(frozen=True)
 class MetricOperator:
-    """Hermitian metric candidate with provenance and cached PD certificate."""
+    """Hermitian metric candidate with its cached PD certificate."""
 
     eta: np.ndarray
-    provenance: str  # spectral | paper_printed | diagonal_derived | user_supplied
     min_eig: float
 
     def __post_init__(self):
@@ -53,12 +52,10 @@ class MetricOperator:
             raise NotHermitian(f"metric candidate not Hermitian (defect {defect:.3e})")
 
 
-def make_metric(eta, provenance: str = "user_supplied") -> MetricOperator:
+def make_metric(eta) -> MetricOperator:
     """Wrap a Hermitian matrix as a MetricOperator, computing its smallest eigenvalue."""
     m = as_cmatrix(eta)
-    return MetricOperator(
-        eta=m, provenance=provenance, min_eig=min_eig_hermitian_part(m)
-    )
+    return MetricOperator(eta=m, min_eig=min_eig_hermitian_part(m))
 
 
 @dataclass(frozen=True)
@@ -125,9 +122,7 @@ def spectral_metric(
             pivot = col[int(np.argmax(np.abs(col)))]
             vecs[:, i] = col / pivot
     eta = vecs @ vecs.conj().T
-    return MetricOperator(
-        eta=eta, provenance="spectral", min_eig=min_eig_hermitian_part(eta)
-    )
+    return MetricOperator(eta=eta, min_eig=min_eig_hermitian_part(eta))
 
 
 def check_metric(h, eta, tol: float = DEFAULT_TOL) -> MetricReport:

@@ -401,3 +401,15 @@ def test_grid_sweep_takes_the_potential_familys_float_parameters(family, param, 
         error = json.loads(captured.err.splitlines()[0])["error"]
         assert error["message"] == (f"cannot sweep {param!r} for model 'scalar_grid'; "
                                     f"choose from {_FAMILY_SWEEPS[family]}")
+
+
+@pytest.mark.parametrize("name", ["cos16.csv", "missing.csv"])
+def test_converge_refuses_sampled_potential_before_reading_it(name, capsys):
+    path = pathlib.Path(__file__).parent / "golden" / name
+    code = main(["converge", "--model", "scalar_grid", "--potential", "samples",
+                 "--file", str(path), "--grid-n", "16", "--N", "16"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    error = json.loads(captured.err.splitlines()[0])["error"]
+    assert error["type"] == "ValueError"
+    assert "reference grid has 4x the largest --N points" in error["message"]

@@ -46,7 +46,6 @@ def test_spectral_metric_hermitian_limit_is_identity():
     h = build_rashba(Momentum2(0.7, -0.4), PP, 0.0)
     eta = spectral_metric(h, normalize=True)
     assert frob_distance(eta.eta, np.eye(2)) <= 1e-12
-    assert eta.provenance == "spectral"
 
 
 def test_spectral_metric_matches_spinor_sum_rashba():
@@ -139,7 +138,7 @@ def test_check_metric_dimension_mismatch():
 
 def test_metric_operator_enforces_hermiticity():
     with pytest.raises(NotHermitian):
-        MetricOperator(eta=np.array([[0.0, 1.0], [0.0, 0.0]]), provenance="user_supplied", min_eig=0.0)
+        MetricOperator(eta=np.array([[0.0, 1.0], [0.0, 0.0]]), min_eig=0.0)
     m = make_metric(np.diag([2.0, 3.0]))
     assert m.min_eig == pytest.approx(2.0)
 
