@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pseudospec.cli import (
     EXIT_REGIME,
@@ -121,6 +123,29 @@ def test_run_sweep_no_threshold_in_range():
     )
     rec = run_sweep(cfg)
     assert rec.sweep is not None and rec.threshold is None
+
+
+_UNIT = st.floats(0.5, 2.0)
+_K = st.floats(-5.0, 5.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m0=_UNIT, c=_UNIT, hbar=_UNIT, kx=_K, ky=_K, steps=st.integers(2, 9),
+       model=st.sampled_from(["rashba", "scalar_const"]))
+def test_sweep_bisects_the_closed_form_threshold(m0, c, hbar, kx, ky, steps, model):
+    k_sq = kx * kx + (ky * ky if model == "rashba" else 0.0)
+    assume(k_sq >= 0.04)
+    # lambda* = sqrt(c^2 + m0^2 c^4 / (hbar^2 k^2)), V0* = sqrt(hbar^2 c^2 kx^2 + m0^2 c^4)
+    if model == "rashba":
+        param, star = "lambda", math.sqrt(c * c + (m0 * c * c) ** 2 / (hbar * hbar * k_sq))
+    else:
+        param, star = "v0", math.sqrt((hbar * c * kx) ** 2 + (m0 * c * c) ** 2)
+    cfg = RunConfig(command="sweep", model=model,
+                    params={"m0": m0, "c": c, "hbar": hbar, "kx": kx, "ky": ky},
+                    sweep_param=param, sweep_min=0.0, sweep_max=2 * star, sweep_steps=steps)
+    threshold = run_sweep(cfg).threshold
+    assert threshold is not None and threshold["param"] == param
+    assert abs(threshold["value"] - star) <= 1e-8 * max(1.0, star)
 
 
 def test_run_sweep_validation():
