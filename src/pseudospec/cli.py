@@ -459,14 +459,6 @@ def run_metric(cfg: RunConfig) -> ResultRecord:
     return record
 
 
-def _sweepable(cfg: RunConfig, spec=None, *_) -> tuple[str, ...]:
-    """What a sweep may vary: the model's parameters, or a grid command's
-    potential's float parameters (none for sampled values)."""
-    if spec is None:
-        return MODELS[cfg.model].params
-    return tuple(k for k, v in spec.describe().items() if isinstance(v, float))
-
-
 def _sweep_point(cfg: RunConfig, inputs: tuple, value: float):
     sub = replace(cfg, params={**cfg.params, cfg.sweep_param: value})
     model = MODELS[cfg.model]
@@ -486,11 +478,13 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
     if cfg.sweep_param is None or cfg.sweep_steps < 2:
         raise ValueError("sweep needs --sweep-param, --sweep-min/max and --sweep-steps >= 2")
     inputs = MODELS[cfg.model].load(cfg)
-    sweepable = _sweepable(cfg, *inputs)
-    if cfg.sweep_param not in sweepable:
+    # a 2x2 model sweeps its parameters, a grid command its potential's floats
+    choices = (tuple(k for k, v in inputs[0].describe().items() if isinstance(v, float))
+               if inputs else MODELS[cfg.model].params)
+    if cfg.sweep_param not in choices:
         raise ValueError(
             f"cannot sweep {cfg.sweep_param!r} for model {cfg.model!r}; "
-            f"choose from {sweepable}"
+            f"choose from {choices}"
         )
     if not cfg.sweep_max > cfg.sweep_min:
         raise ValueError("sweep range must satisfy max > min")
