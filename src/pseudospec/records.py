@@ -93,13 +93,9 @@ class ResultRecord:
     all_passed: bool | None = None
 
     def to_dict(self) -> dict:
-        out: dict = {"schema_version": SCHEMA_VERSION}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is not None or (f.name == "threshold" and self.sweep is not None):
-                out[f.name] = value
-        out["runtime_ms"] = 0
-        return out
+        sections = {name: value for name, value in _fields(self).items()
+                    if value is not None or (name == "threshold" and self.sweep is not None)}
+        return {"schema_version": SCHEMA_VERSION, **sections, "runtime_ms": 0}
 
 
 # Preamble key of each section whose name differs; the sweep is left to the table.

@@ -108,7 +108,7 @@ _TABLES = ["sweep", "checks", "evolution", "study", "eigenvalues"]
 def _records(draw):
     """A record with one table section of 0-3 rows, and that table's float
     cells (None where a cell is not a float)."""
-    x = lambda: draw(_FINITE)  # noqa: E731
+    x = lambda: draw(_FINITE)
     n = draw(st.integers(0, 3))
     kind = draw(st.sampled_from(_TABLES))
     rec = ResultRecord(model="rashba", params={"a": x(), "b": x()},
