@@ -26,7 +26,7 @@ for lam in (0.0, 0.5, 1.2, 1.5):
     h = build_rashba(k, pp, lam)
     numeric = eigendecompose(h).values
     analytic = rashba_energy(k, pp, lam)
-    kind = classify_spectrum(numeric).kind
+    kind = classify_spectrum(numeric)
     print(f"lam = {lam:4.1f}  block = {np.round(h, 3).tolist()}")
     print(f"          numeric  {np.round(numeric, 10)}")
     print(f"          analytic {np.round(analytic, 10)}  -> {kind}")
@@ -41,7 +41,7 @@ for v0, kx in ((0.5, 1.0), (1.2, 0.0), (2.0, 0.0)):
     h = build_scalar_const(kx, pp, v0)
     numeric = eigendecompose(h).values
     analytic = scalar_energy(kx, pp, v0)
-    kind = classify_spectrum(numeric).kind
+    kind = classify_spectrum(numeric)
     print(f"v0 = {v0:4.1f}, kx = {kx:4.1f}  ->  E = {np.round(analytic, 10)}  ({kind})")
 
 print()

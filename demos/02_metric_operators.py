@@ -31,7 +31,7 @@ h = build_rashba(k, pp, lam)
 print("=== spectral method ===")
 eta = spectral_metric(h)  # unit-component spinor convention
 print("eta =")
-print(np.round(eta.eta.real, 8))
+print(np.round(eta.real, 8))
 rep = check_metric(h, eta)
 print(f"relation residual {rep.relation_residual:.2e}, "
       f"min eig {rep.min_eig:.6f} -> {rep.verdict}")

@@ -42,7 +42,7 @@ for name, spec in (
     de = eigendecompose(dirac)
     re_ = eigendecompose(reduced)
     mismatch = reduction_identity_mismatch(de.values, re_.values, pp)
-    kind = classify_spectrum(re_.values, 1e-8).kind
+    kind = classify_spectrum(re_.values, 1e-8)
     print(f"{name:18s} parity residual {parity:.1e}  reflection-conj {reflect:.1e}")
     print(f"{'':18s} reduction identity mismatch {mismatch:.1e}  eps spectrum: {kind}")
 

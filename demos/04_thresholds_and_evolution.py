@@ -23,7 +23,7 @@ for model, param, hi, expected in (
         RunConfig(
             command="sweep",
             model=model,
-            params={"kx": 1.0, "ky": 0.0},
+            params={"kx": 1.0},
             sweep_param=param,
             sweep_min=0.0,
             sweep_max=hi,
@@ -53,7 +53,7 @@ print(f"scalar_grid   g* = {rec.threshold['value']:.6f}   (found empirically)")
 print()
 print("=== evolution conserves the eta-norm, not the plain norm ===")
 h = build_rashba(Momentum2(1.0, 0.0), pp, 0.5)
-eta = spectral_metric(h).eta
+eta = spectral_metric(h)
 scale = np.linalg.norm(eta, "fro")
 print("  t     ||U+ eta U - eta||/||eta||   ||U+ U - 1||")
 for t in (0.1, 1.0, 10.0):

@@ -147,10 +147,21 @@ _ANY = (RASHBA, SCALAR_CONST, SCALAR_GRID)
 
 
 def _require_model(cfg: RunConfig, allowed: tuple[str, ...]) -> None:
+    """Refuse a model the command does not take, then parameters it does not read."""
     if cfg.model not in allowed:
         raise ValueError(
             f"command {cfg.command!r} supports models {allowed}, got {cfg.model!r}"
         )
+    model = repr(cfg.model)
+    reads = ("m0", "c", "hbar", *MODELS[cfg.model].params)
+    if cfg.model in _GRID:
+        model += f" with potential {cfg.potential!r}"
+        reads += gridmod.FAMILIES[cfg.potential][0]
+    for key in cfg.params:
+        if key not in reads:
+            raise ValueError(
+                f"model {model} does not read parameter {key!r}; it reads {reads}"
+            )
     for key, value in cfg.params.items():
         if not np.isfinite(value):
             raise ValueError(f"parameter {key} is not finite: {value}")
@@ -279,7 +290,7 @@ def _verify_block(cfg: RunConfig) -> list[dict]:
         checks.append(_check("printed_metric_min_eig", paper_rep.min_eig, None))
     checks += model.checks(cfg, h)
     u = evolve(h, 1.0, pp)
-    checks.append(_check("pseudo_unitarity_t1", _pseudo_unitarity(u, eta.eta), 1e-8))
+    checks.append(_check("pseudo_unitarity_t1", _pseudo_unitarity(u, eta), 1e-8))
     return checks
 
 
@@ -317,7 +328,7 @@ def _verify_grid(cfg: RunConfig, spec, g, pp: PhysParams) -> list[dict]:
         ),
         _check("reduction_identity_mismatch", mismatch, 1e-8),
     ]
-    kind = classify_spectrum(reduced_values, max(cfg.tol, 1e-8)).kind
+    kind = classify_spectrum(reduced_values, max(cfg.tol, 1e-8))
     checks.append(
         _check(
             "reduced_spectrum_conjugate_closed",
@@ -412,13 +423,12 @@ def run_spectrum(cfg: RunConfig) -> ResultRecord:
     h = model.matrix(cfg, *inputs)
     analytic = None if model.analytic is None else _sorted_pair(model.analytic(cfg))
     es = eigendecompose(h, cfg.tol)
-    cls = classify_spectrum(es.values, cfg.tol)
     return _record(
         cfg,
         *inputs,
         eigenvalues=complex_table(es.values),
         analytic_eigenvalues=None if analytic is None else complex_table(analytic),
-        classification=cls.kind,
+        classification=classify_spectrum(es.values, cfg.tol),
     )
 
 
@@ -446,11 +456,10 @@ def run_metric(cfg: RunConfig) -> ResultRecord:
     candidates = _metric_candidates(cfg, h)
     reports = {name: check_metric(h, eta, cfg.tol) for name, eta in candidates.items()}
     es = eigendecompose(h, cfg.tol)
-    cls = classify_spectrum(es.values, cfg.tol)
     record = _record(
         cfg,
         eigenvalues=complex_table(es.values),
-        classification=cls.kind,
+        classification=classify_spectrum(es.values, cfg.tol),
     )
     if len(reports) == 1:
         record.metric_report = next(iter(reports.values()))
@@ -464,8 +473,7 @@ def _sweep_point(cfg: RunConfig, inputs: tuple, value: float):
     model = MODELS[cfg.model]
     matrix = (model.sweep_matrix or model.matrix)(sub, *inputs)
     values = eigendecompose(matrix, cfg.tol).values
-    kind = classify_spectrum(values, cfg.tol).kind
-    return values, kind
+    return values, classify_spectrum(values, cfg.tol)
 
 
 def run_sweep(cfg: RunConfig) -> ResultRecord:
@@ -534,17 +542,16 @@ def run_reduce(cfg: RunConfig) -> ResultRecord:
     _, _, dirac_values, reduced_values, mismatch = _solve_pair(cfg, spec, g, pp, cfg.form)
     mapped = gridmod.reduced_to_dirac_energies(reduced_values, pp)
     mapped = mapped[sort_by_re_im(mapped)]
-    cls = classify_spectrum(dirac_values, cfg.tol)
-    reduced_cls = classify_spectrum(reduced_values, max(cfg.tol, 1e-8))
+    reduced_kind = classify_spectrum(reduced_values, max(cfg.tol, 1e-8))
     return _record(
         cfg,
         spec,
         eigenvalues=complex_table(dirac_values),
-        classification=cls.kind,
+        classification=classify_spectrum(dirac_values, cfg.tol),
         reduction={
             "form": cfg.form,
             "identity_mismatch": mismatch,
-            "reduced_classification": reduced_cls.kind,
+            "reduced_classification": reduced_kind,
             "reduced_eigenvalues": complex_table(reduced_values),
             "mapped_eigenvalues": complex_table(mapped),
         },
@@ -571,7 +578,7 @@ def run_evolve(cfg: RunConfig) -> ResultRecord:
     _require_model(cfg, _BLOCK)
     pp = _phys(cfg)
     h = MODELS[cfg.model].matrix(cfg)
-    eta = spectral_metric(h, normalize=cfg.normalize, tol=cfg.tol).eta
+    eta = spectral_metric(h, normalize=cfg.normalize, tol=cfg.tol)
     ident = np.eye(h.shape[0])
     rows = []
     for t in cfg.times:
@@ -637,10 +644,17 @@ def run(cfg: RunConfig) -> ResultRecord:
     return _RUNNERS[cfg.command](cfg)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ValueError, so main reports it like any other."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # An option left out is absent from the namespace, so RunConfig's
     # field defaults and RunConfig.param's defaults are the only defaults.
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="pseudospec",
         description=(
             "Spectra, reality thresholds and positive-definite metric operators "
@@ -756,11 +770,10 @@ def _error_json(exc: Exception) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    ns = parser.parse_args(_join_negative_values(argv))
-    started = time.monotonic()
     try:
+        ns = _build_parser().parse_args(_join_negative_values(argv))
+        started = time.monotonic()
         cfg = config_from_args(ns)
         payload = emit(run(cfg), cfg.fmt)
     except _REPORTED_ERRORS as exc:

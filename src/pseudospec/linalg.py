@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ConvergenceFailure, DimensionMismatch, NotHermitian
+from .errors import ConvergenceFailure, DimensionMismatch
 
 #: Default residual tolerance, relative to max(1, ||A||_F).
 DEFAULT_TOL = 1e-10
@@ -129,19 +129,6 @@ def hermiticity_defect(a) -> float:
 def min_eig_hermitian_part(m: np.ndarray) -> float:
     """Smallest eigenvalue of the Hermitian part (M + M^dag)/2 of a complex array."""
     return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T))[0])
-
-
-def min_eig_hermitian(a) -> float:
-    """Smallest eigenvalue of a Hermitian matrix.
-
-    The input must be Hermitian to within HERMITICITY_TOL (relative);
-    the symmetrized half-sum is handed to the Hermitian solver.
-    """
-    m = as_cmatrix(a)
-    defect = hermiticity_defect(m)
-    if defect > HERMITICITY_TOL:
-        raise NotHermitian(f"matrix is not Hermitian (defect {defect:.3e})")
-    return min_eig_hermitian_part(m)
 
 
 def mat_exp(a) -> np.ndarray:

@@ -39,23 +39,13 @@ CONJUGATE_PAIRS = "conjugate_pairs"
 MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class MetricOperator:
-    """Hermitian metric candidate with its cached PD certificate."""
-
-    eta: np.ndarray
-    min_eig: float
-
-    def __post_init__(self):
-        defect = hermiticity_defect(self.eta)
-        if defect > HERMITICITY_TOL:
-            raise NotHermitian(f"metric candidate not Hermitian (defect {defect:.3e})")
-
-
-def make_metric(eta) -> MetricOperator:
-    """Wrap a Hermitian matrix as a MetricOperator, computing its smallest eigenvalue."""
+def make_metric(eta) -> np.ndarray:
+    """Return ``eta`` as a complex matrix; raise NotHermitian unless it is Hermitian."""
     m = as_cmatrix(eta)
-    return MetricOperator(eta=m, min_eig=min_eig_hermitian_part(m))
+    defect = hermiticity_defect(m)
+    if defect > HERMITICITY_TOL:
+        raise NotHermitian(f"metric candidate not Hermitian (defect {defect:.3e})")
+    return m
 
 
 @dataclass(frozen=True)
@@ -68,24 +58,7 @@ class MetricReport:
     verdict: str
 
 
-@dataclass(frozen=True)
-class SpectrumClassification:
-    """Verdict on a spectrum: all_real, conjugate_pairs or mixed."""
-
-    kind: str
-    pairs: list[tuple[int, int]]
-    tol: float
-
-
-def _eta_matrix(eta) -> np.ndarray:
-    if isinstance(eta, MetricOperator):
-        return eta.eta
-    return as_cmatrix(eta)
-
-
-def spectral_metric(
-    h, normalize: bool = False, tol: float = DEFAULT_TOL
-) -> MetricOperator:
+def spectral_metric(h, normalize: bool = False, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Build eta as a sum of outer products of adjoint eigenvectors.
 
     The eigenvectors phi_n of H^dag (real spectrum required) give
@@ -121,8 +94,7 @@ def spectral_metric(
         else:
             pivot = col[int(np.argmax(np.abs(col)))]
             vecs[:, i] = col / pivot
-    eta = vecs @ vecs.conj().T
-    return MetricOperator(eta=eta, min_eig=min_eig_hermitian_part(eta))
+    return make_metric(vecs @ vecs.conj().T)
 
 
 def check_metric(h, eta, tol: float = DEFAULT_TOL) -> MetricReport:
@@ -135,7 +107,7 @@ def check_metric(h, eta, tol: float = DEFAULT_TOL) -> MetricReport:
     definite; a failing relation wins over indefiniteness in the verdict.
     """
     hm = as_cmatrix(h)
-    em = _eta_matrix(eta)
+    em = as_cmatrix(eta)
     if hm.shape != em.shape:
         raise DimensionMismatch(f"shapes {hm.shape} and {em.shape} differ")
     relation = relative_residual(em @ hm - adjoint(hm) @ em, hm)
@@ -159,7 +131,7 @@ def eta_inner(f, g, eta) -> complex:
     """Inner product <f|eta g> = sum_ij conj(f_i) eta_ij g_j."""
     fv = np.asarray(f, dtype=np.complex128)
     gv = np.asarray(g, dtype=np.complex128)
-    em = _eta_matrix(eta)
+    em = as_cmatrix(eta)
     if fv.shape != gv.shape or fv.ndim != 1 or em.shape[0] != fv.shape[0]:
         raise DimensionMismatch(
             f"incompatible shapes f {fv.shape}, g {gv.shape}, eta {em.shape}"
@@ -167,7 +139,7 @@ def eta_inner(f, g, eta) -> complex:
     return complex(np.vdot(fv, em @ gv))
 
 
-def classify_spectrum(values, tol: float = 1e-8) -> SpectrumClassification:
+def classify_spectrum(values, tol: float = 1e-8) -> str:
     """Sort a spectrum into all_real / conjugate_pairs / mixed.
 
     A value is real when |Im| <= tol * max(1, |value|).  Otherwise a
@@ -176,35 +148,26 @@ def classify_spectrum(values, tol: float = 1e-8) -> SpectrumClassification:
     conjugate-paired, else mixed.  Real values pair with themselves.
     """
     vals = np.asarray(values, dtype=np.complex128).ravel()
-    n = len(vals)
-    scale = tol * np.maximum(1.0, np.abs(vals))
-    is_real = np.abs(vals.imag) <= scale
+    is_real = np.abs(vals.imag) <= tol * np.maximum(1.0, np.abs(vals))
     if np.all(is_real):
-        return SpectrumClassification(
-            kind=ALL_REAL, pairs=[(i, i) for i in range(n)], tol=tol
-        )
-    order = sorted(range(n), key=lambda i: (vals[i].real, abs(vals[i].imag)))
+        return ALL_REAL
+    order = sorted(range(len(vals)), key=lambda i: (vals[i].real, abs(vals[i].imag)))
     unmatched = set(order)
-    pairs: list[tuple[int, int]] = []
     for i in order:
         if i not in unmatched:
             continue
-        if is_real[i]:
-            unmatched.discard(i)
-            pairs.append((i, i))
-            continue
         unmatched.discard(i)
+        if is_real[i]:
+            continue
         best_j, best_d = -1, np.inf
         for j in unmatched:
             d = abs(vals[i] - np.conj(vals[j]))
             if d < best_d:
                 best_j, best_d = j, d
-        if best_j >= 0 and best_d <= tol * max(1.0, abs(vals[i])):
-            unmatched.discard(best_j)
-            pairs.append((i, best_j))
-        else:
-            return SpectrumClassification(kind=MIXED, pairs=pairs, tol=tol)
-    return SpectrumClassification(kind=CONJUGATE_PAIRS, pairs=pairs, tol=tol)
+        if best_j < 0 or not best_d <= tol * max(1.0, abs(vals[i])):
+            return MIXED
+        unmatched.discard(best_j)
+    return CONJUGATE_PAIRS
 
 
 def evolve(h, t: float, pp: PhysParams) -> np.ndarray:

@@ -132,9 +132,9 @@ def test_criterion_03_spectral_metric_validity():
     for _ in range(5):
         k = Momentum2(rng.uniform(-4, 4), rng.uniform(-4, 4))
         h1 = build_rashba(k, PP, 0.0)
-        assert frob_norm(spectral_metric(h1, normalize=True).eta - np.eye(2)) <= 1e-12
+        assert frob_norm(spectral_metric(h1, normalize=True) - np.eye(2)) <= 1e-12
         h2 = build_scalar_const(rng.uniform(-4, 4), PP, 0.0)
-        assert frob_norm(spectral_metric(h2, normalize=True).eta - np.eye(2)) <= 1e-12
+        assert frob_norm(spectral_metric(h2, normalize=True) - np.eye(2)) <= 1e-12
     report(3, "spectral metric valid on 50 unbroken draws per model; Hermitian limit gives identity")
 
 
@@ -201,7 +201,7 @@ def test_criterion_07_conjugate_closure_and_odd_gate():
         for n in (32, 64, 128):
             g = make_grid(math.pi, n)
             vals = eigendecompose(build_reduced(spec, g, PP, FOURIER)).values
-            kind = classify_spectrum(vals, 1e-8).kind
+            kind = classify_spectrum(vals, 1e-8)
             assert kind in (ALL_REAL, CONJUGATE_PAIRS)
             kinds.add(kind)
     assert CONJUGATE_PAIRS in kinds  # the gaussian draws genuinely break reality
@@ -284,7 +284,7 @@ def test_criterion_11_pseudo_unitarity():
     ]
     worst = 0.0
     for h in cases:
-        eta = spectral_metric(h).eta
+        eta = spectral_metric(h)
         scale = frob_norm(eta)
         for t in (0.1, 1.0, 10.0):
             u = evolve(h, t, PP)

@@ -140,8 +140,10 @@ def test_sweep_bisects_the_closed_form_threshold(m0, c, hbar, kx, ky, steps, mod
         param, star = "lambda", math.sqrt(c * c + (m0 * c * c) ** 2 / (hbar * hbar * k_sq))
     else:
         param, star = "v0", math.sqrt((hbar * c * kx) ** 2 + (m0 * c * c) ** 2)
-    cfg = RunConfig(command="sweep", model=model,
-                    params={"m0": m0, "c": c, "hbar": hbar, "kx": kx, "ky": ky},
+    params = {"m0": m0, "c": c, "hbar": hbar, "kx": kx}
+    if model == "rashba":
+        params["ky"] = ky
+    cfg = RunConfig(command="sweep", model=model, params=params,
                     sweep_param=param, sweep_min=0.0, sweep_max=2 * star, sweep_steps=steps)
     threshold = run_sweep(cfg).threshold
     assert threshold is not None and threshold["param"] == param
@@ -281,6 +283,59 @@ def test_cli_exit_code_usage():
     assert r.returncode == EXIT_USAGE
     r2 = cli("spectrum", "--model", "rashba", "--badflag")
     assert r2.returncode == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spectrum", "--kx", "abc"], "argument --kx: invalid float value: 'abc'"),
+        (["spectrum", "--model", "rashba", "--badflag"], "unrecognized arguments: --badflag"),
+        (["sweep", "--model", "rashba"], "the following arguments are required: "
+         "--sweep-param, --sweep-min, --sweep-max, --sweep-steps"),
+        (["spectrum", "--model", "nope"], "argument --model: invalid choice: 'nope' "
+         "(choose from 'rashba', 'scalar_const', 'scalar_grid')"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_cli_usage_errors_write_the_json_line(argv, message, capsys):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        json.dumps({"error": {"type": "ValueError", "message": message}})
+    ]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["spectrum", "--help"]])
+def test_cli_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: pseudospec" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, name, reads",
+    [
+        (["verify", "--model", "scalar_const", "--v0", "0.5", "--kx", "1", "--ky", "3"],
+         "ky", "('m0', 'c', 'hbar', 'v0', 'kx')"),
+        (["spectrum", "--model", "rashba", "--v0", "9"],
+         "v0", "('m0', 'c', 'hbar', 'lambda', 'kx', 'ky')"),
+        (["spectrum", "--model", "scalar_grid", "--potential", "cosine", "--width", "2"],
+         "width", "('m0', 'c', 'hbar', 'g', 'mode')"),
+        (["reduce", "--model", "scalar_grid", "--potential", "samples", "--file",
+          "missing.csv", "--g", "1"], "g", "('m0', 'c', 'hbar')"),
+        (["converge", "--model", "scalar_grid", "--N", "8", "--g", "1"],
+         "g", "('m0', 'c', 'hbar', 'v0')"),
+    ],
+)
+def test_cli_refuses_parameters_the_model_does_not_read(argv, name, reads, capsys):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err.splitlines()[0])["error"]
+    assert error["type"] == "ValueError"
+    assert f"does not read parameter {name!r}; it reads {reads}" in error["message"]
 
 
 def test_cli_odd_potential_exit_two(tmp_path):

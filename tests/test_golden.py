@@ -138,6 +138,7 @@ def test_fixture_covers_every_case():
 @pytest.mark.parametrize("argv", CASES, ids=" ".join)
 def test_cli_output_matches_golden(argv, monkeypatch):
     monkeypatch.chdir(FIXTURE.parent)
+    monkeypatch.delenv("PSEUDOSPEC_TOL", raising=False)  # the fixture has default tols
     assert run_main(argv) == _load()[tuple(argv)]
 
 

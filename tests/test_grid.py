@@ -248,7 +248,7 @@ def test_free_dirac_dispersion_exact():
     es = eigendecompose(op)
     expected = dispersion_multiset(fourier_mode_wavenumbers(n, L), 0.0)
     assert np.max(np.abs(es.values - expected)) <= 1e-10
-    assert classify_spectrum(es.values, 1e-8).kind == ALL_REAL
+    assert classify_spectrum(es.values, 1e-8) == ALL_REAL
 
 
 def test_constant_potential_matches_closed_form_per_mode():
@@ -357,7 +357,7 @@ def test_reduced_spectra_conjugate_closed():
         ("gauss", PotentialSpec.gaussian(1.0, 0.5)),
     ):
         vals = eigendecompose(build_reduced(spec, g, PP, FOURIER)).values
-        kinds[name] = classify_spectrum(vals, 1e-8).kind
+        kinds[name] = classify_spectrum(vals, 1e-8)
     assert kinds["const"] == ALL_REAL
     assert kinds["cos"] == ALL_REAL
     assert kinds["gauss"] == CONJUGATE_PAIRS  # reality genuinely broken
@@ -370,7 +370,7 @@ def test_strong_cosine_breaks_reality():
     vals = eigendecompose(
         build_reduced(PotentialSpec.cosine(20.0, 1), g, PP, FOURIER)
     ).values
-    assert classify_spectrum(vals, 1e-8).kind == CONJUGATE_PAIRS
+    assert classify_spectrum(vals, 1e-8) == CONJUGATE_PAIRS
 
 
 # ----------------------------------------------------------- convergence
