@@ -40,8 +40,7 @@ rec = run_sweep(
         command="sweep",
         model="scalar_grid",
         params={"mode": 1},
-        potential="cosine",
-        grid_n=32,
+        grid={"potential": "cosine", "grid_n": 32},
         sweep_param="g",
         sweep_min=5.0,
         sweep_max=20.0,

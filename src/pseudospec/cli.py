@@ -21,6 +21,7 @@ goes to stderr only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -47,6 +48,7 @@ from .linalg import (
     adjoint,
     eigendecompose,
     frob_norm,
+    relative_residual,
     sort_by_re_im,
     validate_tol,
 )
@@ -102,17 +104,13 @@ _EXIT_CODES = (
 _PARAM_DEFAULTS = {"m0": 1.0, "c": 1.0, "hbar": 1.0, "mode": 1, "width": 1.0}
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved invocation: command, model and every parameter."""
+@dataclass(frozen=True)
+class GridFlags:
+    """Grid, potential and reduced-form flags, each at its value when left out.
 
-    command: str
-    model: str = RASHBA
-    params: dict = field(default_factory=dict)
-    tol: float = DEFAULT_TOL
-    fmt: str = JSON
-    out: str | None = None
-    # grid / potential (scalar_grid)
+    Only the grid model reads them; a 2x2 model refuses any of them.
+    """
+
     grid_l: float = math.pi
     grid_n: int = 64
     bc: str = gridmod.PERIODIC
@@ -120,6 +118,19 @@ class RunConfig:
     potential: str = "constant"
     pot_file: str | None = None
     form: str = gridmod.PRODUCT_EXACT
+
+
+@dataclass
+class RunConfig:
+    """Fully resolved invocation: command, model and every parameter."""
+
+    command: str
+    model: str = RASHBA
+    params: dict = field(default_factory=dict)
+    grid: dict = field(default_factory=dict)  # the GridFlags given
+    tol: float = DEFAULT_TOL
+    fmt: str = JSON
+    out: str | None = None
     # sweep
     sweep_param: str | None = None
     sweep_min: float = 0.0
@@ -147,7 +158,7 @@ _ANY = (RASHBA, SCALAR_CONST, SCALAR_GRID)
 
 
 def _require_model(cfg: RunConfig, allowed: tuple[str, ...]) -> None:
-    """Refuse a model the command does not take, then parameters it does not read."""
+    """Refuse a model the command does not take, then flags it does not read."""
     if cfg.model not in allowed:
         raise ValueError(
             f"command {cfg.command!r} supports models {allowed}, got {cfg.model!r}"
@@ -155,8 +166,11 @@ def _require_model(cfg: RunConfig, allowed: tuple[str, ...]) -> None:
     model = repr(cfg.model)
     reads = ("m0", "c", "hbar", *MODELS[cfg.model].params)
     if cfg.model in _GRID:
-        model += f" with potential {cfg.potential!r}"
-        reads += gridmod.FAMILIES[cfg.potential][0]
+        potential = GridFlags(**cfg.grid).potential
+        model += f" with potential {potential!r}"
+        reads += gridmod.FAMILIES[potential][0]
+    elif cfg.grid:
+        raise ValueError(f"model {model} reads no grid flags, got {tuple(cfg.grid)}")
     for key in cfg.params:
         if key not in reads:
             raise ValueError(
@@ -167,24 +181,25 @@ def _require_model(cfg: RunConfig, allowed: tuple[str, ...]) -> None:
             raise ValueError(f"parameter {key} is not finite: {value}")
 
 
-def _potential(cfg: RunConfig) -> gridmod.PotentialSpec:
+def _potential(cfg: RunConfig, flags: GridFlags) -> gridmod.PotentialSpec:
     """The run's potential, read from --file or built from its family's parameters."""
     # Each analytic family has a PotentialSpec constructor of the same name.
-    if cfg.potential == "samples":
-        if not cfg.pot_file:
+    if flags.potential == "samples":
+        if not flags.pot_file:
             raise ValueError("samples potential needs --file PATH")
-        return gridmod.PotentialSpec.from_csv(cfg.pot_file)
-    if cfg.potential not in gridmod.FAMILIES:
-        raise ValueError(f"unknown potential {cfg.potential!r}")
-    names, _ = gridmod.FAMILIES[cfg.potential]
-    return getattr(gridmod.PotentialSpec, cfg.potential)(*map(cfg.param, names))
+        return gridmod.PotentialSpec.from_csv(flags.pot_file)
+    if flags.potential not in gridmod.FAMILIES:
+        raise ValueError(f"unknown potential {flags.potential!r}")
+    names, _ = gridmod.FAMILIES[flags.potential]
+    return getattr(gridmod.PotentialSpec, flags.potential)(*map(cfg.param, names))
 
 
 def _grid_inputs(cfg: RunConfig):
-    """(potential, grid, physical parameters) of a grid command."""
+    """(grid flags, potential, grid, physical parameters) of a grid command."""
+    flags = GridFlags(**cfg.grid)
     pp = _phys(cfg)
-    g = gridmod.make_grid(cfg.grid_l, cfg.grid_n, cfg.bc)
-    return _potential(cfg), g, pp
+    g = gridmod.make_grid(flags.grid_l, flags.grid_n, flags.bc)
+    return flags, _potential(cfg, flags), g, pp
 
 
 def _rashba_args(cfg: RunConfig):
@@ -242,7 +257,6 @@ def _verify_block(cfg: RunConfig) -> list[dict]:
     h = model.matrix(cfg)
     ana = _sorted_pair(model.analytic(cfg))
     hd = adjoint(h)
-    scale = max(1.0, frob_norm(h))
     es = eigendecompose(h, cfg.tol)
     checks = [
         _check(
@@ -264,7 +278,7 @@ def _verify_block(cfg: RunConfig) -> list[dict]:
     # u1 belongs to E and u2 to -E
     for name, u, e in (("u1", spinors.u1, spinors.energy),
                        ("u2", spinors.u2, -spinors.energy)):
-        residual = float(np.linalg.norm(hd @ u - e * u)) / scale
+        residual = relative_residual(np.linalg.norm(hd @ u - e * u), h)
         checks.append(_check(f"adjoint_spinor_residual_{name}", residual, 1e-10))
     eta = spectral_metric(h, normalize=cfg.normalize, tol=cfg.tol)
     rep = check_metric(h, eta, cfg.tol)
@@ -294,21 +308,21 @@ def _verify_block(cfg: RunConfig) -> list[dict]:
     return checks
 
 
-def _solve_pair(cfg: RunConfig, spec, g, pp: PhysParams, form: str):
+def _solve_pair(cfg: RunConfig, flags: GridFlags, spec, g, pp: PhysParams, form: str):
     """Both grid operators, their spectra and the identity mismatch between them."""
-    dirac = gridmod.build_dirac_grid(spec, g, pp, cfg.scheme)
-    reduced = gridmod.build_reduced(spec, g, pp, cfg.scheme, form)
+    dirac = gridmod.build_dirac_grid(spec, g, pp, flags.scheme)
+    reduced = gridmod.build_reduced(spec, g, pp, flags.scheme, form)
     dirac_es = eigendecompose(dirac, cfg.tol)
     reduced_es = eigendecompose(reduced, cfg.tol)
     mismatch = gridmod.reduction_identity_mismatch(dirac_es.values, reduced_es.values, pp)
     return dirac, reduced, dirac_es.values, reduced_es.values, mismatch
 
 
-def _verify_grid(cfg: RunConfig, spec, g, pp: PhysParams) -> list[dict]:
-    d = gridmod.derivative_matrix(g, cfg.scheme)
+def _verify_grid(cfg: RunConfig, flags: GridFlags, spec, g, pp: PhysParams) -> list[dict]:
+    d = gridmod.derivative_matrix(g, flags.scheme)
     perm = gridmod.reflection_permutation(g)
     dirac, reduced, _, reduced_values, mismatch = _solve_pair(
-        cfg, spec, g, pp, gridmod.PRODUCT_EXACT
+        cfg, flags, spec, g, pp, gridmod.PRODUCT_EXACT
     )
     checks = [
         _check(
@@ -388,19 +402,21 @@ MODELS = {
     SCALAR_GRID: Model(
         params=(),
         load=_grid_inputs,
-        matrix=lambda cfg, spec, g, pp: gridmod.build_dirac_grid(spec, g, pp, cfg.scheme),
+        matrix=lambda cfg, flags, spec, g, pp: gridmod.build_dirac_grid(
+            spec, g, pp, flags.scheme
+        ),
         # the component-eliminated operator, whose reality breaking is the
         # object of interest, at the swept value of the potential parameter
-        sweep_matrix=lambda cfg, spec, g, pp: gridmod.build_reduced(
+        sweep_matrix=lambda cfg, flags, spec, g, pp: gridmod.build_reduced(
             replace(spec, **{cfg.sweep_param: cfg.param(cfg.sweep_param)}),
-            g, pp, cfg.scheme, cfg.form,
+            g, pp, flags.scheme, flags.form,
         ),
         verify=_verify_grid,
     ),
 }
 
 
-def _record(cfg: RunConfig, spec=None, *_, **sections) -> ResultRecord:
+def _record(cfg: RunConfig, flags=None, spec=None, *_, **sections) -> ResultRecord:
     """Record of the run's model and parameters with the given sections.
 
     A grid command passes its inputs; of those the potential is recorded,
@@ -409,8 +425,8 @@ def _record(cfg: RunConfig, spec=None, *_, **sections) -> ResultRecord:
     model = MODELS[cfg.model]
     params = {name: cfg.param(name) for name in ("m0", "c", "hbar", *model.params)}
     if spec is not None:
-        params.update(spec.describe(), grid_L=cfg.grid_l, grid_n=cfg.grid_n,
-                      bc=cfg.bc, scheme=cfg.scheme)
+        params.update(spec.describe(), grid_L=flags.grid_l, grid_n=flags.grid_n,
+                      bc=flags.bc, scheme=flags.scheme)
     params["tol"] = cfg.tol
     return ResultRecord(model=cfg.model, params=params, **sections)
 
@@ -487,7 +503,7 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
         raise ValueError("sweep needs --sweep-param, --sweep-min/max and --sweep-steps >= 2")
     inputs = MODELS[cfg.model].load(cfg)
     # a 2x2 model sweeps its parameters, a grid command its potential's floats
-    choices = (tuple(k for k, v in inputs[0].describe().items() if isinstance(v, float))
+    choices = (tuple(k for k, v in inputs[1].describe().items() if isinstance(v, float))
                if inputs else MODELS[cfg.model].params)
     if cfg.sweep_param not in choices:
         raise ValueError(
@@ -538,18 +554,21 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
 def run_reduce(cfg: RunConfig) -> ResultRecord:
     """Grid solve: Dirac spectrum, component-eliminated spectrum, exact identity check."""
     _require_model(cfg, _GRID)
-    spec, g, pp = _grid_inputs(cfg)
-    _, _, dirac_values, reduced_values, mismatch = _solve_pair(cfg, spec, g, pp, cfg.form)
+    flags, spec, g, pp = _grid_inputs(cfg)
+    _, _, dirac_values, reduced_values, mismatch = _solve_pair(
+        cfg, flags, spec, g, pp, flags.form
+    )
     mapped = gridmod.reduced_to_dirac_energies(reduced_values, pp)
     mapped = mapped[sort_by_re_im(mapped)]
     reduced_kind = classify_spectrum(reduced_values, max(cfg.tol, 1e-8))
     return _record(
         cfg,
+        flags,
         spec,
         eigenvalues=complex_table(dirac_values),
         classification=classify_spectrum(dirac_values, cfg.tol),
         reduction={
-            "form": cfg.form,
+            "form": flags.form,
             "identity_mismatch": mismatch,
             "reduced_classification": reduced_kind,
             "reduced_eigenvalues": complex_table(reduced_values),
@@ -598,27 +617,29 @@ def run_converge(cfg: RunConfig) -> ResultRecord:
     _require_model(cfg, _GRID)
     if not cfg.ns:
         raise ValueError("converge needs at least one --N")
-    if cfg.potential == "samples":
+    flags = GridFlags(**cfg.grid)
+    if flags.potential == "samples":
         raise ValueError(
             f"converge cannot use sampled values: its reference grid has "
             f"{gridmod.REF_FACTOR}x the largest --N points, which no sample file matches"
         )
-    spec = _potential(cfg)
+    spec = _potential(cfg, flags)
     study = gridmod.convergence_study(
         spec,
         _phys(cfg),
         list(cfg.ns),
-        scheme=cfg.scheme,
-        half_length=cfg.grid_l,
-        bc=cfg.bc,
+        scheme=flags.scheme,
+        half_length=flags.grid_l,
+        bc=flags.bc,
         tol=cfg.tol,
         track_level=cfg.track_level,
     )
     return _record(
         cfg,
+        flags,
         spec,
         study={
-            "scheme": cfg.scheme,
+            "scheme": flags.scheme,
             "track_level": cfg.track_level,
             "ref_n": study.ref_n,
             "ref_value": study.ref_value,
@@ -651,7 +672,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args reads the parser and never writes it.
     # An option left out is absent from the namespace, so RunConfig's
     # field defaults and RunConfig.param's defaults are the only defaults.
     p = _Parser(
@@ -727,10 +750,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def config_from_args(ns: argparse.Namespace) -> RunConfig:
     """RunConfig from parsed flags; raises ValueError on a bad tolerance.
 
-    A flag that is not a RunConfig field is a model parameter.
-    ``PSEUDOSPEC_TOL`` sets the tolerance when ``--tol`` is not given.
+    A GridFlags field goes to the grid section, and a flag that is neither
+    that nor a RunConfig field is a model parameter.  ``PSEUDOSPEC_TOL``
+    sets the tolerance when ``--tol`` is not given.
     """
     args = dict(vars(ns))
+    grid_keys = {f.name for f in fields(GridFlags)}
+    grid = {name: args.pop(name) for name in list(args) if name in grid_keys}
     known = {f.name for f in fields(RunConfig)}
     params = {name: args.pop(name) for name in list(args) if name not in known}
     if "tol" not in args:
@@ -739,7 +765,7 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
     for key in ("methods", "times", "ns"):
         if key in args:
             args[key] = tuple(args[key])
-    cfg = RunConfig(params=params, **args)
+    cfg = RunConfig(params=params, grid=grid, **args)
     if "all" in cfg.methods:
         cfg.methods = MODELS[cfg.model].methods
     else:

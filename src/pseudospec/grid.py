@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     AsymmetricGrid,
@@ -113,6 +112,12 @@ def _circulant_column(n: int, entry) -> np.ndarray:
     return c
 
 
+def _circulant(c: np.ndarray) -> np.ndarray:
+    """The circulant matrix with first column c: entry (i, j) is c[(i - j) % n]."""
+    i = np.arange(len(c))
+    return c[(i[:, None] - i) % len(c)]
+
+
 def derivative_matrix(grid: Grid1D, scheme: str = FOURIER) -> np.ndarray:
     """Real antisymmetric first-derivative matrix for the grid.
 
@@ -127,7 +132,7 @@ def derivative_matrix(grid: Grid1D, scheme: str = FOURIER) -> np.ndarray:
             c = np.zeros(n)
             c[1] = -1.0 / (2 * grid.dx)
             c[n - 1] = 1.0 / (2 * grid.dx)
-            return scipy.linalg.circulant(c)
+            return _circulant(c)
         d = np.zeros((n, n))
         band = 1.0 / (2 * grid.dx)
         idx = np.arange(n - 1)
@@ -143,7 +148,7 @@ def derivative_matrix(grid: Grid1D, scheme: str = FOURIER) -> np.ndarray:
         else:
             entry = lambda k: 0.5 * (-1.0) ** k / math.sin(k * h / 2)
         c = _circulant_column(n, entry)
-        return scipy.linalg.circulant(c) * (math.pi / grid.half_length)
+        return _circulant(c) * (math.pi / grid.half_length)
     raise SchemeBoundaryMismatch(f"unknown scheme {scheme!r}")
 
 
@@ -336,8 +341,6 @@ def reduced_to_dirac_energies(eps, pp: PhysParams) -> np.ndarray:
     return np.column_stack([roots, -roots]).ravel()
 
 
-#: Index half-width of the search window when matching the two spectra.
-MATCH_WINDOW = 16
 #: Distance from -m0 c^2 within which a value is left out of the match.
 SINGULAR_TOL = 1e-8
 
@@ -345,12 +348,13 @@ SINGULAR_TOL = 1e-8
 def reduction_identity_mismatch(dirac_values, reduced_values, pp: PhysParams) -> float:
     """Largest relative gap between the Dirac spectrum and the mapped one.
 
-    Both multisets are sorted by (Re, Im); each Dirac value is then matched
-    to the nearest unused mapped value within MATCH_WINDOW indices, which
-    keeps the matching stable when conjugate pairs differ in the last ulp
-    of their real parts (a plain pairwise comparison of the sorted lists
-    would swap such pairs).  Values within SINGULAR_TOL of -m0 c^2, where
-    the component elimination is singular, are skipped.
+    Both multisets are sorted by (Re, Im); each Dirac value, in that order,
+    is then matched to the nearest unused mapped value.  The search spans
+    the whole list, because the sort order is not a matching: conjugate
+    pairs can differ in the last ulp of their real parts, and on an all
+    imaginary spectrum the real parts are rounding noise, so a value's
+    partner can sit anywhere in the other list.  Values within SINGULAR_TOL
+    of -m0 c^2, where the component elimination is singular, are skipped.
     """
     a = np.asarray(dirac_values, dtype=np.complex128).ravel()
     b = reduced_to_dirac_energies(reduced_values, pp)
@@ -362,11 +366,7 @@ def reduction_identity_mismatch(dirac_values, reduced_values, pp: PhysParams) ->
     used = np.zeros(n, dtype=bool)
     worst = 0.0
     for i in range(n):
-        lo = max(0, i - MATCH_WINDOW)
-        hi = min(n, i + MATCH_WINDOW + 1)
-        cand = np.arange(lo, hi)[~used[lo:hi]]
-        if len(cand) == 0:
-            cand = np.flatnonzero(~used)
+        cand = np.flatnonzero(~used)
         j = cand[int(np.argmin(np.abs(b[cand] - a[i])))]
         used[j] = True
         if (

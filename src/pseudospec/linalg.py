@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceFailure, DimensionMismatch
 
@@ -66,8 +65,20 @@ def frob_distance(a, b) -> float:
 
 
 def relative_residual(r, a) -> float:
-    """||R||_F / max(1, ||A||_F): a residual measured against its matrix."""
-    return frob_norm(r) / max(1.0, frob_norm(a))
+    """||R|| / max(1, ||A||_F): a residual measured against its matrix.
+
+    ``r`` is the residual matrix, measured in the Frobenius norm, or a norm
+    already taken.  Raises ValueError when either norm is not finite:
+    ||A||_F overflows once entries reach about 1e154, and the quotient would
+    then read 0 or NaN, which no ``resid > tol`` gate refuses.
+    """
+    num = frob_norm(r) if np.ndim(r) else float(r)
+    den = frob_norm(a)
+    if not (math.isfinite(num) and math.isfinite(den)):
+        raise ValueError(
+            f"residual norm {num:.3e} against matrix norm {den:.3e} is not finite"
+        )
+    return num / max(1.0, den)
 
 
 def sort_by_re_im(values: np.ndarray) -> np.ndarray:
@@ -92,7 +103,7 @@ class EigenSystem:
 def eigendecompose(a, tol: float = DEFAULT_TOL) -> EigenSystem:
     """Full eigendecomposition of a general complex matrix.
 
-    Delegates to LAPACK (zgeev) and certifies the result: the relative
+    Delegates to LAPACK (numpy's zgeev) and certifies the result: the relative
     residual of every eigenpair must not exceed ``tol``, otherwise
     ConvergenceFailure is raised.
 
@@ -107,13 +118,12 @@ def eigendecompose(a, tol: float = DEFAULT_TOL) -> EigenSystem:
     m = as_cmatrix(a)
     if m.shape[0] > MAX_DIM:
         raise DimensionMismatch(f"dimension {m.shape[0]} exceeds limit {MAX_DIM}")
-    values, vectors = scipy.linalg.eig(m)
+    values, vectors = np.linalg.eig(m)
     order = sort_by_re_im(values)
     values = values[order]
     vectors = vectors[:, order]
-    scale = max(1.0, frob_norm(m))
-    resid = float(np.linalg.norm(m @ vectors - vectors * values, axis=0).max()) / scale
-    if resid > tol:
+    resid = relative_residual(np.linalg.norm(m @ vectors - vectors * values, axis=0).max(), m)
+    if not resid <= tol:
         raise ConvergenceFailure(
             f"eigen residual {resid:.3e} exceeds tolerance {tol:.3e}"
         )
@@ -132,5 +142,11 @@ def min_eig_hermitian_part(m: np.ndarray) -> float:
 
 
 def mat_exp(a) -> np.ndarray:
-    """Matrix exponential exp(A) (scaling-and-squaring Pade, via scipy)."""
+    """Matrix exponential exp(A) (scaling-and-squaring Pade, via scipy).
+
+    scipy.linalg is imported here, on first use, because importing it costs
+    more than most commands, and only ``evolve`` and the 2x2 ``verify`` need it.
+    """
+    import scipy.linalg
+
     return scipy.linalg.expm(as_cmatrix(a))

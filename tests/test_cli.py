@@ -162,8 +162,7 @@ def test_run_sweep_grid_cosine_amplitude():
         command="sweep",
         model="scalar_grid",
         params={"mode": 1},
-        potential="cosine",
-        grid_n=32,
+        grid={"potential": "cosine", "grid_n": 32},
         sweep_param="g",
         sweep_min=5.0,
         sweep_max=20.0,
@@ -179,8 +178,7 @@ def test_run_reduce_constant():
         command="reduce",
         model="scalar_grid",
         params={"v0": 0.5},
-        potential="constant",
-        grid_n=32,
+        grid={"potential": "constant", "grid_n": 32},
     )
     rec = run_reduce(cfg)
     assert rec.reduction["identity_mismatch"] <= 1e-10
@@ -192,7 +190,7 @@ def test_run_reduce_constant():
 def test_run_reduce_free_case_all_real():
     cfg = RunConfig(
         command="reduce", model="scalar_grid", params={"v0": 0.0},
-        potential="constant", grid_n=32,
+        grid={"potential": "constant", "grid_n": 32},
     )
     rec = run_reduce(cfg)
     assert rec.classification == "all_real"
@@ -216,8 +214,7 @@ def test_run_verify_grid():
         command="verify",
         model="scalar_grid",
         params={"g": 1.0, "mode": 1},
-        potential="cosine",
-        grid_n=32,
+        grid={"potential": "cosine", "grid_n": 32},
     )
     rec = run_verify(cfg)
     assert rec.all_passed is True
@@ -238,7 +235,7 @@ def test_run_converge():
         command="converge",
         model="scalar_grid",
         params={"v0": 0.5},
-        potential="constant",
+        grid={"potential": "constant"},
         ns=(16, 32),
     )
     rec = run_converge(cfg)
@@ -312,6 +309,44 @@ def test_cli_help_exits_zero(argv, capsys):
         main(argv)
     assert exc.value.code == 0
     assert "usage: pseudospec" in capsys.readouterr().out
+
+
+def test_scipy_is_imported_only_when_a_command_needs_expm():
+    code = """if True:
+        import sys
+        from pseudospec.cli import main
+        def scipy():
+            return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+        assert scipy() == [], scipy()
+        assert main(["verify", "--model", "scalar_grid", "--grid-n", "8"]) == 0
+        assert scipy() == [], scipy()
+        assert main(["evolve", "--model", "rashba", "--kx", "1"]) == 0
+        assert "scipy.linalg" in sys.modules
+    """
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--model", "rashba", "--kx", "1", "--potential", "cosine",
+         "--grid-n", "8", "--scheme", "central2"],
+        ["metric", "--model", "scalar_const", "--kx", "1", "--file", "nothere.csv"],
+        ["verify", "--model", "rashba", "--grid-L", "2"],
+        ["evolve", "--model", "scalar_const", "--bc", "dirichlet"],
+        ["sweep", "--model", "rashba", "--grid-n", "8", "--sweep-param", "lambda",
+         "--sweep-min", "0", "--sweep-max", "1", "--sweep-steps", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_refuses_grid_flags_on_a_2x2_model(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err.splitlines()[0])["error"]
+    assert error["type"] == "ValueError"
+    assert "reads no grid flags" in error["message"]
 
 
 @pytest.mark.parametrize(
@@ -411,6 +446,11 @@ def test_cli_rejects_bad_tolerance(flag, env, monkeypatch, capsys):
         # the closed form overflows a Python float
         (["spectrum", "--model", "rashba", "--m0", "1e200", "--kx", "1"], EXIT_USAGE,
          "OverflowError"),
+        # ||H||_F overflows, so the eigen residual cannot be certified
+        (["spectrum", "--model", "scalar_grid", "--potential", "cosine", "--g", "1e154",
+          "--grid-n", "8"], EXIT_USAGE, "ValueError"),
+        (["spectrum", "--model", "scalar_grid", "--potential", "cosine", "--g", "1e308",
+          "--grid-n", "8"], EXIT_USAGE, "ValueError"),
     ],
 )
 def test_cli_exit_code_contract_at_singular_and_huge_inputs(argv, code, error, capsys):

@@ -23,7 +23,7 @@ import sys
 
 import pytest
 
-from pseudospec.cli import main
+from pseudospec.cli import _build_parser, main
 
 FIXTURE = pathlib.Path(__file__).resolve().parent / "golden" / "cli.json"
 
@@ -139,6 +139,19 @@ def test_fixture_covers_every_case():
 def test_cli_output_matches_golden(argv, monkeypatch):
     monkeypatch.chdir(FIXTURE.parent)
     monkeypatch.delenv("PSEUDOSPEC_TOL", raising=False)  # the fixture has default tols
+    assert run_main(argv) == _load()[tuple(argv)]
+
+
+def test_cached_parser_keeps_no_state_between_calls(monkeypatch, capsys):
+    monkeypatch.chdir(FIXTURE.parent)
+    monkeypatch.delenv("PSEUDOSPEC_TOL", raising=False)
+    assert _build_parser() is _build_parser()
+    assert run_main(["sweep", "--model", "rashba"])["exit"] == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--help"])
+    assert exc.value.code == 0
+    argv = ["sweep", *_RASHBA, "--sweep-param", "lambda", "--sweep-min", "0",
+            "--sweep-max", "2", "--sweep-steps", "5", "--format", "json"]
     assert run_main(argv) == _load()[tuple(argv)]
 
 

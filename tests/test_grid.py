@@ -397,3 +397,15 @@ def test_convergence_study_validates_ns():
         convergence_study(PotentialSpec.constant(0.0), PP, [64, 32])
     with pytest.raises(ValueError):
         convergence_study(PotentialSpec.constant(0.0), PP, [])
+
+
+def test_identity_mismatch_on_an_all_imaginary_spectrum():
+    # V0 above every sqrt(m0^2 c^4 + c^2 p^2): the real parts are rounding
+    # noise, so sorting by them scatters each value's partner.
+    pp = PhysParams(m0=2.0, c=0.5, hbar=0.5)
+    g = make_grid(2.0, 10)
+    spec = PotentialSpec.constant(1.0)
+    dirac = eigendecompose(build_dirac_grid(spec, g, pp, CENTRAL2)).values
+    reduced = eigendecompose(build_reduced(spec, g, pp, CENTRAL2)).values
+    assert np.max(np.abs(dirac.real)) < 1e-14
+    assert reduction_identity_mismatch(dirac, reduced, pp) <= 1e-12
