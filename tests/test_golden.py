@@ -2,10 +2,15 @@
 
 Runs ``pseudospec.cli.main(argv)`` in-process over a fixed list of
 invocations and compares the exit code, the stdout bytes and the JSON
-error line on stderr with ``golden/cli.json``.  The fixture pins the
-numpy/scipy/LAPACK build it was generated with; regenerate it with
+error line on stderr with ``golden/cli.json``.  The fixture pins numpy's
+LAPACK build (numpy 2.4.6, scipy-openblas 0.3.31; scipy is reached only by
+``expm``) and its BLAS thread count: it was written with OpenBLAS at its
+default of one thread per core on a 2-core host.  With
+``OPENBLAS_NUM_THREADS=1`` the four ``converge`` cases move in their last
+digits (at most 6e-13 relative), because the blocked LAPACK routines sum
+in another order.  Regenerate the fixture with
 ``PYTHONPATH=src python tests/test_golden.py`` only when an output change
-is intended.
+is intended, and review the change with ``tests/golden_diff.py``.
 
 The sampled-potential cases read CSV files from ``golden/`` by a relative
 path, run from that directory, so the recorded ``file`` parameter does not
@@ -23,6 +28,7 @@ import sys
 
 import pytest
 
+import golden_diff
 from pseudospec.cli import _build_parser, main
 
 FIXTURE = pathlib.Path(__file__).resolve().parent / "golden" / "cli.json"
@@ -140,6 +146,21 @@ def test_cli_output_matches_golden(argv, monkeypatch):
     monkeypatch.chdir(FIXTURE.parent)
     monkeypatch.delenv("PSEUDOSPEC_TOL", raising=False)  # the fixture has default tols
     assert run_main(argv) == _load()[tuple(argv)]
+
+
+def test_fixture_diff_bounds_numbers_and_pins_text():
+    cases = json.loads(FIXTURE.read_text("utf-8"))
+    assert golden_diff.compare(cases, cases) == (
+        [f"0 of {len(cases)} cases changed; all within the bounds"], True)
+    record = cases[0]
+    parts = golden_diff._NUMBER.split(record["stdout"])
+    i = next(i for i in range(1, len(parts), 2) if abs(float(parts[i])) > 0.1)
+    for factor, ok in ((1 + 1e-13, True), (1 + 1e-9, False)):
+        moved = parts[:i] + [repr(float(parts[i]) * factor)] + parts[i + 1:]
+        assert moved != parts
+        assert golden_diff.compare([record], [dict(record, stdout="".join(moved))])[1] is ok
+    for key, value in (("exit", 3), ("stdout", record["stdout"].replace("all_real", "mixed"))):
+        assert golden_diff.compare([record], [dict(record, **{key: value})])[1] is False
 
 
 def test_cached_parser_keeps_no_state_between_calls(monkeypatch, capsys):
