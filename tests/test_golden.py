@@ -1,14 +1,13 @@
 """Golden-bytes gate for the CLI.
 
-Runs ``pseudospec.cli.main(argv)`` in-process over a fixed list of
-invocations and compares the exit code, the stdout bytes and the JSON
-error line on stderr with ``golden/cli.json``.  The fixture pins numpy's
-LAPACK build (numpy 2.4.6, scipy-openblas 0.3.31; scipy is reached only by
-``expm``) and its BLAS thread count: it was written with OpenBLAS at its
-default of one thread per core on a 2-core host.  With
-``OPENBLAS_NUM_THREADS=1`` the four ``converge`` cases move in their last
-digits (at most 6e-13 relative), because the blocked LAPACK routines sum
-in another order.  Regenerate the fixture with
+Runs ``pseudospec.cli.main(argv)`` over a fixed list of invocations and
+compares the exit code, the stdout bytes and the JSON error line on stderr
+with ``golden/cli.json``.  The fixture pins numpy's LAPACK build (numpy
+2.4.6, scipy-openblas 0.3.31).  The blocked LAPACK routines sum in an order
+that depends on the BLAS thread count, which moves the last digits of the
+``converge`` cases (up to 6e-13 relative), so every case runs in one child
+process with one BLAS thread, the benchmark's setting, whatever the
+environment of the test run says.  Regenerate the fixture with
 ``PYTHONPATH=src python tests/test_golden.py`` only when an output change
 is intended, and review the change with ``tests/golden_diff.py``.
 
@@ -24,6 +23,7 @@ import io
 import json
 import os
 import pathlib
+import subprocess
 import sys
 
 import pytest
@@ -31,7 +31,9 @@ import pytest
 import golden_diff
 from pseudospec.cli import _build_parser, main
 
-FIXTURE = pathlib.Path(__file__).resolve().parent / "golden" / "cli.json"
+HERE = pathlib.Path(__file__).resolve().parent
+FIXTURE = HERE / "golden" / "cli.json"
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 _RASHBA = ["--model", "rashba", "--lambda", "0.5", "--kx", "1", "--ky", "0.25"]
 _SCALAR = ["--model", "scalar_const", "--v0", "0.5", "--kx", "1"]
@@ -137,15 +139,30 @@ def _load() -> dict:
     return {tuple(c["argv"]): c for c in json.loads(FIXTURE.read_text("utf-8"))}
 
 
+def run_pinned() -> list[dict]:
+    """Every case, run in one child process with one BLAS thread and default tols."""
+    env = {k: v for k, v in os.environ.items() if k != "PSEUDOSPEC_TOL"}
+    env.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    src = str(HERE.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    r = subprocess.run([sys.executable, str(HERE / "test_golden.py"), "--print"],
+                       capture_output=True, env=env, cwd=FIXTURE.parent, timeout=600)
+    assert r.returncode == 0, r.stderr.decode()
+    return json.loads(r.stdout)
+
+
+@functools.cache
+def _pinned() -> dict:
+    return {tuple(c["argv"]): c for c in run_pinned()}
+
+
 def test_fixture_covers_every_case():
     assert set(_load()) == {tuple(argv) for argv in CASES}
 
 
 @pytest.mark.parametrize("argv", CASES, ids=" ".join)
-def test_cli_output_matches_golden(argv, monkeypatch):
-    monkeypatch.chdir(FIXTURE.parent)
-    monkeypatch.delenv("PSEUDOSPEC_TOL", raising=False)  # the fixture has default tols
-    assert run_main(argv) == _load()[tuple(argv)]
+def test_cli_output_matches_golden(argv):
+    assert _pinned()[tuple(argv)] == _load()[tuple(argv)]
 
 
 def test_fixture_diff_bounds_numbers_and_pins_text():
@@ -177,7 +194,7 @@ def test_cached_parser_keeps_no_state_between_calls(monkeypatch, capsys):
 
 
 if __name__ == "__main__":
-    os.chdir(FIXTURE.parent)
-    FIXTURE.write_text(
-        json.dumps([run_main(argv) for argv in CASES], indent=1) + "\n", "utf-8"
-    )
+    if sys.argv[1:] == ["--print"]:
+        print(json.dumps([run_main(argv) for argv in CASES]))
+    else:
+        FIXTURE.write_text(json.dumps(run_pinned(), indent=1) + "\n", "utf-8")
