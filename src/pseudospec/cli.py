@@ -216,8 +216,8 @@ def _sorted_pair(pair) -> np.ndarray:
 
 
 def _pseudo_unitarity(u: np.ndarray, eta: np.ndarray) -> float:
-    """||U^dag eta U - eta||_F / ||eta||_F."""
-    return frob_norm(u.conj().T @ eta @ u - eta) / frob_norm(eta)
+    """||U^dag eta U - eta||_F / max(1, ||eta||_F)."""
+    return relative_residual(u.conj().T @ eta @ u - eta, eta)
 
 
 def _check(name: str, value: float, tol: float | None, gate: bool = True) -> dict:

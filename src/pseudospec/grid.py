@@ -38,7 +38,14 @@ from .errors import (
     SampleGridMismatch,
     SchemeBoundaryMismatch,
 )
-from .linalg import DEFAULT_TOL, adjoint, as_cmatrix, eigendecompose, relative_residual
+from .linalg import (
+    DEFAULT_TOL,
+    adjoint,
+    as_cmatrix,
+    eigendecompose,
+    relative_residual,
+    sort_by_re_im,
+)
 from .models import PhysParams
 
 PERIODIC = "periodic"
@@ -360,8 +367,8 @@ def reduction_identity_mismatch(dirac_values, reduced_values, pp: PhysParams) ->
     b = reduced_to_dirac_energies(reduced_values, pp)
     if len(a) != len(b):
         raise ValueError(f"spectrum sizes differ: {len(a)} vs {len(b)}")
-    a = a[np.lexsort((a.imag, a.real))]
-    b = b[np.lexsort((b.imag, b.real))]
+    a = a[sort_by_re_im(a)]
+    b = b[sort_by_re_im(b)]
     n = len(a)
     used = np.zeros(n, dtype=bool)
     worst = 0.0

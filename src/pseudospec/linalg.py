@@ -2,13 +2,14 @@
 
 Everything in here is a pure function of its inputs: square complex
 matrices, general (non-Hermitian) eigendecomposition with a residual
-certificate, Hermitian positive-definiteness probes, matrix exponentials
-and Frobenius distances.  Eigenvalues are always returned sorted by
+certificate, Hermitian positive-definiteness probes, the closed-form 2x2
+matrix exponential and Frobenius distances.  Eigenvalues are always returned sorted by
 (real part, imaginary part) so results are reproducible and diffable.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -142,11 +143,33 @@ def min_eig_hermitian_part(m: np.ndarray) -> float:
 
 
 def mat_exp(a) -> np.ndarray:
-    """Matrix exponential exp(A) (scaling-and-squaring Pade, via scipy).
+    """exp(A) of a 2x2 matrix, in closed form.
 
-    scipy.linalg is imported here, on first use, because importing it costs
-    more than most commands, and only ``evolve`` and the 2x2 ``verify`` need it.
+    With mu = tr A / 2, B = A - mu I and s^2 = -det B, B^2 = s^2 I, so
+    exp(A) = e^mu (cosh s I + sinh(s)/s B).  Both coefficients are even in
+    s, so the branch of the root does not matter; at s = 0 (B nilpotent, a
+    Jordan block) sinh(s)/s is 1.  Unlike scaling and squaring, the error
+    does not grow with ||A||.  Raises DimensionMismatch on any other shape
+    and OverflowError when s^2 or the result is not finite.
     """
-    import scipy.linalg
-
-    return scipy.linalg.expm(as_cmatrix(a))
+    m = as_cmatrix(a)
+    if m.shape != (2, 2):
+        raise DimensionMismatch(f"mat_exp takes a 2x2 matrix, got shape {m.shape}")
+    # Python complex arithmetic: an overflow gives inf, never a numpy warning
+    a00, a01, a10, a11 = m.ravel().tolist()
+    mu = 0.5 * (a00 + a11)
+    b00, b11 = a00 - mu, a11 - mu
+    s2 = a01 * a10 - b00 * b11
+    if cmath.isfinite(s2):
+        try:
+            s = cmath.sqrt(s2)
+            scale = cmath.exp(mu)
+            even, odd = scale * cmath.cosh(s), scale * (cmath.sinh(s) / s if s else 1.0)
+            out = np.array([[even + odd * b00, odd * a01], [odd * a10, even + odd * b11]])
+            if np.all(np.isfinite(out)):
+                return out
+        except OverflowError:  # cmath's cosh, sinh or exp past about e^710
+            pass
+    raise OverflowError(
+        f"the 2x2 matrix exponential overflows (largest |entry| {np.abs(m).max():.3e})"
+    )

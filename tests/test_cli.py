@@ -311,20 +311,47 @@ def test_cli_help_exits_zero(argv, capsys):
     assert "usage: pseudospec" in capsys.readouterr().out
 
 
-def test_scipy_is_imported_only_when_a_command_needs_expm():
+def test_no_command_imports_scipy():
     code = """if True:
         import sys
         from pseudospec.cli import main
-        def scipy():
-            return [m for m in sys.modules if m.split(".")[0] == "scipy"]
-        assert scipy() == [], scipy()
-        assert main(["verify", "--model", "scalar_grid", "--grid-n", "8"]) == 0
-        assert scipy() == [], scipy()
-        assert main(["evolve", "--model", "rashba", "--kx", "1"]) == 0
-        assert "scipy.linalg" in sys.modules
+        grid = ["--model", "scalar_grid", "--potential", "cosine", "--grid-n", "8"]
+        for argv in (
+            ["spectrum", "--model", "rashba", "--kx", "1"],
+            ["metric", "--model", "scalar_const", "--kx", "1", "--method", "all"],
+            ["verify", "--model", "rashba", "--lambda", "0.5", "--kx", "1"],
+            ["verify", *grid],
+            ["reduce", *grid],
+            ["sweep", *grid, "--sweep-param", "g", "--sweep-min", "0",
+             "--sweep-max", "1", "--sweep-steps", "2"],
+            ["evolve", "--model", "rashba", "--kx", "1", "--t", "2"],
+            ["converge", "--model", "scalar_grid", "--v0", "0.5", "--N", "8"],
+        ):
+            assert main(argv) == 0, argv
+        loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+        assert loaded == [], loaded
     """
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
+
+
+@pytest.mark.parametrize("t", ["1e2", "1e4", "1e8", "1e15"])
+def test_evolve_keeps_the_eta_product_at_long_times(t, capsys):
+    # scaling and squaring drifted to 1.2e-8 at t = 1e8 and 0.13 at 1e15
+    assert main(["evolve", "--model", "rashba", "--lambda", "0.5", "--kx", "1",
+                 "--t", t]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["evolution"]
+    assert row["pseudo_unitarity_residual"] <= 1e-12
+
+
+def test_evolve_overflow_writes_only_the_json_line():
+    r = cli("evolve", "--model", "rashba", "--lambda", "0.5", "--kx", "1", "--t", "1e200")
+    assert r.returncode == EXIT_USAGE
+    assert r.stdout == b""
+    (line,) = r.stderr.decode().splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "OverflowError"
+    assert "overflows" in error["message"]
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import spectrum_gap
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudospec.errors import ConvergenceFailure, DimensionMismatch, NotHermitian
 from pseudospec.linalg import (
@@ -145,7 +147,7 @@ def test_min_eig_rejects_non_hermitian():
 
 
 def test_mat_exp_zero_and_diagonal():
-    assert frob_distance(mat_exp(np.zeros((3, 3))), np.eye(3)) < 1e-14
+    assert frob_distance(mat_exp(np.zeros((2, 2))), np.eye(2)) < 1e-14
     out = mat_exp(np.diag([1j * np.pi, 0.0]))
     assert frob_distance(out, np.diag([-1.0, 1.0])) < 1e-13
 
@@ -153,16 +155,76 @@ def test_mat_exp_zero_and_diagonal():
 def test_mat_exp_group_inverse():
     rng = np.random.default_rng(7)
     for _ in range(5):
-        a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         a *= 2.0 / max(1.0, np.linalg.norm(a, 2))
-        assert frob_distance(mat_exp(a) @ mat_exp(-a), np.eye(6)) <= 1e-10
+        assert frob_distance(mat_exp(a) @ mat_exp(-a), np.eye(2)) <= 1e-10
 
 
 def test_mat_exp_commutes_with_adjoint():
     rng = np.random.default_rng(8)
     for _ in range(5):
-        a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         assert frob_distance(mat_exp(adjoint(a)), adjoint(mat_exp(a))) <= 1e-10
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 3), (4, 4)])
+def test_mat_exp_takes_2x2_only(shape):
+    with pytest.raises(DimensionMismatch):
+        mat_exp(np.zeros(shape))
+
+
+_PART = st.floats(-3.5, 3.5)  # |entry| <= 3.5 * sqrt(2) < 5
+_ENTRY = st.builds(complex, _PART, _PART)
+_UNIT = st.sampled_from([1, -1, 1j, -1j])
+_SMALL_INT = st.integers(-3, 3)
+
+
+@st.composite
+def _any_2x2(draw):
+    return np.array([[draw(_ENTRY), draw(_ENTRY)], [draw(_ENTRY), draw(_ENTRY)]])
+
+
+@st.composite
+def _near_jordan(draw):
+    """mu I + u [[pq, q^2], [eps - p^2, -pq]]: s^2 = u^2 q^2 eps, exactly 0 at eps = 0.
+
+    Small integers, a unit u and a Gaussian-integer mu keep every entry,
+    mu and A - mu I exact, so eps = 0 gives a nilpotent A - mu I.
+    """
+    p, q = draw(_SMALL_INT), draw(_SMALL_INT.filter(bool))
+    mu = complex(draw(st.integers(-2, 2)), draw(st.integers(-2, 2)))
+    eps = draw(st.one_of(st.just(0.0), st.floats(1e-13, 1e-11), st.floats(-1e-11, -1e-13)))
+    return mu * np.eye(2) + draw(_UNIT) * np.array([[p * q, q * q], [eps - p * p, -p * q]])
+
+
+_EXPONENT = st.one_of(_any_2x2(), _near_jordan())
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_EXPONENT)
+def test_mat_exp_closed_form_identities(a):
+    e, e_inv = mat_exp(a), mat_exp(-a)
+    scale = frob_norm(e) * frob_norm(e_inv)
+    assert frob_distance(e @ e_inv, np.eye(2)) <= 1e-14 * scale
+    assert frob_distance(mat_exp(adjoint(a)), adjoint(e)) <= 1e-15 * frob_norm(e)
+    det = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
+    assert abs(det - np.exp(np.trace(a))) <= 1e-14 * frob_norm(e) ** 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=_SMALL_INT, q=_SMALL_INT, u=_UNIT, b=_ENTRY)
+def test_mat_exp_of_a_nilpotent_block_is_exactly_identity_plus_block(p, q, u, b):
+    for n in (np.array([[0, b], [0, 0]]), np.array([[0, 0], [b, 0]]),
+              u * np.array([[p * q, q * q], [-p * p, -p * q]])):
+        assert np.array_equal(mat_exp(n), np.eye(2) + n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_EXPONENT)
+def test_mat_exp_matches_scipy_expm(a):
+    scipy_linalg = pytest.importorskip("scipy.linalg")  # test-only reference
+    ref = scipy_linalg.expm(a)
+    assert frob_distance(mat_exp(a), ref) <= 1e-13 * frob_norm(ref)
 
 
 def test_frob_distance_basics():

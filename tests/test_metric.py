@@ -231,6 +231,11 @@ def test_evolve_basics():
     assert frob_distance(u.conj().T @ u, np.eye(2)) <= 1e-10
 
 
+def test_evolve_takes_2x2_blocks_only():
+    with pytest.raises(DimensionMismatch):
+        evolve(np.eye(4), 1.0, PP)
+
+
 def test_evolve_pseudo_unitarity():
     h = build_rashba(K10, PP, 0.5)
     eta = spectral_metric(h)
