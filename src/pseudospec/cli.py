@@ -420,13 +420,16 @@ def _record(cfg: RunConfig, flags=None, spec=None, *_, **sections) -> ResultReco
     """Record of the run's model and parameters with the given sections.
 
     A grid command passes its inputs; of those the potential is recorded,
-    followed by the grid flags.
+    followed by the grid flags, without ``grid_n`` for ``converge``, whose
+    grid sizes are its --N values.
     """
     model = MODELS[cfg.model]
     params = {name: cfg.param(name) for name in ("m0", "c", "hbar", *model.params)}
     if spec is not None:
         params.update(spec.describe(), grid_L=flags.grid_l, grid_n=flags.grid_n,
                       bc=flags.bc, scheme=flags.scheme)
+        if cfg.command == "converge":
+            del params["grid_n"]
     params["tol"] = cfg.tol
     return ResultRecord(model=cfg.model, params=params, **sections)
 
@@ -623,6 +626,8 @@ def run_converge(cfg: RunConfig) -> ResultRecord:
             f"converge cannot use sampled values: its reference grid has "
             f"{gridmod.REF_FACTOR}x the largest --N points, which no sample file matches"
         )
+    if "grid_n" in cfg.grid:
+        raise ValueError("converge does not read --grid-n: its grid sizes are the --N values")
     spec = _potential(cfg, flags)
     study = gridmod.convergence_study(
         spec,

@@ -243,6 +243,25 @@ def test_run_converge():
     assert all(row["error"] <= 1e-10 for row in rec.study["rows"])
 
 
+def test_converge_refuses_grid_n(capsys):
+    assert main(["converge", "--model", "scalar_grid", "--v0", "0.5", "--N", "8",
+                 "--grid-n", "999"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)["error"]
+    assert error == {"type": "ValueError", "message": "converge does not read --grid-n: "
+                     "its grid sizes are the --N values"}
+
+
+def test_converge_records_no_grid_size(capsys):
+    # a Dirichlet grid has an odd number of points, so no default 64 may show
+    assert main(["converge", "--model", "scalar_grid", "--bc", "dirichlet", "--scheme",
+                 "central2", "--N", "9", "--N", "17"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert "grid_n" not in record["params"]
+    assert [row["n"] for row in record["study"]["rows"]] == [9, 17]
+
+
 # ------------------------------------------------------------ subprocess
 
 

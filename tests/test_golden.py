@@ -109,6 +109,7 @@ _ERRORS = [
     ["spectrum", *_COSINE, "--mode", "0"],
     ["converge", "--model", "scalar_grid", "--potential", "gaussian", "--width", "0",
      "--N", "8"],
+    ["converge", "--model", "scalar_grid", "--v0", "0.5", "--N", "8", "--grid-n", "16"],
     ["sweep", *_GAUSS, "--sweep-param", "width", "--sweep-min", "-1", "--sweep-max", "1",
      "--sweep-steps", "3"],
 ]
