@@ -3,8 +3,9 @@
 Everything in here is a pure function of its inputs: square complex
 matrices, general (non-Hermitian) eigendecomposition with a residual
 certificate, Hermitian positive-definiteness probes, the closed-form 2x2
-matrix exponential and Frobenius distances.  Eigenvalues are always returned sorted by
-(real part, imaginary part) so results are reproducible and diffable.
+matrix exponential and Frobenius distances.  Eigenvalues are always
+returned sorted by (real part, imaginary part) so results are
+reproducible and diffable.
 """
 
 from __future__ import annotations
@@ -165,11 +166,12 @@ def mat_exp(a) -> np.ndarray:
             s = cmath.sqrt(s2)
             scale = cmath.exp(mu)
             even, odd = scale * cmath.cosh(s), scale * (cmath.sinh(s) / s if s else 1.0)
+        except OverflowError:  # cmath's exp, cosh or sinh past about e^710
+            pass
+        else:
             out = np.array([[even + odd * b00, odd * a01], [odd * a10, even + odd * b11]])
             if np.all(np.isfinite(out)):
                 return out
-        except OverflowError:  # cmath's cosh, sinh or exp past about e^710
-            pass
     raise OverflowError(
         f"the 2x2 matrix exponential overflows (largest |entry| {np.abs(m).max():.3e})"
     )
