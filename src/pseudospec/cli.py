@@ -806,7 +806,10 @@ def main(argv: list[str] | None = None) -> int:
         ns = _build_parser().parse_args(_join_negative_values(argv))
         started = time.monotonic()
         cfg = config_from_args(ns)
-        payload = emit(run(cfg), cfg.fmt)
+        # An overflowed value is refused by its gate (relative_residual,
+        # emit) with the JSON line; numpy's warning would print ahead of it.
+        with np.errstate(over="ignore"):
+            payload = emit(run(cfg), cfg.fmt)
     except _REPORTED_ERRORS as exc:
         print(_error_json(exc), file=sys.stderr)
         return next(code for types, code in _EXIT_CODES if isinstance(exc, types))

@@ -499,6 +499,7 @@ def test_cli_rejects_bad_tolerance(flag, env, monkeypatch, capsys):
           "--grid-n", "8"], EXIT_USAGE, "ValueError"),
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # stderr holds the JSON line only
 def test_cli_exit_code_contract_at_singular_and_huge_inputs(argv, code, error, capsys):
     assert main(argv) == code
     captured = capsys.readouterr()
