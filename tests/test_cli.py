@@ -243,16 +243,6 @@ def test_run_converge():
     assert all(row["error"] <= 1e-10 for row in rec.study["rows"])
 
 
-def test_converge_refuses_grid_n(capsys):
-    assert main(["converge", "--model", "scalar_grid", "--v0", "0.5", "--N", "8",
-                 "--grid-n", "999"]) == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    error = json.loads(captured.err)["error"]
-    assert error == {"type": "ValueError", "message": "converge does not read --grid-n: "
-                     "its grid sizes are the --N values"}
-
-
 def test_converge_records_no_grid_size(capsys):
     # a Dirichlet grid has an odd number of points, so no default 64 may show
     assert main(["converge", "--model", "scalar_grid", "--bc", "dirichlet", "--scheme",
@@ -364,6 +354,7 @@ def test_evolve_keeps_the_eta_product_at_long_times(t, capsys):
 
 
 def test_evolve_overflow_writes_only_the_json_line():
+    # in a subprocess, so a numpy warning would reach stderr
     r = cli("evolve", "--model", "rashba", "--lambda", "0.5", "--kx", "1", "--t", "1e200")
     assert r.returncode == EXIT_USAGE
     assert r.stdout == b""

@@ -146,7 +146,7 @@ def run_pinned() -> list[dict]:
     env.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     src = str(HERE.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    r = subprocess.run([sys.executable, str(HERE / "test_golden.py"), "--print"],
+    r = subprocess.run([sys.executable, __file__, "--print"],
                        capture_output=True, env=env, cwd=FIXTURE.parent, timeout=600)
     assert r.returncode == 0, r.stderr.decode()
     return json.loads(r.stdout)
