@@ -80,6 +80,7 @@ _VALID = [
     ["verify", *_SAMPLES],
     ["sweep", *_GAUSS, "--sweep-param", "width", "--sweep-min", "0.3",
      "--sweep-max", "0.9", "--sweep-steps", "3"],
+    ["spectrum", *_COSINE, "--m0", "0"],
 ]
 
 _ERRORS = [
@@ -112,6 +113,11 @@ _ERRORS = [
     ["converge", "--model", "scalar_grid", "--v0", "0.5", "--N", "8", "--grid-n", "16"],
     ["sweep", *_GAUSS, "--sweep-param", "width", "--sweep-min", "-1", "--sweep-max", "1",
      "--sweep-steps", "3"],
+    ["spectrum", *_COSINE, "--tol", "1e-17"],
+    ["spectrum", "--model", "scalar_grid", "--potential", "cosine", "--g", "1",
+     "--grid-n", "513"],
+    ["converge", "--model", "scalar_grid", "--potential", "cosine", "--g", "1",
+     "--scheme", "central2", "--N", "256"],
 ]
 
 CASES = [argv + ["--format", fmt] for argv in _VALID for fmt in ("json", "csv")] + _ERRORS
