@@ -353,11 +353,19 @@ def _verify_grid(cfg: RunConfig, flags: GridFlags, spec, g, pp: PhysParams) -> l
     return checks
 
 
+def _block_spectrum(cfg: RunConfig):
+    # the closed form sits between the build and the solve, as either may fail first
+    model = MODELS[cfg.model]
+    h = model.matrix(cfg)
+    analytic = _sorted_pair(model.analytic(cfg))
+    return eigendecompose(h, cfg.tol), analytic
+
+
 @dataclass(frozen=True)
 class Model:
     """What the commands need to know of one model.
 
-    Each callable takes the RunConfig; ``matrix``, ``sweep_matrix`` and
+    Each callable takes the RunConfig; ``matrix``, ``spectrum`` and
     ``verify`` take after it the inputs that ``load`` builds once per
     command (none for the 2x2 models).  The entries reach model functions
     through this module's globals when called, never by holding them, so
@@ -365,9 +373,9 @@ class Model:
     """
 
     params: tuple[str, ...]  # record parameters after m0, c, hbar, in order
-    matrix: Callable  # the operator whose spectrum `spectrum` reports
+    matrix: Callable  # the operator the commands solve; for a grid, what `sweep` does
     verify: Callable  # the `verify` battery: a list of checks
-    sweep_matrix: Callable | None = None  # what `sweep` classifies, if not `matrix`
+    spectrum: Callable = _block_spectrum  # `spectrum`'s eigensystem and closed form
     load: Callable = lambda cfg: ()  # inputs built once per command
     methods: tuple[str, ...] = ()  # what `metric --method all` runs
     analytic: Callable | None = None  # closed-form eigenvalue pair
@@ -402,12 +410,13 @@ MODELS = {
     SCALAR_GRID: Model(
         params=(),
         load=_grid_inputs,
-        matrix=lambda cfg, flags, spec, g, pp: gridmod.build_dirac_grid(
-            spec, g, pp, flags.scheme
+        # the 2N x 2N Dirac spectrum, through the real N x N solve
+        spectrum=lambda cfg, flags, spec, g, pp: (
+            gridmod.solve_dirac(spec, g, pp, flags.scheme, cfg.tol), None
         ),
         # the component-eliminated operator, whose reality breaking is the
         # object of interest, at the swept value of the potential parameter
-        sweep_matrix=lambda cfg, flags, spec, g, pp: gridmod.build_reduced(
+        matrix=lambda cfg, flags, spec, g, pp: gridmod.build_reduced(
             replace(spec, **{cfg.sweep_param: cfg.param(cfg.sweep_param)}),
             g, pp, flags.scheme, flags.form,
         ),
@@ -439,9 +448,7 @@ def run_spectrum(cfg: RunConfig) -> ResultRecord:
     _require_model(cfg, _ANY)
     model = MODELS[cfg.model]
     inputs = model.load(cfg)
-    h = model.matrix(cfg, *inputs)
-    analytic = None if model.analytic is None else _sorted_pair(model.analytic(cfg))
-    es = eigendecompose(h, cfg.tol)
+    es, analytic = model.spectrum(cfg, *inputs)
     return _record(
         cfg,
         *inputs,
@@ -489,9 +496,7 @@ def run_metric(cfg: RunConfig) -> ResultRecord:
 
 def _sweep_point(cfg: RunConfig, inputs: tuple, value: float):
     sub = replace(cfg, params={**cfg.params, cfg.sweep_param: value})
-    model = MODELS[cfg.model]
-    matrix = (model.sweep_matrix or model.matrix)(sub, *inputs)
-    values = eigendecompose(matrix, cfg.tol).values
+    values = eigendecompose(MODELS[cfg.model].matrix(sub, *inputs), cfg.tol).values
     return values, classify_spectrum(values, cfg.tol)
 
 

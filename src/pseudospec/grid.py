@@ -33,6 +33,7 @@ import numpy as np
 
 from .errors import (
     AsymmetricGrid,
+    ConvergenceFailure,
     NoAnalyticDerivative,
     OddPotential,
     SampleGridMismatch,
@@ -40,9 +41,12 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    MAX_DIM,
+    EigenSystem,
     adjoint,
     as_cmatrix,
     eigendecompose,
+    frob_norm,
     relative_residual,
     sort_by_re_im,
 )
@@ -314,6 +318,98 @@ def build_dirac_grid(
     return assemble_dirac_blocks(*_gated(spec, grid, scheme), pp)
 
 
+#: Eigenvector columns certified at a time by ``solve_dirac``; it bounds the
+#: certificate's temporaries to 2N x PANEL instead of 2N x 2N.
+PANEL = 128
+
+
+def _rotate(a: np.ndarray, perm: np.ndarray):
+    """Q^dag A Q for Q = P+ + i P-, P+- = (I +- R)/2, and whether it is exactly real.
+
+    Q^dag A Q = (A + R A R)/2 + i (R A - A R)/2, taken by indexing in real
+    arithmetic.  For A = cP +- V with R D R = -D and V even, the imaginary
+    part cancels exactly and the real part is exactly symmetric.
+    """
+    x, y = a.real, a.imag
+    both = np.ix_(perm, perm)
+    imag = 0.5 * (y + y[both]) + 0.5 * (x[perm] - x[:, perm])
+    return 0.5 * (x + x[both]) - 0.5 * (y[perm] - y[:, perm]), not np.any(imag)
+
+
+def _apply_q(x: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """Q X = ((1 + i) X + (1 - i) R X) / 2, with R applied as a row permutation."""
+    return 0.5 * ((1 + 1j) * x + (1 - 1j) * x[perm])
+
+
+def _solve_rotated(h: np.ndarray, perm: np.ndarray, rest: float, tol: float):
+    """The eigensystem of ``h`` from one real N x N solve, or None if uncertified.
+
+    With R+- = Q^dag A+- Q real, the eigenvectors w of R+ R- give E = +s,
+    s = sqrt(eps + rest^2), as [Q w; Q R- w / (s + rest)], and the left
+    ones u, the columns of inv(W)^T (eigenvectors of R- R+ = (R+ R-)^T),
+    give -s as [Q R+ u / (-s - rest); Q u].  Re s >= 0, so both
+    denominators are at least rest in modulus.
+    """
+    n = len(perm)
+    plus, plus_real = _rotate(h[:n, n:], perm)
+    minus, minus_real = _rotate(h[n:, :n], perm)
+    if not (plus_real and minus_real and math.isfinite(frob_norm(h))):
+        return None
+    product = plus @ minus
+    if not np.all(np.isfinite(product)):
+        return None
+    try:
+        es = eigendecompose(product, tol)
+        left = np.linalg.inv(es.vectors).T
+    except (ConvergenceFailure, np.linalg.LinAlgError):
+        return None
+    root = np.sqrt(es.values + rest * rest)
+    top = np.hstack([es.vectors, (plus @ left) / -(root + rest)])
+    bottom = np.hstack([(minus @ es.vectors) / (root + rest), left])
+    values = np.concatenate([root, -root])
+    order = sort_by_re_im(values)
+    values = values[order]
+    # Q is unitary, so the 2N columns have the norms of the rotated ones
+    scale = np.sqrt(np.sum(np.abs(top) ** 2, axis=0) + np.sum(np.abs(bottom) ** 2, axis=0))
+    vectors = np.vstack([_apply_q(top[:, order] / scale[order], perm),
+                         _apply_q(bottom[:, order] / scale[order], perm)])
+    worst = 0.0
+    for j in range(0, 2 * n, PANEL):
+        cols = vectors[:, j:j + PANEL]
+        worst = max(worst, np.linalg.norm(h @ cols - cols * values[j:j + PANEL], axis=0).max())
+    resid = relative_residual(worst, h)
+    return EigenSystem(values, vectors, resid) if resid <= tol else None
+
+
+def solve_dirac(
+    spec: PotentialSpec,
+    grid: Grid1D,
+    pp: PhysParams,
+    scheme: str = FOURIER,
+    tol: float = DEFAULT_TOL,
+) -> EigenSystem:
+    """Eigensystem of the 2N x 2N Dirac operator from one real N x N solve.
+
+    The reflection R splits the grid into even and odd parts; in the basis
+    Q = P+ + i P- the blocks cP +- V become real symmetric matrices R+-,
+    and E = +-sqrt(eps + (m0 c^2)^2) for the eigenvalues eps of R+ R-, which
+    LAPACK solves in real arithmetic (dgeev).  So the values are closed under
+    negation and conjugation exactly.  Every eigenpair is certified against
+    the 2N operator: ||H v - E v|| / max(1, ||H||_F) <= tol for unit v.
+
+    The complex 2N solve (``eigendecompose`` of the operator) is taken
+    instead, with its errors, when m0 c^2 = 0, when 2N exceeds MAX_DIM,
+    when a rotated block is not exactly real or when the real route's
+    solve or certificate fails.  eps carries an absolute error of about
+    rounding x ||H||^2, against rounding x ||H|| for the 2N solve.
+    """
+    h = build_dirac_grid(spec, grid, pp, scheme)
+    es = None
+    if pp.rest_energy > 0 and len(h) <= MAX_DIM:
+        es = _solve_rotated(h, reflection_permutation(grid), pp.rest_energy, tol)
+    return eigendecompose(h, tol) if es is None else es
+
+
 def build_reduced(
     spec: PotentialSpec,
     grid: Grid1D,
@@ -463,8 +559,7 @@ def convergence_study(
         ref_n += 1
 
     def tracked(n: int) -> float:
-        grid = make_grid(half_length, n, bc)
-        es = eigendecompose(build_dirac_grid(spec, grid, pp, scheme), tol)
+        es = solve_dirac(spec, make_grid(half_length, n, bc), pp, scheme, tol)
         return _level_value(es.values, track_level)
 
     ref_value = tracked(ref_n)

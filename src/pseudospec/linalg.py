@@ -1,4 +1,4 @@
-"""Dense complex linear algebra substrate.
+"""Dense linear algebra substrate.
 
 Everything in here is a pure function of its inputs: square complex
 matrices, general (non-Hermitian) eigendecomposition with a residual
@@ -38,14 +38,17 @@ def validate_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be finite and > 0, got {tol}")
 
 
-def as_cmatrix(a) -> np.ndarray:
-    """Validate and return ``a`` as a square, finite complex128 array."""
-    m = np.asarray(a, dtype=np.complex128)
+def _square_finite(m: np.ndarray) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
+
+
+def as_cmatrix(a) -> np.ndarray:
+    """Validate and return ``a`` as a square, finite complex128 array."""
+    return _square_finite(np.asarray(a, dtype=np.complex128))
 
 
 def adjoint(a) -> np.ndarray:
@@ -103,24 +106,27 @@ class EigenSystem:
 
 
 def eigendecompose(a, tol: float = DEFAULT_TOL) -> EigenSystem:
-    """Full eigendecomposition of a general complex matrix.
+    """Full eigendecomposition of a general real or complex matrix.
 
-    Delegates to LAPACK (numpy's zgeev) and certifies the result: the relative
-    residual of every eigenpair must not exceed ``tol``, otherwise
-    ConvergenceFailure is raised.
+    Delegates to LAPACK through numpy: dgeev for a real matrix, which is
+    kept real, and zgeev for a complex one.  It certifies the result: the
+    relative residual of every eigenpair must not exceed ``tol``, otherwise
+    ConvergenceFailure is raised.  Values and vectors are complex128 either
+    way; a real matrix's complex eigenvalues come in exact conjugate pairs.
 
     Parameters
     ----------
     a : array_like
-        Square complex matrix, dimension <= 1024.
+        Square real or complex matrix, dimension <= 1024.
     tol : float
         Residual bound relative to max(1, ||A||_F); finite and > 0.
     """
     validate_tol(tol)
-    m = as_cmatrix(a)
+    m = np.asarray(a)
+    m = _square_finite(m.astype(np.float64 if np.isrealobj(m) else np.complex128, copy=False))
     if m.shape[0] > MAX_DIM:
         raise DimensionMismatch(f"dimension {m.shape[0]} exceeds limit {MAX_DIM}")
-    values, vectors = np.linalg.eig(m)
+    values, vectors = (x.astype(np.complex128, copy=False) for x in np.linalg.eig(m))
     order = sort_by_re_im(values)
     values = values[order]
     vectors = vectors[:, order]
