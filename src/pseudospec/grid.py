@@ -364,19 +364,25 @@ def _solve_rotated(h: np.ndarray, perm: np.ndarray, rest: float, tol: float):
     except (ConvergenceFailure, np.linalg.LinAlgError):
         return None
     root = np.sqrt(es.values + rest * rest)
-    top = np.hstack([es.vectors, (plus @ left) / -(root + rest)])
-    bottom = np.hstack([(minus @ es.vectors) / (root + rest), left])
     values = np.concatenate([root, -root])
     order = sort_by_re_im(values)
     values = values[order]
-    # Q is unitary, so the 2N columns have the norms of the rotated ones
-    scale = np.sqrt(np.sum(np.abs(top) ** 2, axis=0) + np.sum(np.abs(bottom) ** 2, axis=0))
-    vectors = np.vstack([_apply_q(top[:, order] / scale[order], perm),
-                         _apply_q(bottom[:, order] / scale[order], perm)])
-    worst = 0.0
-    for j in range(0, 2 * n, PANEL):
-        cols = vectors[:, j:j + PANEL]
-        worst = max(worst, np.linalg.norm(h @ cols - cols * values[j:j + PANEL], axis=0).max())
+    # Nearly parallel columns of W (a product with a Jordan block at a value
+    # that H does not repeat) overflow inv(W); the certificate refuses them.
+    with np.errstate(all="ignore"):
+        top = np.hstack([es.vectors, (plus @ left) / -(root + rest)])[:, order]
+        bottom = np.hstack([(minus @ es.vectors) / (root + rest), left])[:, order]
+        # Q is unitary, so the 2N columns have the norms of the rotated ones
+        scale = np.sqrt(np.sum(np.abs(top) ** 2, axis=0) + np.sum(np.abs(bottom) ** 2, axis=0))
+        vectors = np.vstack([_apply_q(top / scale, perm), _apply_q(bottom / scale, perm)])
+        worst = 0.0
+        for j in range(0, 2 * n, PANEL):
+            cols = vectors[:, j:j + PANEL]
+            # np.maximum keeps a NaN, which the finiteness test then refuses
+            worst = np.maximum(worst, np.linalg.norm(h @ cols - cols * values[j:j + PANEL],
+                                                     axis=0).max())
+    if not np.isfinite(worst):
+        return None
     resid = relative_residual(worst, h)
     return EigenSystem(values, vectors, resid) if resid <= tol else None
 
