@@ -1,12 +1,17 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from pseudospec import grid as gridmod
 from pseudospec.errors import (
     AsymmetricGrid,
+    ConvergenceFailure,
+    DimensionMismatch,
     NoAnalyticDerivative,
     OddPotential,
+    PseudospecError,
     SampleGridMismatch,
     SchemeBoundaryMismatch,
 )
@@ -28,6 +33,7 @@ from pseudospec.grid import (
     reduction_identity_mismatch,
     reflection_conjugation_residual,
     reflection_permutation,
+    solve_dirac,
 )
 from pseudospec.linalg import eigendecompose, frob_distance, frob_norm
 from pseudospec.metric import ALL_REAL, CONJUGATE_PAIRS, classify_spectrum
@@ -409,3 +415,58 @@ def test_identity_mismatch_on_an_all_imaginary_spectrum():
     reduced = eigendecompose(build_reduced(spec, g, pp, CENTRAL2)).values
     assert np.max(np.abs(dirac.real)) < 1e-14
     assert reduction_identity_mismatch(dirac, reduced, pp) <= 1e-12
+
+
+# ------------------------------------------------------ real N x N route
+
+
+def _solve_counted(spec, g, pp, scheme, tol=1e-10):
+    """solve_dirac's result, or its error, and the (shape, dtype) of each solve."""
+    with mock.patch.object(gridmod, "eigendecompose", wraps=eigendecompose) as solves:
+        try:
+            out = solve_dirac(spec, g, pp, scheme, tol)
+        except PseudospecError as exc:
+            out = exc
+    return out, [(c.args[0].shape, c.args[0].dtype) for c in solves.call_args_list]
+
+
+COS = PotentialSpec.cosine(1.0, 1)
+
+
+def test_solve_dirac_takes_the_real_route_at_a_double_zero_mode():
+    # cos x on 32 fourier points: the product (cP+V)(cP-V) has a double zero,
+    # so E = m0 c^2 and E = -m0 c^2 come from one eps; the left vectors give -E
+    g = make_grid(math.pi, 32)
+    es, solved = _solve_counted(COS, g, PP, FOURIER)
+    assert solved == [((32, 32), np.float64)]
+    assert np.sum(np.abs(es.values - 1.0) < 1e-12) == 2
+    assert np.sum(np.abs(es.values + 1.0) < 1e-12) == 2
+    h = build_dirac_grid(COS, g, PP, FOURIER)
+    resid = np.linalg.norm(h @ es.vectors - es.vectors * es.values, axis=0).max()
+    assert resid / frob_norm(h) <= 1e-14
+    assert es.residual <= 1e-14
+
+
+def test_solve_dirac_takes_the_2n_solve_when_massless():
+    # m0 c^2 = 0 would divide by E + m0 c^2 = 0 at E = 0
+    pp = PhysParams(m0=0.0)
+    g = make_grid(math.pi, 32)
+    es, solved = _solve_counted(COS, g, pp, FOURIER)
+    assert solved == [((64, 64), np.complex128)]
+    assert np.array_equal(es.values, eigendecompose(build_dirac_grid(COS, g, pp, FOURIER)).values)
+
+
+def test_solve_dirac_refuses_beyond_max_dim_with_the_2n_error():
+    err, solved = _solve_counted(COS, make_grid(math.pi, 513), PP, FOURIER)
+    assert isinstance(err, DimensionMismatch)
+    assert str(err) == "dimension 1026 exceeds limit 1024"
+    assert solved == [((1026, 1026), np.complex128)]
+
+
+def test_solve_dirac_reports_the_2n_failure_at_an_unreachable_tolerance():
+    g = make_grid(math.pi, 32)
+    with pytest.raises(ConvergenceFailure) as direct:
+        eigendecompose(build_dirac_grid(COS, g, PP, FOURIER), 1e-17)
+    err, solved = _solve_counted(COS, g, PP, FOURIER, tol=1e-17)
+    assert isinstance(err, ConvergenceFailure) and str(err) == str(direct.value)
+    assert solved == [((32, 32), np.float64), ((64, 64), np.complex128)]

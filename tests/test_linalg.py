@@ -116,6 +116,27 @@ def test_eigendecompose_rejects_bad_tolerance(tol):
         eigendecompose(np.eye(2), tol=tol)
 
 
+def test_eigendecompose_keeps_a_real_matrix_real():
+    # dgeev: complex eigenvalues of a real matrix come in exact conjugate
+    # pairs, and the vectors of a pair are exact conjugates too
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(12, 12))
+    es = eigendecompose(a)
+    assert es.values.dtype == es.vectors.dtype == np.complex128
+    assert np.sum(es.values.imag != 0) >= 4
+    conj = np.lexsort((-es.values.imag, es.values.real))
+    assert np.array_equal(es.values.conj(), es.values[conj])
+    assert np.array_equal(es.vectors.conj(), es.vectors[:, conj])
+    assert spectrum_gap(es.values, eigendecompose(a.astype(complex)).values) <= 1e-12
+
+
+def test_eigendecompose_refuses_a_non_finite_real_matrix():
+    a = np.eye(3)
+    a[1, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        eigendecompose(a)
+
+
 def test_eigendecompose_dimension_cap():
     with pytest.raises(DimensionMismatch):
         eigendecompose(np.eye(1025))
