@@ -367,20 +367,23 @@ def _solve_rotated(h: np.ndarray, perm: np.ndarray, rest: float, tol: float):
     values = np.concatenate([root, -root])
     order = sort_by_re_im(values)
     values = values[order]
+    slot = np.argsort(order)  # where each column lands in sorted order
+    vectors = np.empty((2 * n, 2 * n), dtype=np.complex128)
     # Nearly parallel columns of W (a product with a Jordan block at a value
     # that H does not repeat) overflow inv(W); the certificate refuses them.
     with np.errstate(all="ignore"):
-        top = np.hstack([es.vectors, (plus @ left) / -(root + rest)])[:, order]
-        bottom = np.hstack([(minus @ es.vectors) / (root + rest), left])[:, order]
-        # Q is unitary, so the 2N columns have the norms of the rotated ones
-        scale = np.sqrt(np.sum(np.abs(top) ** 2, axis=0) + np.sum(np.abs(bottom) ** 2, axis=0))
-        vectors = np.vstack([_apply_q(top / scale, perm), _apply_q(bottom / scale, perm)])
+        vectors[:n, slot[:n]] = es.vectors
+        vectors[n:, slot[:n]] = (minus @ es.vectors) / (root + rest)
+        vectors[:n, slot[n:]] = (plus @ left) / -(root + rest)
+        vectors[n:, slot[n:]] = left
         worst = 0.0
         for j in range(0, 2 * n, PANEL):
             cols = vectors[:, j:j + PANEL]
+            cols /= np.linalg.norm(cols, axis=0)  # Q is unitary: the norm is kept
+            cols[:n], cols[n:] = _apply_q(cols[:n], perm), _apply_q(cols[n:], perm)
             # np.maximum keeps a NaN, which the finiteness test then refuses
-            worst = np.maximum(worst, np.linalg.norm(h @ cols - cols * values[j:j + PANEL],
-                                                     axis=0).max())
+            residual = h @ cols - cols * values[j:j + PANEL]
+            worst = np.maximum(worst, np.linalg.norm(residual, axis=0).max())
     if not np.isfinite(worst):
         return None
     resid = relative_residual(worst, h)
