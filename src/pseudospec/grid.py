@@ -356,8 +356,11 @@ def _solve_rotated(h: np.ndarray, perm: np.ndarray, rest: float, tol: float):
     if not (plus_real and minus_real and math.isfinite(frob_norm(h))):
         return None
     product = plus @ minus
-    if not np.all(np.isfinite(product)):
-        return None
+    # eigendecompose certifies the product against its own norm, which
+    # overflows from about ||H||_F = 1e77, long before the norm of H does
+    with np.errstate(over="ignore"):
+        if not math.isfinite(frob_norm(product)):
+            return None
     try:
         es = eigendecompose(product, tol)
         left = np.linalg.inv(es.vectors).T

@@ -447,13 +447,15 @@ def test_solve_dirac_takes_the_real_route_at_a_double_zero_mode():
     assert es.residual <= 1e-14
 
 
-def test_solve_dirac_takes_the_2n_solve_when_massless():
-    # m0 c^2 = 0 would divide by E + m0 c^2 = 0 at E = 0
-    pp = PhysParams(m0=0.0)
+@pytest.mark.parametrize("pp, spec", [
+    (PhysParams(m0=0.0), COS),  # the map would divide by E + m0 c^2 = 0 at E = 0
+    (PP, PotentialSpec.cosine(1e100, 1)),  # ||R+ R-||_F overflows, ||H||_F does not
+], ids=["massless", "huge potential"])
+def test_solve_dirac_takes_the_2n_solve(pp, spec):
     g = make_grid(math.pi, 32)
-    es, solved = _solve_counted(COS, g, pp, FOURIER)
+    es, solved = _solve_counted(spec, g, pp, FOURIER)
     assert solved == [((64, 64), np.complex128)]
-    assert np.array_equal(es.values, eigendecompose(build_dirac_grid(COS, g, pp, FOURIER)).values)
+    assert np.array_equal(es.values, eigendecompose(build_dirac_grid(spec, g, pp, FOURIER)).values)
 
 
 def test_solve_dirac_refuses_beyond_max_dim_with_the_2n_error():
