@@ -354,7 +354,7 @@ def _verify_grid(cfg: RunConfig, flags: GridFlags, spec, g, pp: PhysParams) -> l
 
 
 def _block_spectrum(cfg: RunConfig):
-    # the closed form sits between the build and the solve, as either may fail first
+    # build, closed form, solve: where several would fail, the first one's error is reported
     model = MODELS[cfg.model]
     h = model.matrix(cfg)
     analytic = _sorted_pair(model.analytic(cfg))

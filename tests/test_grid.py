@@ -455,7 +455,8 @@ def test_solve_dirac_takes_the_2n_solve(pp, spec):
     g = make_grid(math.pi, 32)
     es, solved = _solve_counted(spec, g, pp, FOURIER)
     assert solved == [((64, 64), np.complex128)]
-    assert np.array_equal(es.values, eigendecompose(build_dirac_grid(spec, g, pp, FOURIER)).values)
+    expected = eigendecompose(build_dirac_grid(spec, g, pp, FOURIER)).values
+    assert np.array_equal(es.values, expected)
 
 
 def test_solve_dirac_refuses_beyond_max_dim_with_the_2n_error():
