@@ -309,19 +309,17 @@ def _verify_block(cfg: RunConfig) -> list[dict]:
 
 
 def _solve_pair(cfg: RunConfig, flags: GridFlags, spec, g, pp: PhysParams, form: str):
-    """Both grid operators, their spectra and the identity mismatch between them."""
-    dirac = gridmod.build_dirac_grid(spec, g, pp, flags.scheme)
-    reduced = gridmod.build_reduced(spec, g, pp, flags.scheme, form)
-    dirac_es = eigendecompose(dirac, cfg.tol)
-    reduced_es = eigendecompose(reduced, cfg.tol)
-    mismatch = gridmod.reduction_identity_mismatch(dirac_es.values, reduced_es.values, pp)
-    return dirac, reduced, dirac_es.values, reduced_es.values, mismatch
+    """D, both grid operators, their spectra and the identity mismatch between them."""
+    d, dirac, reduced, dirac_values, reduced_values = gridmod.solve_pair(
+        spec, g, pp, flags.scheme, form, cfg.tol
+    )
+    mismatch = gridmod.reduction_identity_mismatch(dirac_values, reduced_values, pp)
+    return d, dirac, reduced, dirac_values, reduced_values, mismatch
 
 
 def _verify_grid(cfg: RunConfig, flags: GridFlags, spec, g, pp: PhysParams) -> list[dict]:
-    d = gridmod.derivative_matrix(g, flags.scheme)
     perm = gridmod.reflection_permutation(g)
-    dirac, reduced, _, reduced_values, mismatch = _solve_pair(
+    d, dirac, reduced, _, reduced_values, mismatch = _solve_pair(
         cfg, flags, spec, g, pp, gridmod.PRODUCT_EXACT
     )
     checks = [
@@ -361,11 +359,15 @@ def _block_spectrum(cfg: RunConfig):
     return eigendecompose(h, cfg.tol), analytic
 
 
+def _block_sweep(cfg: RunConfig):
+    return eigendecompose(MODELS[cfg.model].matrix(cfg), cfg.tol)
+
+
 @dataclass(frozen=True)
 class Model:
     """What the commands need to know of one model.
 
-    Each callable takes the RunConfig; ``matrix``, ``spectrum`` and
+    Each callable takes the RunConfig; ``sweep``, ``spectrum`` and
     ``verify`` take after it the inputs that ``load`` builds once per
     command (none for the 2x2 models).  The entries reach model functions
     through this module's globals when called, never by holding them, so
@@ -373,9 +375,10 @@ class Model:
     """
 
     params: tuple[str, ...]  # record parameters after m0, c, hbar, in order
-    matrix: Callable  # the operator the commands solve; for a grid, what `sweep` does
     verify: Callable  # the `verify` battery: a list of checks
     spectrum: Callable = _block_spectrum  # `spectrum`'s eigensystem and closed form
+    sweep: Callable = _block_sweep  # the eigensystem `sweep` classifies at one point
+    matrix: Callable | None = None  # the 2x2 operator the commands solve
     load: Callable = lambda cfg: ()  # inputs built once per command
     methods: tuple[str, ...] = ()  # what `metric --method all` runs
     analytic: Callable | None = None  # closed-form eigenvalue pair
@@ -416,9 +419,8 @@ MODELS = {
         ),
         # the component-eliminated operator, whose reality breaking is the
         # object of interest, at the swept value of the potential parameter
-        matrix=lambda cfg, flags, spec, g, pp: gridmod.build_reduced(
-            replace(spec, **{cfg.sweep_param: cfg.param(cfg.sweep_param)}),
-            g, pp, flags.scheme, flags.form,
+        sweep=lambda cfg, flags, spec, g, pp: gridmod.solve_reduced(
+            _potential(cfg, flags), g, pp, flags.scheme, flags.form, cfg.tol
         ),
         verify=_verify_grid,
     ),
@@ -496,7 +498,7 @@ def run_metric(cfg: RunConfig) -> ResultRecord:
 
 def _sweep_point(cfg: RunConfig, inputs: tuple, value: float):
     sub = replace(cfg, params={**cfg.params, cfg.sweep_param: value})
-    values = eigendecompose(MODELS[cfg.model].matrix(sub, *inputs), cfg.tol).values
+    values = MODELS[cfg.model].sweep(sub, *inputs).values
     return values, classify_spectrum(values, cfg.tol)
 
 
@@ -563,7 +565,7 @@ def run_reduce(cfg: RunConfig) -> ResultRecord:
     """Grid solve: Dirac spectrum, component-eliminated spectrum, exact identity check."""
     _require_model(cfg, _GRID)
     flags, spec, g, pp = _grid_inputs(cfg)
-    _, _, dirac_values, reduced_values, mismatch = _solve_pair(
+    *_, dirac_values, reduced_values, mismatch = _solve_pair(
         cfg, flags, spec, g, pp, flags.form
     )
     mapped = gridmod.reduced_to_dirac_energies(reduced_values, pp)

@@ -308,7 +308,7 @@ def assemble_dirac_blocks(d: np.ndarray, v: np.ndarray, pp: PhysParams) -> np.nd
     """Raw block assembly [[mI, cP+V], [cP-V, -mI]]; no evenness gate."""
     cp, vd = _coupling(d, v, pp)
     m = pp.rest_energy * np.eye(len(v))
-    return np.block([[m, cp + vd], [cp - vd, -m]]).astype(np.complex128)
+    return np.block([[m, cp + vd], [cp - vd, -m]])
 
 
 def build_dirac_grid(
@@ -323,17 +323,21 @@ def build_dirac_grid(
 PANEL = 128
 
 
-def _rotate(a: np.ndarray, perm: np.ndarray):
-    """Q^dag A Q for Q = P+ + i P-, P+- = (I +- R)/2, and whether it is exactly real.
+def _real_blocks(y: np.ndarray, v: np.ndarray, perm: np.ndarray):
+    """R+- = Q^dag (cP +- V) Q for Q = P+ + i P-, P+- = (I +- R)/2, or None.
 
-    Q^dag A Q = (A + R A R)/2 + i (R A - A R)/2, taken by indexing in real
-    arithmetic.  For A = cP +- V with R D R = -D and V even, the imaginary
-    part cancels exactly and the real part is exactly symmetric.
+    Q^dag A Q = (A + R A R)/2 + i (R A - A R)/2.  For A = cP +- V, with
+    cP = iY, Y = -c hbar D, and V = diag(v), the imaginary part cancels
+    exactly when R Y R = -Y bit for bit and v is exactly even, and the real
+    part is then K +- V with K = -(R Y - Y R)/2: real symmetric blocks built
+    by indexing, with no complex temporaries.  Otherwise (v even only to the
+    evenness gate's tolerance, say) None.
     """
-    x, y = a.real, a.imag
-    both = np.ix_(perm, perm)
-    imag = 0.5 * (y + y[both]) + 0.5 * (x[perm] - x[:, perm])
-    return 0.5 * (x + x[both]) - 0.5 * (y[perm] - y[:, perm]), not np.any(imag)
+    if not (np.array_equal(v, v[perm]) and np.array_equal(y[np.ix_(perm, perm)], -y)):
+        return None
+    k = -0.5 * (y[perm] - y[:, perm])
+    vd = np.diag(v)
+    return k + vd, k - vd
 
 
 def _apply_q(x: np.ndarray, perm: np.ndarray) -> np.ndarray:
@@ -341,20 +345,8 @@ def _apply_q(x: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return 0.5 * ((1 + 1j) * x + (1 - 1j) * x[perm])
 
 
-def _solve_rotated(h: np.ndarray, perm: np.ndarray, rest: float, tol: float):
-    """The eigensystem of ``h`` from one real N x N solve, or None if uncertified.
-
-    With R+- = Q^dag A+- Q real, the eigenvectors w of R+ R- give E = +s,
-    s = sqrt(eps + rest^2), as [Q w; Q R- w / (s + rest)], and the left
-    ones u, the columns of inv(W)^T (eigenvectors of R- R+ = (R+ R-)^T),
-    give -s as [Q R+ u / (-s - rest); Q u].  Re s >= 0, so both
-    denominators are at least rest in modulus.
-    """
-    n = len(perm)
-    plus, plus_real = _rotate(h[:n, n:], perm)
-    minus, minus_real = _rotate(h[n:, :n], perm)
-    if not (plus_real and minus_real and math.isfinite(frob_norm(h))):
-        return None
+def _solve_product(plus: np.ndarray, minus: np.ndarray, tol: float):
+    """eigendecompose(R+ R-), the one real N x N solve, or None where it fails."""
     product = plus @ minus
     # eigendecompose certifies the product against its own norm, which
     # overflows from about ||H||_F = 1e77, long before the norm of H does
@@ -362,9 +354,27 @@ def _solve_rotated(h: np.ndarray, perm: np.ndarray, rest: float, tol: float):
         if not math.isfinite(frob_norm(product)):
             return None
     try:
-        es = eigendecompose(product, tol)
+        return eigendecompose(product, tol)
+    except ConvergenceFailure:
+        return None
+
+
+def _solve_rotated(h, plus, minus, perm: np.ndarray, rest: float, tol: float):
+    """The eigensystem of ``h`` from one real N x N solve, or None if uncertified.
+
+    With the real blocks R+- of ``_real_blocks``, the eigenvectors w of
+    R+ R- give E = +s, s = sqrt(eps + rest^2), as [Q w; Q R- w / (s + rest)],
+    and the left ones u, the columns of inv(W)^T (eigenvectors of
+    R- R+ = (R+ R-)^T), give -s as [Q R+ u / (-s - rest); Q u].  Re s >= 0,
+    so both denominators are at least rest in modulus.
+    """
+    n = len(perm)
+    es = _solve_product(plus, minus, tol)
+    if es is None:
+        return None
+    try:
         left = np.linalg.inv(es.vectors).T
-    except (ConvergenceFailure, np.linalg.LinAlgError):
+    except np.linalg.LinAlgError:
         return None
     root = np.sqrt(es.values + rest * rest)
     values = np.concatenate([root, -root])
@@ -411,14 +421,18 @@ def solve_dirac(
 
     The complex 2N solve (``eigendecompose`` of the operator) is taken
     instead, with its errors, when m0 c^2 = 0, when 2N exceeds MAX_DIM,
-    when a rotated block is not exactly real or when the real route's
+    when V is not exactly even or when the real route's
     solve or certificate fails.  eps carries an absolute error of about
     rounding x ||H||^2, against rounding x ||H|| for the 2N solve.
     """
     h = build_dirac_grid(spec, grid, pp, scheme)
-    es = None
-    if pp.rest_energy > 0 and len(h) <= MAX_DIM:
-        es = _solve_rotated(h, reflection_permutation(grid), pp.rest_energy, tol)
+    n = grid.n_points
+    perm = reflection_permutation(grid)
+    blocks = None
+    if pp.rest_energy > 0 and len(h) <= MAX_DIM and math.isfinite(frob_norm(h)):
+        coupling = h[:n, n:]  # cP + V
+        blocks = _real_blocks(coupling.imag, coupling.real.diagonal(), perm)
+    es = None if blocks is None else _solve_rotated(h, *blocks, perm, pp.rest_energy, tol)
     return eigendecompose(h, tol) if es is None else es
 
 
@@ -436,7 +450,10 @@ def build_reduced(
     -c^2 hbar^2 D^2 + diag(i c hbar V' - V^2) from the closed-form
     derivative and differs by discretization error.
     """
-    d, v = _gated(spec, grid, scheme)
+    return _assemble_reduced(*_gated(spec, grid, scheme), spec, grid, pp, form)
+
+
+def _assemble_reduced(d, v, spec: PotentialSpec, grid: Grid1D, pp: PhysParams, form: str):
     if form == PRODUCT_EXACT:
         cp, vd = _coupling(d, v, pp)
         matrix = (cp + vd) @ (cp - vd)
@@ -447,6 +464,70 @@ def build_reduced(
     else:
         raise ValueError(f"unknown reduced form {form!r}")
     return as_cmatrix(matrix)
+
+
+def _solve_real_reduced(d, v, grid: Grid1D, pp: PhysParams, form: str, tol: float):
+    """eigendecompose(R+ R-) for ``product_exact``, or None where that route fails.
+
+    U = (cP+V)(cP-V) = Q R+ R- Q^dag with Q unitary, so U has the values of
+    R+ R-, its eigenvectors are Q w for those w of R+ R-, and the real
+    solve's certificate is U's to rounding.
+    """
+    if form != PRODUCT_EXACT:
+        return None
+    blocks = _real_blocks(-(pp.c * pp.hbar) * d, v, reflection_permutation(grid))
+    return None if blocks is None else _solve_product(*blocks, tol)
+
+
+def solve_reduced(
+    spec: PotentialSpec,
+    grid: Grid1D,
+    pp: PhysParams,
+    scheme: str = FOURIER,
+    form: str = PRODUCT_EXACT,
+    tol: float = DEFAULT_TOL,
+) -> EigenSystem:
+    """Eigensystem of the reduced operator of ``build_reduced``.
+
+    For ``product_exact`` it comes from one real N x N solve (dgeev) of
+    R+ R-, the blocks of ``solve_dirac``: the values are the eigenvalues
+    eps of (cP+V)(cP-V), closed under conjugation exactly, and the unit
+    vectors are Q w.  The complex solve ``eigendecompose(build_reduced(...))``
+    is taken instead, with its errors, for ``analytic_U``, when V is not
+    exactly even (sampled values pass the evenness gate to 1e-8), when the
+    norm of R+ R- overflows or when the real solve's certificate fails.
+    """
+    d, v = _gated(spec, grid, scheme)
+    es = _solve_real_reduced(d, v, grid, pp, form, tol)
+    if es is None:
+        return eigendecompose(_assemble_reduced(d, v, spec, grid, pp, form), tol)
+    vectors = _apply_q(es.vectors, reflection_permutation(grid))
+    return EigenSystem(es.values, vectors, es.residual)
+
+
+def solve_pair(
+    spec: PotentialSpec,
+    grid: Grid1D,
+    pp: PhysParams,
+    scheme: str = FOURIER,
+    form: str = PRODUCT_EXACT,
+    tol: float = DEFAULT_TOL,
+):
+    """Both grid operators from one evenness gate, and their spectra.
+
+    Returns (D, H, U, values of H, values of U), with H the 2N x 2N Dirac
+    operator and U the reduced one of ``form``.  H is solved by the complex
+    2N ``eigendecompose`` (zgeev): where the reduction identity is the
+    claim, that solve is its independent check.  U is solved as by
+    ``solve_reduced``.  Both matrices are built before either solve, so a
+    build error comes first.
+    """
+    d, v = _gated(spec, grid, scheme)
+    h = assemble_dirac_blocks(d, v, pp)
+    u = _assemble_reduced(d, v, spec, grid, pp, form)
+    dirac = eigendecompose(h, tol).values
+    reduced = _solve_real_reduced(d, v, grid, pp, form, tol) or eigendecompose(u, tol)
+    return d, h, u, dirac, reduced.values
 
 
 def reduced_to_dirac_energies(eps, pp: PhysParams) -> np.ndarray:

@@ -1,3 +1,4 @@
+import json
 import math
 from unittest import mock
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from pseudospec import grid as gridmod
+from pseudospec.cli import main
 from pseudospec.errors import (
     AsymmetricGrid,
     ConvergenceFailure,
@@ -34,6 +36,8 @@ from pseudospec.grid import (
     reflection_conjugation_residual,
     reflection_permutation,
     solve_dirac,
+    solve_pair,
+    solve_reduced,
 )
 from pseudospec.linalg import eigendecompose, frob_distance, frob_norm
 from pseudospec.metric import ALL_REAL, CONJUGATE_PAIRS, classify_spectrum
@@ -420,12 +424,12 @@ def test_identity_mismatch_on_an_all_imaginary_spectrum():
 # ------------------------------------------------------ real N x N route
 
 
-def _solve_counted(spec, g, pp, scheme, tol=1e-10):
-    """solve_dirac's result, or its error, and the (shape, dtype) of each solve."""
+def _solve_counted(solve, *args):
+    """solve(*args)'s result, or its error, and the (shape, dtype) of each solve."""
     with mock.patch.object(gridmod, "eigendecompose", wraps=eigendecompose) as solves:
         try:
-            out = solve_dirac(spec, g, pp, scheme, tol)
-        except PseudospecError as exc:
+            out = solve(*args)
+        except (PseudospecError, ValueError) as exc:
             out = exc
     return out, [(c.args[0].shape, c.args[0].dtype) for c in solves.call_args_list]
 
@@ -437,7 +441,7 @@ def test_solve_dirac_takes_the_real_route_at_a_double_zero_mode():
     # cos x on 32 fourier points: the product (cP+V)(cP-V) has a double zero,
     # so E = m0 c^2 and E = -m0 c^2 come from one eps; the left vectors give -E
     g = make_grid(math.pi, 32)
-    es, solved = _solve_counted(COS, g, PP, FOURIER)
+    es, solved = _solve_counted(solve_dirac, COS, g, PP, FOURIER)
     assert solved == [((32, 32), np.float64)]
     assert np.sum(np.abs(es.values - 1.0) < 1e-12) == 2
     assert np.sum(np.abs(es.values + 1.0) < 1e-12) == 2
@@ -453,14 +457,14 @@ def test_solve_dirac_takes_the_real_route_at_a_double_zero_mode():
 ], ids=["massless", "huge potential"])
 def test_solve_dirac_takes_the_2n_solve(pp, spec):
     g = make_grid(math.pi, 32)
-    es, solved = _solve_counted(spec, g, pp, FOURIER)
+    es, solved = _solve_counted(solve_dirac, spec, g, pp, FOURIER)
     assert solved == [((64, 64), np.complex128)]
     expected = eigendecompose(build_dirac_grid(spec, g, pp, FOURIER)).values
     assert np.array_equal(es.values, expected)
 
 
 def test_solve_dirac_refuses_beyond_max_dim_with_the_2n_error():
-    err, solved = _solve_counted(COS, make_grid(math.pi, 513), PP, FOURIER)
+    err, solved = _solve_counted(solve_dirac, COS, make_grid(math.pi, 513), PP, FOURIER)
     assert isinstance(err, DimensionMismatch)
     assert str(err) == "dimension 1026 exceeds limit 1024"
     assert solved == [((1026, 1026), np.complex128)]
@@ -470,6 +474,86 @@ def test_solve_dirac_reports_the_2n_failure_at_an_unreachable_tolerance():
     g = make_grid(math.pi, 32)
     with pytest.raises(ConvergenceFailure) as direct:
         eigendecompose(build_dirac_grid(COS, g, PP, FOURIER), 1e-17)
-    err, solved = _solve_counted(COS, g, PP, FOURIER, tol=1e-17)
+    err, solved = _solve_counted(solve_dirac, COS, g, PP, FOURIER, 1e-17)
     assert isinstance(err, ConvergenceFailure) and str(err) == str(direct.value)
     assert solved == [((32, 32), np.float64), ((64, 64), np.complex128)]
+
+
+def _off_by_1e10():
+    # cos x with one value moved by 1e-10 relative: even to the samples gate's
+    # 1e-8, not exactly, so its blocks are not exactly real
+    g = make_grid(math.pi, 16)
+    v = np.cos(g.points)
+    v[3] *= 1 + 1e-10
+    return PotentialSpec.samples(g.points, v)
+
+
+@pytest.mark.parametrize("spec, form, tol", [
+    (COS, ANALYTIC_U, 1e-10),  # its d @ d is not exactly reflection-symmetric
+    (_off_by_1e10(), PRODUCT_EXACT, 1e-10),
+    (PotentialSpec.cosine(1e100, 1), PRODUCT_EXACT, 1e-10),  # ||R+ R-||_F overflows
+    (COS, PRODUCT_EXACT, 1e-17),  # the real solve fails its certificate first
+], ids=["analytic_U", "samples even to 1e-10", "huge potential", "unreachable tolerance"])
+def test_solve_reduced_takes_the_complex_solve(spec, form, tol):
+    g = make_grid(math.pi, 16)
+    # the complex solve's norm overflows for the huge potential, as in the CLI
+    with np.errstate(over="ignore"):
+        out, solved = _solve_counted(solve_reduced, spec, g, PP, FOURIER, form, tol)
+        try:
+            expected = eigendecompose(build_reduced(spec, g, PP, FOURIER, form), tol)
+        except (PseudospecError, ValueError) as exc:
+            expected = exc
+    assert solved[-1] == ((16, 16), np.complex128)
+    assert len(solved) == (2 if tol < 1e-16 else 1)
+    if isinstance(expected, Exception):
+        assert type(out) is type(expected) and str(out) == str(expected)
+    else:
+        assert np.array_equal(out.values, expected.values)
+        assert np.array_equal(out.vectors, expected.vectors)
+
+
+def test_solve_pair_keeps_the_complex_2n_solve():
+    g = make_grid(math.pi, 16)
+    (d, h, u, dirac, reduced), solved = _solve_counted(solve_pair, COS, g, PP, FOURIER)
+    assert solved == [((32, 32), np.complex128), ((16, 16), np.float64)]
+    assert np.array_equal(d, derivative_matrix(g, FOURIER))
+    assert np.array_equal(h, build_dirac_grid(COS, g, PP, FOURIER))
+    assert np.array_equal(u, build_reduced(COS, g, PP, FOURIER))
+    assert np.array_equal(dirac, eigendecompose(h).values)
+    assert np.array_equal(reduced, solve_reduced(COS, g, PP, FOURIER).values)
+
+
+_COS_ARGV = ["--model", "scalar_grid", "--potential", "cosine", "--g", "1", "--grid-n", "16"]
+
+
+@pytest.mark.parametrize("command", ["reduce", "verify"])
+def test_grid_pair_commands_gate_once(command, capsys):
+    with mock.patch.object(gridmod, "derivative_matrix", wraps=derivative_matrix) as built:
+        assert main([command, *_COS_ARGV]) == 0
+    assert built.call_count == 1
+
+
+def test_grid_sweep_takes_one_real_solve_per_point(capsys):
+    with mock.patch.object(gridmod, "solve_reduced", wraps=solve_reduced) as points, \
+         mock.patch.object(gridmod, "eigendecompose", wraps=eigendecompose) as solves:
+        assert main(["sweep", *_COS_ARGV, "--sweep-param", "g", "--sweep-min", "5",
+                     "--sweep-max", "20", "--sweep-steps", "4"]) == 0
+    assert json.loads(capsys.readouterr().out)["threshold"] is not None
+    assert points.call_count > 4  # the grid points and the bisection
+    shapes = [(c.args[0].shape, c.args[0].dtype) for c in solves.call_args_list]
+    assert shapes == [((16, 16), np.float64)] * points.call_count
+
+
+@pytest.mark.parametrize("scheme", [FOURIER, CENTRAL2])
+def test_gaussian_sweep_threshold_is_the_bisection_floor(scheme, capsys):
+    # Degenerate levels of c^2 P^2 (the +-k pairs of the ring, and the
+    # central2 doublers) split at first order in g, so the reduced spectrum
+    # is complex for every g > 0 and the bisection stops at its floor:
+    # 1e-9 * max(1, hi) reached after 29 halvings of [0, 0.3].
+    argv = ["sweep", "--model", "scalar_grid", "--potential", "gaussian", "--g", "0.5",
+            "--width", "0.5", "--grid-n", "128", "--scheme", scheme, "--sweep-param", "g",
+            "--sweep-min", "0", "--sweep-max", "3", "--sweep-steps", "11"]
+    assert main(argv) == 0
+    threshold = json.loads(capsys.readouterr().out)["threshold"]
+    assert threshold == {"param": "g", "value": 0.3 / 2**30}
+    assert threshold["value"] == 2.7939677238464354e-10

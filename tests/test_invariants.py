@@ -8,7 +8,9 @@ and the four potential families, sampled values included: the derivative
 reflects odd bit for bit, the Dirac spectrum pairs as +-E, and it equals
 the spectrum mapped from the N x N reduced operator.  ``solve_dirac``
 returns a spectrum closed under negation and conjugation bit for bit,
-certified against the 2N operator, from one real N x N solve.
+certified against the 2N operator, from one real N x N solve, and
+``solve_reduced`` the reduced spectrum, closed under conjugation bit for
+bit and certified against the complex reduced operator.
 """
 
 import math
@@ -33,6 +35,7 @@ from pseudospec.grid import (
     reduction_identity_mismatch,
     reflection_permutation,
     solve_dirac,
+    solve_reduced,
 )
 from pseudospec.linalg import DEFAULT_TOL, eigendecompose
 from pseudospec.metric import VALID_METRIC, check_metric, spectral_metric
@@ -184,3 +187,21 @@ def test_solve_dirac_takes_the_real_route(case):
         gaps = np.abs(np.subtract.outer(eps, eps))[np.triu_indices(len(eps), 1)]
         if gaps.min() > 1e-6 * max(1.0, np.abs(eps).max()):
             assert real_route
+
+
+@settings(max_examples=100, deadline=None)
+@given(_grid_cases())
+def test_solve_reduced_takes_the_real_route(case):
+    spec, grid, pp, scheme = case
+    with mock.patch.object(gridmod, "eigendecompose", wraps=eigendecompose) as solves:
+        es = solve_reduced(spec, grid, pp, scheme)
+    u = build_reduced(spec, grid, pp, scheme)
+    # every drawn potential is exactly even, so the blocks are exactly real
+    assert [(c.args[0].shape, c.args[0].dtype) for c in solves.call_args_list] == [
+        (u.shape, np.float64)]
+    assert _certificate(u, es) <= DEFAULT_TOL
+    values = np.sort_complex(es.values)
+    assert np.array_equal(values, np.sort_complex(es.values.conj()))
+    reduced = eigendecompose(u)
+    if _first_order_errors(reduced, u).max() <= 1e-9:
+        assert spectrum_gap(es.values, reduced.values) <= 1e-8
