@@ -308,19 +308,10 @@ def _verify_block(cfg: RunConfig) -> list[dict]:
     return checks
 
 
-def _solve_pair(cfg: RunConfig, flags: GridFlags, spec, g, pp: PhysParams, form: str):
-    """D, both grid operators, their spectra and the identity mismatch between them."""
-    d, dirac, reduced, dirac_values, reduced_values = gridmod.solve_pair(
-        spec, g, pp, flags.scheme, form, cfg.tol
-    )
-    mismatch = gridmod.reduction_identity_mismatch(dirac_values, reduced_values, pp)
-    return d, dirac, reduced, dirac_values, reduced_values, mismatch
-
-
 def _verify_grid(cfg: RunConfig, flags: GridFlags, spec, g, pp: PhysParams) -> list[dict]:
     perm = gridmod.reflection_permutation(g)
-    d, dirac, reduced, _, reduced_values, mismatch = _solve_pair(
-        cfg, flags, spec, g, pp, gridmod.PRODUCT_EXACT
+    d, dirac, reduced, _, reduced_values, mismatch = gridmod.solve_pair(
+        spec, g, pp, flags.scheme, gridmod.PRODUCT_EXACT, cfg.tol
     )
     checks = [
         _check(
@@ -565,8 +556,8 @@ def run_reduce(cfg: RunConfig) -> ResultRecord:
     """Grid solve: Dirac spectrum, component-eliminated spectrum, exact identity check."""
     _require_model(cfg, _GRID)
     flags, spec, g, pp = _grid_inputs(cfg)
-    *_, dirac_values, reduced_values, mismatch = _solve_pair(
-        cfg, flags, spec, g, pp, flags.form
+    *_, dirac_values, reduced_values, mismatch = gridmod.solve_pair(
+        spec, g, pp, flags.scheme, flags.form, cfg.tol
     )
     mapped = gridmod.reduced_to_dirac_energies(reduced_values, pp)
     mapped = mapped[sort_by_re_im(mapped)]

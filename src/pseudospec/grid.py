@@ -421,8 +421,8 @@ def solve_dirac(
 
     The complex 2N solve (``eigendecompose`` of the operator) is taken
     instead, with its errors, when m0 c^2 = 0, when 2N exceeds MAX_DIM,
-    when V is not exactly even or when the real route's
-    solve or certificate fails.  eps carries an absolute error of about
+    when V is not exactly even or when the real route's solve or
+    certificate fails.  eps carries an absolute error of about
     rounding x ||H||^2, against rounding x ||H|| for the 2N solve.
     """
     h = build_dirac_grid(spec, grid, pp, scheme)
@@ -454,6 +454,7 @@ def build_reduced(
 
 
 def _assemble_reduced(d, v, spec: PotentialSpec, grid: Grid1D, pp: PhysParams, form: str):
+    """``build_reduced``'s matrix from the gated D and V."""
     if form == PRODUCT_EXACT:
         cp, vd = _coupling(d, v, pp)
         matrix = (cp + vd) @ (cp - vd)
@@ -513,21 +514,21 @@ def solve_pair(
     form: str = PRODUCT_EXACT,
     tol: float = DEFAULT_TOL,
 ):
-    """Both grid operators from one evenness gate, and their spectra.
+    """Both grid operators from one evenness gate, their spectra and the identity.
 
-    Returns (D, H, U, values of H, values of U), with H the 2N x 2N Dirac
-    operator and U the reduced one of ``form``.  H is solved by the complex
-    2N ``eigendecompose`` (zgeev): where the reduction identity is the
-    claim, that solve is its independent check.  U is solved as by
-    ``solve_reduced``.  Both matrices are built before either solve, so a
-    build error comes first.
+    Returns (D, H, U, values of H, values of U, their identity mismatch),
+    with H the 2N x 2N Dirac operator and U the reduced one of ``form``.  H
+    is solved by the complex 2N ``eigendecompose`` (zgeev): where the
+    reduction identity is the claim, that solve is its independent check.
+    U is solved as by ``solve_reduced``.  Both matrices are built before
+    either solve, so a build error comes first.
     """
     d, v = _gated(spec, grid, scheme)
     h = assemble_dirac_blocks(d, v, pp)
     u = _assemble_reduced(d, v, spec, grid, pp, form)
     dirac = eigendecompose(h, tol).values
-    reduced = _solve_real_reduced(d, v, grid, pp, form, tol) or eigendecompose(u, tol)
-    return d, h, u, dirac, reduced.values
+    reduced = (_solve_real_reduced(d, v, grid, pp, form, tol) or eigendecompose(u, tol)).values
+    return d, h, u, dirac, reduced, reduction_identity_mismatch(dirac, reduced, pp)
 
 
 def reduced_to_dirac_energies(eps, pp: PhysParams) -> np.ndarray:

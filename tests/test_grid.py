@@ -514,13 +514,15 @@ def test_solve_reduced_takes_the_complex_solve(spec, form, tol):
 
 def test_solve_pair_keeps_the_complex_2n_solve():
     g = make_grid(math.pi, 16)
-    (d, h, u, dirac, reduced), solved = _solve_counted(solve_pair, COS, g, PP, FOURIER)
+    (d, h, u, dirac, reduced, mismatch), solved = _solve_counted(
+        solve_pair, COS, g, PP, FOURIER)
     assert solved == [((32, 32), np.complex128), ((16, 16), np.float64)]
     assert np.array_equal(d, derivative_matrix(g, FOURIER))
     assert np.array_equal(h, build_dirac_grid(COS, g, PP, FOURIER))
     assert np.array_equal(u, build_reduced(COS, g, PP, FOURIER))
     assert np.array_equal(dirac, eigendecompose(h).values)
     assert np.array_equal(reduced, solve_reduced(COS, g, PP, FOURIER).values)
+    assert mismatch == reduction_identity_mismatch(dirac, reduced, PP)
 
 
 _COS_ARGV = ["--model", "scalar_grid", "--potential", "cosine", "--g", "1", "--grid-n", "16"]
