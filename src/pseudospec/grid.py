@@ -42,11 +42,14 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     MAX_DIM,
+    PANEL,
     EigenSystem,
     adjoint,
     as_cmatrix,
     eigendecompose,
     frob_norm,
+    max_column_residual,
+    real_times_complex,
     relative_residual,
     sort_by_re_im,
 )
@@ -318,11 +321,6 @@ def build_dirac_grid(
     return assemble_dirac_blocks(*_gated(spec, grid, scheme), pp)
 
 
-#: Eigenvector columns certified at a time by ``solve_dirac``; it bounds the
-#: certificate's temporaries to 2N x PANEL instead of 2N x 2N.
-PANEL = 128
-
-
 def _real_blocks(y: np.ndarray, v: np.ndarray, perm: np.ndarray):
     """R+- = Q^dag (cP +- V) Q for Q = P+ + i P-, P+- = (I +- R)/2, or None.
 
@@ -354,26 +352,38 @@ def _solve_product(plus: np.ndarray, minus: np.ndarray, tol: float):
         if not math.isfinite(frob_norm(product)):
             return None
     try:
-        return eigendecompose(product, tol)
+        es = eigendecompose(product, tol)
     except ConvergenceFailure:
         return None
+    # C-contiguous, so that real_times_complex takes the vectors without a copy
+    return EigenSystem(es.values, np.ascontiguousarray(es.vectors), es.residual)
 
 
-def _solve_rotated(h, plus, minus, perm: np.ndarray, rest: float, tol: float):
+def _solve_rotated(h: np.ndarray, perm: np.ndarray, rest: float, tol: float):
     """The eigensystem of ``h`` from one real N x N solve, or None if uncertified.
 
     With the real blocks R+- of ``_real_blocks``, the eigenvectors w of
     R+ R- give E = +s, s = sqrt(eps + rest^2), as [Q w; Q R- w / (s + rest)],
     and the left ones u, the columns of inv(W)^T (eigenvectors of
     R- R+ = (R+ R-)^T), give -s as [Q R+ u / (-s - rest); Q u].  Re s >= 0,
-    so both denominators are at least rest in modulus.
+    so both denominators are at least rest in modulus.  None also where
+    ||H||_F overflows or a block is not exactly real.
     """
+    norm = frob_norm(h)
+    if not math.isfinite(norm):
+        return None
     n = len(perm)
-    es = _solve_product(plus, minus, tol)
+    coupling = h[:n, n:]  # cP + V = iY + V
+    y = np.ascontiguousarray(coupling.imag)
+    v = coupling.real.diagonal()
+    blocks = _real_blocks(y, v, perm)
+    es = None if blocks is None else _solve_product(*blocks, tol)
     if es is None:
         return None
+    plus, minus = blocks
     try:
-        left = np.linalg.inv(es.vectors).T
+        # C-contiguous too, copied before vectors exists
+        left = np.ascontiguousarray(np.linalg.inv(es.vectors).T)
     except np.linalg.LinAlgError:
         return None
     root = np.sqrt(es.values + rest * rest)
@@ -382,24 +392,39 @@ def _solve_rotated(h, plus, minus, perm: np.ndarray, rest: float, tol: float):
     values = values[order]
     slot = np.argsort(order)  # where each column lands in sorted order
     vectors = np.empty((2 * n, 2 * n), dtype=np.complex128)
+
+    def apply_h(x):
+        # H [t; b] = [m t + v b + i Y b; i Y t - v t - m b], applied by blocks
+        t, b = x[:n], x[n:]
+        top = real_times_complex(y, b)
+        top *= 1j
+        top += rest * t + v[:, None] * b
+        bottom = real_times_complex(y, t)
+        bottom *= 1j
+        bottom -= v[:, None] * t + rest * b
+        return np.concatenate([top, bottom])
+
+    def rotated(block, x, denominator):
+        # divided in place: the assembly of vectors sets the route's peak memory
+        out = real_times_complex(block, x)
+        out /= denominator
+        return out
+
     # Nearly parallel columns of W (a product with a Jordan block at a value
     # that H does not repeat) overflow inv(W); the certificate refuses them.
     with np.errstate(all="ignore"):
         vectors[:n, slot[:n]] = es.vectors
-        vectors[n:, slot[:n]] = (minus @ es.vectors) / (root + rest)
-        vectors[:n, slot[n:]] = (plus @ left) / -(root + rest)
+        vectors[n:, slot[:n]] = rotated(minus, es.vectors, root + rest)
+        vectors[:n, slot[n:]] = rotated(plus, left, -(root + rest))
         vectors[n:, slot[n:]] = left
-        worst = 0.0
         for j in range(0, 2 * n, PANEL):
             cols = vectors[:, j:j + PANEL]
             cols /= np.linalg.norm(cols, axis=0)  # Q is unitary: the norm is kept
             cols[:n], cols[n:] = _apply_q(cols[:n], perm), _apply_q(cols[n:], perm)
-            # np.maximum keeps a NaN, which the finiteness test then refuses
-            residual = h @ cols - cols * values[j:j + PANEL]
-            worst = np.maximum(worst, np.linalg.norm(residual, axis=0).max())
-    if not np.isfinite(worst):
+        worst = max_column_residual(apply_h, vectors, values)
+    if not math.isfinite(worst):
         return None
-    resid = relative_residual(worst, h)
+    resid = relative_residual(worst, norm)
     return EigenSystem(values, vectors, resid) if resid <= tol else None
 
 
@@ -417,7 +442,8 @@ def solve_dirac(
     and E = +-sqrt(eps + (m0 c^2)^2) for the eigenvalues eps of R+ R-, which
     LAPACK solves in real arithmetic (dgeev).  So the values are closed under
     negation and conjugation exactly.  Every eigenpair is certified against
-    the 2N operator: ||H v - E v|| / max(1, ||H||_F) <= tol for unit v.
+    the 2N operator: ||H v - E v|| / max(1, ||H||_F) <= tol for unit v, with
+    H applied by its blocks, in real arithmetic and PANEL columns at a time.
 
     The complex 2N solve (``eigendecompose`` of the operator) is taken
     instead, with its errors, when m0 c^2 = 0, when 2N exceeds MAX_DIM,
@@ -426,13 +452,9 @@ def solve_dirac(
     rounding x ||H||^2, against rounding x ||H|| for the 2N solve.
     """
     h = build_dirac_grid(spec, grid, pp, scheme)
-    n = grid.n_points
-    perm = reflection_permutation(grid)
-    blocks = None
-    if pp.rest_energy > 0 and len(h) <= MAX_DIM and math.isfinite(frob_norm(h)):
-        coupling = h[:n, n:]  # cP + V
-        blocks = _real_blocks(coupling.imag, coupling.real.diagonal(), perm)
-    es = None if blocks is None else _solve_rotated(h, *blocks, perm, pp.rest_energy, tol)
+    es = None
+    if pp.rest_energy > 0 and len(h) <= MAX_DIM:
+        es = _solve_rotated(h, reflection_permutation(grid), pp.rest_energy, tol)
     return eigendecompose(h, tol) if es is None else es
 
 

@@ -139,35 +139,68 @@ def eta_inner(f, g, eta) -> complex:
     return complex(np.vdot(fv, em @ gv))
 
 
+#: Largest spectrum paired in a plain Python loop.  Below about this size
+#: numpy's cost per call outweighs its vectorised nearest-partner search.
+LOOP_PAIRING_MAX = 32
+
+
 def classify_spectrum(values, tol: float = 1e-8) -> str:
     """Sort a spectrum into all_real / conjugate_pairs / mixed.
 
     A value is real when |Im| <= tol * max(1, |value|).  Otherwise a
     greedy matching (sorted by Re, then |Im|) pairs each value with the
-    nearest conjugate partner; if every value is matched the spectrum is
-    conjugate-paired, else mixed.  Real values pair with themselves.
+    nearest conjugate partner, the lowest index among equals; if every value
+    is matched the spectrum is conjugate-paired, else mixed.  Real values
+    pair with themselves.
     """
     vals = np.asarray(values, dtype=np.complex128).ravel()
     is_real = np.abs(vals.imag) <= tol * np.maximum(1.0, np.abs(vals))
     if np.all(is_real):
         return ALL_REAL
-    order = sorted(range(len(vals)), key=lambda i: (vals[i].real, abs(vals[i].imag)))
-    unmatched = set(order)
-    for i in order:
-        if i not in unmatched:
+    pair = _pair_by_loop if len(vals) <= LOOP_PAIRING_MAX else _pair_vectorised
+    return CONJUGATE_PAIRS if pair(vals, is_real, tol) else MIXED
+
+
+def _pair_by_loop(vals: np.ndarray, is_real: np.ndarray, tol: float) -> bool:
+    """``classify_spectrum``'s greedy pairing over Python complex numbers."""
+    v, real = vals.tolist(), is_real.tolist()
+    taken = [False] * len(v)  # visited or matched
+    for i in sorted(range(len(v)), key=lambda i: (v[i].real, abs(v[i].imag))):
+        if taken[i]:
             continue
-        unmatched.discard(i)
-        if is_real[i]:
+        taken[i] = True
+        if real[i]:
             continue
-        best_j, best_d = -1, np.inf
-        for j in unmatched:
-            d = abs(vals[i] - np.conj(vals[j]))
-            if d < best_d:
-                best_j, best_d = j, d
-        if best_j < 0 or not best_d <= tol * max(1.0, abs(vals[i])):
-            return MIXED
-        unmatched.discard(best_j)
-    return CONJUGATE_PAIRS
+        # (distance, index): the lowest index wins a tie
+        best = min(((abs(v[i] - w.conjugate()), j) for j, w in enumerate(v) if not taken[j]),
+                   default=None)
+        if best is None or not best[0] <= tol * max(1.0, abs(v[i])):
+            return False
+        taken[best[1]] = True
+    return True
+
+
+def _pair_vectorised(vals: np.ndarray, is_real: np.ndarray, tol: float) -> bool:
+    """``classify_spectrum``'s greedy pairing, each search one numpy pass."""
+    order = np.lexsort((np.abs(vals.imag), vals.real))  # stable: ties by index
+    partners = vals.conj()
+    # a value stays a candidate partner until it is visited or matched
+    unmatched = np.ones(len(vals), dtype=bool)
+    visited = 0
+    for rank in np.flatnonzero(~is_real[order]).tolist():
+        i = order[rank]
+        unmatched[order[visited:rank]] = False  # real values pair with themselves
+        visited = rank + 1
+        if not unmatched[i]:
+            continue
+        unmatched[i] = False
+        dist = np.abs(vals[i] - partners)
+        dist[~unmatched] = np.inf
+        j = int(np.argmin(dist))  # the lowest index among equals
+        if not dist[j] <= tol * max(1.0, abs(vals[i])):
+            return False
+        unmatched[j] = False
+    return True
 
 
 def evolve(h, t: float, pp: PhysParams) -> np.ndarray:

@@ -451,6 +451,16 @@ def test_solve_dirac_takes_the_real_route_at_a_double_zero_mode():
     assert es.residual <= 1e-14
 
 
+def test_solve_dirac_builds_h_once_and_solves_the_product_once():
+    # the 2N fallback needs H, and the traced benchmark sees its build
+    g = make_grid(math.pi, 48)
+    with mock.patch.object(gridmod, "build_dirac_grid", wraps=build_dirac_grid) as built:
+        es, solved = _solve_counted(solve_dirac, COS, g, PP, FOURIER)
+    assert built.call_count == 1
+    assert solved == [((48, 48), np.float64)]
+    assert es.vectors.shape == (96, 96) and es.residual <= 1e-14
+
+
 @pytest.mark.parametrize("pp, spec", [
     (PhysParams(m0=0.0), COS),  # the map would divide by E + m0 c^2 = 0 at E = 0
     (PP, PotentialSpec.cosine(1e100, 1)),  # ||R+ R-||_F overflows, ||H||_F does not

@@ -8,7 +8,8 @@ and the four potential families, sampled values included: the derivative
 reflects odd bit for bit, the Dirac spectrum pairs as +-E, and it equals
 the spectrum mapped from the N x N reduced operator.  ``solve_dirac``
 returns a spectrum closed under negation and conjugation bit for bit,
-certified against the 2N operator, from one real N x N solve, and
+certified against the 2N operator (its certificate is the dense
+||Hv - Ev|| / max(1, ||H||_F) to rounding), from one real N x N solve, and
 ``solve_reduced`` the reduced spectrum, closed under conjugation bit for
 bit and certified against the complex reduced operator.
 """
@@ -170,7 +171,10 @@ def test_solve_dirac_takes_the_real_route(case):
     with mock.patch.object(gridmod, "eigendecompose", wraps=eigendecompose) as solves:
         es = solve_dirac(spec, grid, pp, scheme)
     h, u = build_dirac_grid(spec, grid, pp, scheme), build_reduced(spec, grid, pp, scheme)
-    assert _certificate(h, es) <= DEFAULT_TOL
+    dense = _certificate(h, es)
+    assert dense <= DEFAULT_TOL
+    # the blockwise, real certificate is the dense one to rounding
+    assert abs(es.residual - dense) <= 1e-15
     real_route = solves.call_count == 1 and solves.call_args.args[0].shape == u.shape
     if real_route:
         values = np.sort_complex(es.values)

@@ -1,17 +1,23 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from conftest import spectrum_gap
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pseudospec import linalg
 from pseudospec.errors import ConvergenceFailure, DimensionMismatch, NotHermitian
 from pseudospec.linalg import (
+    PANEL,
     adjoint,
     eigendecompose,
     frob_distance,
     frob_norm,
     mat_exp,
+    max_column_residual,
     min_eig_hermitian_part,
+    real_times_complex,
 )
 from pseudospec.metric import make_metric
 
@@ -140,6 +146,59 @@ def test_eigendecompose_refuses_a_non_finite_real_matrix():
 def test_eigendecompose_dimension_cap():
     with pytest.raises(DimensionMismatch):
         eigendecompose(np.eye(1025))
+
+
+# The transpose of an inverse is F-contiguous, so .view(float64) needs a copy.
+_LAYOUTS = {
+    "C": lambda w: w,
+    "F": np.asfortranarray,
+    "column slice": lambda w: w[:, ::2],
+    "inv(W).T": lambda w: np.linalg.inv(w).T,
+}
+
+
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
+def test_real_times_complex_is_the_complex_product(layout):
+    rng = np.random.default_rng(31)
+    r = rng.normal(size=(40, 40))
+    x = _LAYOUTS[layout](rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40)))
+    before = x.copy()
+    got = real_times_complex(r, x)
+    expected = r.astype(complex) @ x
+    assert got.dtype == np.complex128 and got.shape == expected.shape
+    assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(r) * np.linalg.norm(x)
+    assert np.array_equal(x, before)
+
+
+def _diagonal_system(n, bad):
+    """diag(0..n-1) with exact unit eigenvectors, except column ``bad`` of them."""
+    vectors = np.eye(n, dtype=complex)
+    vectors[:, bad] = 0
+    vectors[[bad - 1, bad], bad] = 2**-0.5  # off by 1/sqrt(2) in the residual
+    return np.arange(n, dtype=float), vectors
+
+
+def test_max_column_residual_reaches_the_last_partial_panel():
+    n = 300  # panels of 128, 128 and 44 columns
+    a = np.diag(np.arange(n, dtype=float))
+    values, vectors = _diagonal_system(n, n - 1)
+    assert max_column_residual(a.__matmul__, vectors, values) == pytest.approx(2**-0.5)
+    assert max_column_residual(a.__matmul__, np.eye(n), values) == 0.0
+    vectors[0, 0] = np.nan
+    assert np.isnan(max_column_residual(a.__matmul__, vectors, values))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_eigendecompose_refuses_a_bad_pair_in_the_last_partial_panel(dtype):
+    n = 300
+    a = np.diag(np.arange(n)).astype(dtype)
+    values, vectors = _diagonal_system(n, n - 1)
+    with mock.patch.object(np.linalg, "eig", return_value=(values.astype(dtype), vectors)), \
+         mock.patch.object(linalg, "real_times_complex", wraps=real_times_complex) as real:
+        with pytest.raises(ConvergenceFailure, match="exceeds tolerance"):
+            eigendecompose(a)
+    # a real matrix is applied in real arithmetic, one panel at a time
+    assert real.call_count == (-(-n // PANEL) if dtype is float else 0)
 
 
 def test_min_eig_identity():

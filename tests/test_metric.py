@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from pseudospec import metric
 from pseudospec.errors import (
     ComplexSpectrum,
     DimensionMismatch,
@@ -221,6 +226,67 @@ def test_classify_conjugation_invariance():
         vals[rng.integers(0, 6)] = vals[0].conjugate()
         kind = classify_spectrum(vals, 1e-8)
         assert classify_spectrum(np.conj(vals), 1e-8) == kind
+
+
+def _classify_by_loop(values, tol=1e-8):
+    """classify_spectrum's conjugate pairing as a pure-Python greedy loop.
+
+    The reference for the vectorised pairing: values sorted by (Re, |Im|),
+    each unmatched one paired with the nearest unmatched conjugate, ties to
+    the lowest index (the ascending iteration over a set of small ints).
+    """
+    vals = np.asarray(values, dtype=np.complex128).ravel()
+    is_real = np.abs(vals.imag) <= tol * np.maximum(1.0, np.abs(vals))
+    if np.all(is_real):
+        return ALL_REAL
+    order = sorted(range(len(vals)), key=lambda i: (vals[i].real, abs(vals[i].imag)))
+    unmatched = set(order)
+    for i in order:
+        if i not in unmatched:
+            continue
+        unmatched.discard(i)
+        if is_real[i]:
+            continue
+        best_j, best_d = -1, np.inf
+        for j in sorted(unmatched):
+            d = abs(vals[i] - np.conj(vals[j]))
+            if d < best_d:
+                best_j, best_d = j, d
+        if best_j < 0 or not best_d <= tol * max(1.0, abs(vals[i])):
+            return MIXED
+        unmatched.discard(best_j)
+    return CONJUGATE_PAIRS
+
+
+# Eighths are exact in binary, so distances tie exactly; the small
+# imaginary parts straddle the default tol's reality cut.
+_EIGHTHS = st.integers(-6, 6).map(lambda k: k / 8)
+_NEAR_REAL = st.sampled_from([0.0, 5e-9, -5e-9, 1e-8, -1e-8, 1.5e-8, -1.5e-8, 3e-8])
+_VALUE = st.one_of(
+    st.builds(complex, _EIGHTHS, _EIGHTHS),
+    st.builds(complex, _EIGHTHS, _NEAR_REAL),
+    st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_VALUE, max_size=20), st.lists(_VALUE, max_size=6), st.randoms(),
+       st.sampled_from([1e-8, 3 / 32, 1 / 8, 1 / 4]))
+# -1 + 1j sits at 1/8 from the conjugates of both -7/8 - 1j and -1 - 9/8j;
+# taking the lower index leaves -1 - 9/8j without a partner
+@example([], [-1 + 1j, -0.875 - 1j, -1 - 1.125j, -0.875 + 1j], None, 3 / 32)
+# 0.25 + 5e-9j is real, and paired with itself before 0.5 + 1e-8j is visited
+@example([], [-0.625 - 0.25j, -0.375 - 0.375j, -0.375 + 0.25j, 0.5 + 1e-8j, 0.25 + 5e-9j],
+         None, 1 / 4)
+def test_classify_pairs_as_the_greedy_loop(paired, loose, rnd, tol):
+    values = paired + [v.conjugate() for v in paired] + loose
+    if rnd is not None:
+        rnd.shuffle(values)
+    expected = _classify_by_loop(values, tol)
+    assert classify_spectrum(values, tol) == expected
+    # the vectorised search, which spectra above LOOP_PAIRING_MAX values take
+    with mock.patch.object(metric, "LOOP_PAIRING_MAX", -1):
+        assert classify_spectrum(values, tol) == expected
 
 
 def test_evolve_basics():
