@@ -42,9 +42,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     MAX_DIM,
-    PANEL,
     EigenSystem,
-    adjoint,
     as_cmatrix,
     eigendecompose,
     frob_norm,
@@ -321,21 +319,24 @@ def build_dirac_grid(
     return assemble_dirac_blocks(*_gated(spec, grid, scheme), pp)
 
 
-def _real_blocks(y: np.ndarray, v: np.ndarray, perm: np.ndarray):
-    """R+- = Q^dag (cP +- V) Q for Q = P+ + i P-, P+- = (I +- R)/2, or None.
+def _solve_root(y: np.ndarray, v: np.ndarray, perm: np.ndarray, tol: float):
+    """(A, eigendecompose(A)) for A = R+ R, the real matrix of both grid routes, or None.
 
-    Q^dag A Q = (A + R A R)/2 + i (R A - A R)/2.  For A = cP +- V, with
-    cP = iY, Y = -c hbar D, and V = diag(v), the imaginary part cancels
-    exactly when R Y R = -Y bit for bit and v is exactly even, and the real
-    part is then K +- V with K = -(R Y - Y R)/2: real symmetric blocks built
-    by indexing, with no complex temporaries.  Otherwise (v even only to the
-    evenness gate's tolerance, say) None.
+    With Q = P+ + i P-, P+- = (I +- R)/2, the blocks cP +- V = iY +- V, with
+    Y = -c hbar D and V = diag(v), become R+- = Q^dag (cP +- V) Q = K +- V,
+    K = -(R Y - Y R)/2, real symmetric when R Y R = -Y bit for bit and v is
+    exactly even.  Then R R+ R = -R-, so R+ R- = -A^2, and A = K R + V R is
+    Y with v added at the entries (j, perm[j]), exactly.  None where v is
+    even only to the evenness gate's tolerance, say, or the solve fails.
     """
     if not (np.array_equal(v, v[perm]) and np.array_equal(y[np.ix_(perm, perm)], -y)):
         return None
-    k = -0.5 * (y[perm] - y[:, perm])
-    vd = np.diag(v)
-    return k + vd, k - vd
+    a = y.copy()
+    a[np.arange(len(v)), perm] += v
+    try:
+        return a, eigendecompose(a, tol)
+    except ConvergenceFailure:
+        return None
 
 
 def _apply_q(x: np.ndarray, perm: np.ndarray) -> np.ndarray:
@@ -343,31 +344,25 @@ def _apply_q(x: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return 0.5 * ((1 + 1j) * x + (1 - 1j) * x[perm])
 
 
-def _solve_product(plus: np.ndarray, minus: np.ndarray, tol: float):
-    """eigendecompose(R+ R-), the one real N x N solve, or None where it fails."""
-    product = plus @ minus
-    # eigendecompose certifies the product against its own norm, which
-    # overflows from about ||H||_F = 1e77, long before the norm of H does
-    with np.errstate(over="ignore"):
-        if not math.isfinite(frob_norm(product)):
-            return None
-    try:
-        es = eigendecompose(product, tol)
-    except ConvergenceFailure:
+def _certified(apply, vectors: np.ndarray, values: np.ndarray, norm: float, tol: float):
+    """``max_column_residual`` relative to ``norm``, or None past ``tol`` or overflowed."""
+    with np.errstate(all="ignore"):
+        worst = max_column_residual(apply, vectors, values)
+    if not (math.isfinite(worst) and math.isfinite(norm)):
         return None
-    # C-contiguous, so that real_times_complex takes the vectors without a copy
-    return EigenSystem(es.values, np.ascontiguousarray(es.vectors), es.residual)
+    resid = relative_residual(worst, norm)
+    return resid if resid <= tol else None
 
 
 def _solve_rotated(h: np.ndarray, perm: np.ndarray, rest: float, tol: float):
     """The eigensystem of ``h`` from one real N x N solve, or None if uncertified.
 
-    With the real blocks R+- of ``_real_blocks``, the eigenvectors w of
-    R+ R- give E = +s, s = sqrt(eps + rest^2), as [Q w; Q R- w / (s + rest)],
-    and the left ones u, the columns of inv(W)^T (eigenvectors of
-    R- R+ = (R+ R-)^T), give -s as [Q R+ u / (-s - rest); Q u].  Re s >= 0,
-    so both denominators are at least rest in modulus.  None also where
-    ||H||_F overflows or a block is not exactly real.
+    In the basis diag(Q, Q R), ``h`` is [[rest I, A], [-A, -rest I]] with A
+    of ``_solve_root``.  An eigenpair (mu, x) of A gives E = +s, with
+    s = sqrt((rest - mu)(rest + mu)), the vector [x; beta x], and E = -s the
+    vector [beta x; x], where beta = -mu / (s + rest).  Re s >= 0, so the
+    denominator is at least rest in modulus.  None also where ||H||_F
+    overflows or a block is not exactly real.
     """
     norm = frob_norm(h)
     if not math.isfinite(norm):
@@ -376,22 +371,24 @@ def _solve_rotated(h: np.ndarray, perm: np.ndarray, rest: float, tol: float):
     coupling = h[:n, n:]  # cP + V = iY + V
     y = np.ascontiguousarray(coupling.imag)
     v = coupling.real.diagonal()
-    blocks = _real_blocks(y, v, perm)
-    es = None if blocks is None else _solve_product(*blocks, tol)
-    if es is None:
+    solved = _solve_root(y, v, perm, tol)
+    if solved is None:
         return None
-    plus, minus = blocks
-    try:
-        # C-contiguous too, copied before vectors exists
-        left = np.ascontiguousarray(np.linalg.inv(es.vectors).T)
-    except np.linalg.LinAlgError:
-        return None
-    root = np.sqrt(es.values + rest * rest)
+    mu, x = solved[1].values, solved[1].vectors  # A's eigenpairs
+    with np.errstate(all="ignore"):
+        root = np.sqrt((rest - mu) * (rest + mu))
+        beta = -mu / (root + rest)
+        unit = 1 / np.hypot(1.0, np.abs(beta))  # Q and R keep the norm of [x; beta x]
     values = np.concatenate([root, -root])
     order = sort_by_re_im(values)
     values = values[order]
-    slot = np.argsort(order)  # where each column lands in sorted order
+    # column j of the sorted vectors comes from x[:, order[j] % n]; the halves
+    # are mapped back by Q and by Q R
     vectors = np.empty((2 * n, 2 * n), dtype=np.complex128)
+    np.take(_apply_q(x, perm), order % n, axis=1, out=vectors[:n])
+    np.take(_apply_q(x[perm], perm), order % n, axis=1, out=vectors[n:])
+    vectors[:n] *= np.concatenate([unit, beta * unit])[order]
+    vectors[n:] *= np.concatenate([beta * unit, unit])[order]
 
     def apply_h(x):
         # H [t; b] = [m t + v b + i Y b; i Y t - v t - m b], applied by blocks
@@ -404,28 +401,8 @@ def _solve_rotated(h: np.ndarray, perm: np.ndarray, rest: float, tol: float):
         bottom -= v[:, None] * t + rest * b
         return np.concatenate([top, bottom])
 
-    def rotated(block, x, denominator):
-        # divided in place: the assembly of vectors sets the route's peak memory
-        out = real_times_complex(block, x)
-        out /= denominator
-        return out
-
-    # Nearly parallel columns of W (a product with a Jordan block at a value
-    # that H does not repeat) overflow inv(W); the certificate refuses them.
-    with np.errstate(all="ignore"):
-        vectors[:n, slot[:n]] = es.vectors
-        vectors[n:, slot[:n]] = rotated(minus, es.vectors, root + rest)
-        vectors[:n, slot[n:]] = rotated(plus, left, -(root + rest))
-        vectors[n:, slot[n:]] = left
-        for j in range(0, 2 * n, PANEL):
-            cols = vectors[:, j:j + PANEL]
-            cols /= np.linalg.norm(cols, axis=0)  # Q is unitary: the norm is kept
-            cols[:n], cols[n:] = _apply_q(cols[:n], perm), _apply_q(cols[n:], perm)
-        worst = max_column_residual(apply_h, vectors, values)
-    if not math.isfinite(worst):
-        return None
-    resid = relative_residual(worst, norm)
-    return EigenSystem(values, vectors, resid) if resid <= tol else None
+    resid = _certified(apply_h, vectors, values, norm, tol)
+    return None if resid is None else EigenSystem(values, vectors, resid)
 
 
 def solve_dirac(
@@ -438,18 +415,19 @@ def solve_dirac(
     """Eigensystem of the 2N x 2N Dirac operator from one real N x N solve.
 
     The reflection R splits the grid into even and odd parts; in the basis
-    Q = P+ + i P- the blocks cP +- V become real symmetric matrices R+-,
-    and E = +-sqrt(eps + (m0 c^2)^2) for the eigenvalues eps of R+ R-, which
-    LAPACK solves in real arithmetic (dgeev).  So the values are closed under
-    negation and conjugation exactly.  Every eigenpair is certified against
-    the 2N operator: ||H v - E v|| / max(1, ||H||_F) <= tol for unit v, with
-    H applied by its blocks, in real arithmetic and PANEL columns at a time.
+    diag(Q, Q R), Q = P+ + i P-, H is [[m I, A], [-A, -m I]] with m = m0 c^2
+    and A a real N x N matrix (``_solve_root``), which LAPACK solves in real
+    arithmetic (dgeev).  Each eigenvalue mu of A gives E = +-sqrt(m^2 - mu^2),
+    so the values are closed under negation and conjugation exactly, and
+    carry an error of about rounding x ||H||, as the 2N solve's do.  Every
+    eigenpair is certified against the 2N operator:
+    ||H v - E v|| / max(1, ||H||_F) <= tol for unit v, with H applied by its
+    blocks, in real arithmetic and ``linalg.PANEL`` columns at a time.
 
     The complex 2N solve (``eigendecompose`` of the operator) is taken
-    instead, with its errors, when m0 c^2 = 0, when 2N exceeds MAX_DIM,
-    when V is not exactly even or when the real route's solve or
-    certificate fails.  eps carries an absolute error of about
-    rounding x ||H||^2, against rounding x ||H|| for the 2N solve.
+    instead, with its errors, when m0 c^2 = 0 (a zero mode of A would divide
+    by E + m0 c^2 = 0), when 2N exceeds MAX_DIM, when V is not exactly even
+    or when the real route's solve or certificate fails.
     """
     h = build_dirac_grid(spec, grid, pp, scheme)
     es = None
@@ -490,16 +468,27 @@ def _assemble_reduced(d, v, spec: PotentialSpec, grid: Grid1D, pp: PhysParams, f
 
 
 def _solve_real_reduced(d, v, grid: Grid1D, pp: PhysParams, form: str, tol: float):
-    """eigendecompose(R+ R-) for ``product_exact``, or None where that route fails.
+    """U's eigensystem from A of ``_solve_root`` for ``product_exact``, or None.
 
-    U = (cP+V)(cP-V) = Q R+ R- Q^dag with Q unitary, so U has the values of
-    R+ R-, its eigenvectors are Q w for those w of R+ R-, and the real
-    solve's certificate is U's to rounding.
+    U = (cP+V)(cP-V) = Q R+ R- Q^dag = -Q A^2 Q^dag, Q unitary, so an
+    eigenpair (mu, x) of A gives U the value eps = -mu^2 and the unit vector
+    Q x, certified against A^2, U in the Q basis to rounding.
     """
     if form != PRODUCT_EXACT:
         return None
-    blocks = _real_blocks(-(pp.c * pp.hbar) * d, v, reflection_permutation(grid))
-    return None if blocks is None else _solve_product(*blocks, tol)
+    perm = reflection_permutation(grid)
+    solved = _solve_root(-(pp.c * pp.hbar) * d, v, perm, tol)
+    if solved is None:
+        return None
+    a, es = solved
+    square = a @ a
+    mu2 = es.values**2
+    order = sort_by_re_im(-mu2)
+    x = es.vectors[:, order]
+    with np.errstate(over="ignore"):
+        norm = frob_norm(square)
+    resid = _certified(lambda cols: real_times_complex(square, cols), x, mu2[order], norm, tol)
+    return None if resid is None else EigenSystem(-mu2[order], _apply_q(x, perm), resid)
 
 
 def solve_reduced(
@@ -512,20 +501,19 @@ def solve_reduced(
 ) -> EigenSystem:
     """Eigensystem of the reduced operator of ``build_reduced``.
 
-    For ``product_exact`` it comes from one real N x N solve (dgeev) of
-    R+ R-, the blocks of ``solve_dirac``: the values are the eigenvalues
-    eps of (cP+V)(cP-V), closed under conjugation exactly, and the unit
-    vectors are Q w.  The complex solve ``eigendecompose(build_reduced(...))``
-    is taken instead, with its errors, for ``analytic_U``, when V is not
-    exactly even (sampled values pass the evenness gate to 1e-8), when the
-    norm of R+ R- overflows or when the real solve's certificate fails.
+    For ``product_exact`` it comes from one real N x N solve (dgeev) of A,
+    the matrix of ``solve_dirac``: (cP+V)(cP-V) is unitarily similar to
+    -A^2, so its values are eps = -mu^2 for the eigenvalues mu of A, closed
+    under conjugation exactly, and its unit vectors are Q x for A's vectors
+    x, each pair certified against A^2 at ``tol``.  The complex solve
+    ``eigendecompose(build_reduced(...))`` is taken instead, with its
+    errors, for ``analytic_U``, when V is not exactly even (sampled values
+    pass the evenness gate to 1e-8), or when the real solve or its
+    certificate fails, the norm of A^2 overflowing included.
     """
     d, v = _gated(spec, grid, scheme)
     es = _solve_real_reduced(d, v, grid, pp, form, tol)
-    if es is None:
-        return eigendecompose(_assemble_reduced(d, v, spec, grid, pp, form), tol)
-    vectors = _apply_q(es.vectors, reflection_permutation(grid))
-    return EigenSystem(es.values, vectors, es.residual)
+    return es or eigendecompose(_assemble_reduced(d, v, spec, grid, pp, form), tol)
 
 
 def solve_pair(
@@ -600,16 +588,21 @@ def reduction_identity_mismatch(dirac_values, reduced_values, pp: PhysParams) ->
 def grid_parity_residual(matrix: np.ndarray, grid: Grid1D) -> float:
     """||P_D H P_D^-1 - H^dag||_F / max(1, ||H||_F), computed exactly.
 
-    P_D = diag(R, -R) is applied as an index permutation plus sign flips,
-    so no rounding enters beyond the entries of H itself.
+    P_D = diag(R, -R) is applied block by block, as an index permutation
+    plus a sign on the off-diagonal blocks, so no rounding enters beyond the
+    entries of H itself and no 2N x 2N temporary is made.
     """
     h = as_cmatrix(matrix)
     n = grid.n_points
     perm = reflection_permutation(grid)
-    pd = np.concatenate([perm, n + perm])
-    sign = np.concatenate([np.ones(n), -np.ones(n)])
-    conj = sign[:, None] * h[np.ix_(pd, pd)] * sign[None, :]
-    return relative_residual(conj - adjoint(h), h)
+    top, bottom = slice(None, n), slice(n, None)
+    norms = [
+        # block (rows, cols) of P_D H P_D^-1 is sign x R H[rows, cols] R
+        frob_norm(sign * h[rows, cols][np.ix_(perm, perm)] - h[cols, rows].conj().T)
+        for rows, cols, sign in ((top, top, 1), (top, bottom, -1),
+                                 (bottom, top, -1), (bottom, bottom, 1))
+    ]
+    return relative_residual(math.hypot(*norms), h)
 
 
 def reflection_conjugation_residual(matrix: np.ndarray, grid: Grid1D) -> float:

@@ -5,6 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from conftest import spectrum_gap
 from pseudospec import grid as gridmod
 from pseudospec.cli import main
 from pseudospec.errors import (
@@ -271,13 +272,18 @@ def test_constant_potential_matches_closed_form_per_mode():
 
 
 def test_grid_parity_pseudo_hermiticity_even_and_odd():
-    g = make_grid(math.pi, 32)
-    op = build_dirac_grid(PotentialSpec.cosine(1.0, 1), g, PP, FOURIER)
-    assert grid_parity_residual(op, g) <= 1e-12 * max(1.0, frob_norm(op))
-    # negative control: deliberately odd potential through the raw assembler
-    d = derivative_matrix(g, FOURIER)
-    h_odd = assemble_dirac_blocks(d, np.sin(g.points), PP)
-    assert grid_parity_residual(h_odd, g) >= 1e-3
+    for g, scheme in ((make_grid(math.pi, 32), FOURIER),
+                      (make_grid(math.pi, 33, DIRICHLET), CENTRAL2)):
+        op = build_dirac_grid(PotentialSpec.cosine(1.0, 1), g, PP, scheme)
+        assert grid_parity_residual(op, g) == 0.0  # exactly even V, exact index work
+        # negative control: deliberately odd potential through the raw assembler
+        h_odd = assemble_dirac_blocks(derivative_matrix(g, scheme), np.sin(g.points), PP)
+        resid = grid_parity_residual(h_odd, g)
+        assert resid >= 1e-3
+        r = np.eye(g.n_points)[reflection_permutation(g)]
+        p_d = np.block([[r, 0 * r], [0 * r, -r]])  # its own inverse
+        dense = frob_norm(p_d @ h_odd @ p_d - h_odd.conj().T) / frob_norm(h_odd)
+        assert resid == pytest.approx(dense, rel=1e-14)
 
 
 # --------------------------------------------------------- reduced forms
@@ -438,8 +444,8 @@ COS = PotentialSpec.cosine(1.0, 1)
 
 
 def test_solve_dirac_takes_the_real_route_at_a_double_zero_mode():
-    # cos x on 32 fourier points: the product (cP+V)(cP-V) has a double zero,
-    # so E = m0 c^2 and E = -m0 c^2 come from one eps; the left vectors give -E
+    # cos x on 32 fourier points: A has a double zero, so E = m0 c^2 and
+    # E = -m0 c^2 each come twice, from [x; 0] and [0; x] of one vector x
     g = make_grid(math.pi, 32)
     es, solved = _solve_counted(solve_dirac, COS, g, PP, FOURIER)
     assert solved == [((32, 32), np.float64)]
@@ -451,7 +457,7 @@ def test_solve_dirac_takes_the_real_route_at_a_double_zero_mode():
     assert es.residual <= 1e-14
 
 
-def test_solve_dirac_builds_h_once_and_solves_the_product_once():
+def test_solve_dirac_builds_h_once_and_solves_a_once():
     # the 2N fallback needs H, and the traced benchmark sees its build
     g = make_grid(math.pi, 48)
     with mock.patch.object(gridmod, "build_dirac_grid", wraps=build_dirac_grid) as built:
@@ -461,16 +467,45 @@ def test_solve_dirac_builds_h_once_and_solves_the_product_once():
     assert es.vectors.shape == (96, 96) and es.residual <= 1e-14
 
 
+@pytest.mark.parametrize("pp, spec, g, scheme", [
+    # ||R+ R-||_F overflowed on the product route; A's norm is ||H||'s order
+    (PP, PotentialSpec.cosine(1e100, 1), make_grid(math.pi, 32), FOURIER),
+    # V = 0 on an 8-point central2 ring: R+ R- is symmetric with a double zero,
+    # and dgeev returned nearly parallel vectors for it (cond 5e34), which
+    # sent the product route to the 2N solve; A = Y is antisymmetric, so normal
+    (PhysParams(c=1.656717209063133, hbar=0.805960793635073), PotentialSpec.constant(0.0),
+     make_grid(4.090021194496235, 8), CENTRAL2),
+], ids=["huge potential", "free central2 ring"])
+def test_solve_dirac_takes_the_real_route(pp, spec, g, scheme):
+    es, solved = _solve_counted(solve_dirac, spec, g, pp, scheme)
+    n = g.n_points
+    assert solved == [((n, n), np.float64)]
+    h = build_dirac_grid(spec, g, pp, scheme)
+    norm = frob_norm(h)
+    resid = np.linalg.norm(h @ es.vectors - es.vectors * es.values, axis=0).max()
+    assert resid / norm <= 1e-14 and es.residual <= 1e-14
+    # scaled by ||H||_F: at g = 1e100 both solves put E = 0 at about 1e84
+    assert spectrum_gap(es.values / norm, eigendecompose(h).values / norm) <= 1e-14
+
+
 @pytest.mark.parametrize("pp, spec", [
-    (PhysParams(m0=0.0), COS),  # the map would divide by E + m0 c^2 = 0 at E = 0
-    (PP, PotentialSpec.cosine(1e100, 1)),  # ||R+ R-||_F overflows, ||H||_F does not
-], ids=["massless", "huge potential"])
+    (PhysParams(m0=0.0), COS),  # a zero mode of A would divide by E + m0 c^2 = 0
+], ids=["massless"])
 def test_solve_dirac_takes_the_2n_solve(pp, spec):
     g = make_grid(math.pi, 32)
     es, solved = _solve_counted(solve_dirac, spec, g, pp, FOURIER)
     assert solved == [((64, 64), np.complex128)]
     expected = eigendecompose(build_dirac_grid(spec, g, pp, FOURIER)).values
     assert np.array_equal(es.values, expected)
+
+
+def test_solve_dirac_matches_the_2n_solve_to_rounding_x_norm():
+    # The product route's eps carried rounding x ||H||^2: 1.2e-9 here.
+    g = make_grid(math.pi, 256)
+    pp = PhysParams(m0=1e-3)
+    es = solve_dirac(COS, g, pp, CENTRAL2)
+    dense = eigendecompose(build_dirac_grid(COS, g, pp, CENTRAL2)).values
+    assert spectrum_gap(es.values, dense) <= 1e-12
 
 
 def test_solve_dirac_refuses_beyond_max_dim_with_the_2n_error():
@@ -498,13 +533,14 @@ def _off_by_1e10():
     return PotentialSpec.samples(g.points, v)
 
 
-@pytest.mark.parametrize("spec, form, tol", [
-    (COS, ANALYTIC_U, 1e-10),  # its d @ d is not exactly reflection-symmetric
-    (_off_by_1e10(), PRODUCT_EXACT, 1e-10),
-    (PotentialSpec.cosine(1e100, 1), PRODUCT_EXACT, 1e-10),  # ||R+ R-||_F overflows
-    (COS, PRODUCT_EXACT, 1e-17),  # the real solve fails its certificate first
+@pytest.mark.parametrize("spec, form, tol, real_first", [
+    (COS, ANALYTIC_U, 1e-10, False),  # its d @ d is not exactly reflection-symmetric
+    (_off_by_1e10(), PRODUCT_EXACT, 1e-10, False),
+    # A is solved, but ||A^2||_F overflows, as the complex solve's norm does
+    (PotentialSpec.cosine(1e100, 1), PRODUCT_EXACT, 1e-10, True),
+    (COS, PRODUCT_EXACT, 1e-17, True),  # the real solve fails its certificate first
 ], ids=["analytic_U", "samples even to 1e-10", "huge potential", "unreachable tolerance"])
-def test_solve_reduced_takes_the_complex_solve(spec, form, tol):
+def test_solve_reduced_takes_the_complex_solve(spec, form, tol, real_first):
     g = make_grid(math.pi, 16)
     # the complex solve's norm overflows for the huge potential, as in the CLI
     with np.errstate(over="ignore"):
@@ -513,8 +549,7 @@ def test_solve_reduced_takes_the_complex_solve(spec, form, tol):
             expected = eigendecompose(build_reduced(spec, g, PP, FOURIER, form), tol)
         except (PseudospecError, ValueError) as exc:
             expected = exc
-    assert solved[-1] == ((16, 16), np.complex128)
-    assert len(solved) == (2 if tol < 1e-16 else 1)
+    assert solved == [((16, 16), np.float64)] * real_first + [((16, 16), np.complex128)]
     if isinstance(expected, Exception):
         assert type(out) is type(expected) and str(out) == str(expected)
     else:

@@ -11,7 +11,9 @@ returns a spectrum closed under negation and conjugation bit for bit,
 certified against the 2N operator (its certificate is the dense
 ||Hv - Ev|| / max(1, ||H||_F) to rounding), from one real N x N solve, and
 ``solve_reduced`` the reduced spectrum, closed under conjugation bit for
-bit and certified against the complex reduced operator.
+bit and certified against the complex reduced operator.  That solve is of
+A = R+ R, where R+- are the real blocks in the reflection basis, and the
+identity R R+ R = -R- it rests on holds bit for bit.
 """
 
 import math
@@ -157,6 +159,26 @@ def test_grid_invariants(case):
     assert reduction_identity_mismatch(dirac.values, reduced.values, pp) <= 1e-8
 
 
+@settings(max_examples=100, deadline=None)
+@given(_grid_cases())
+def test_the_real_blocks_reflect_into_each_other(case):
+    # R+- = K +- V are the real blocks Q^dag (cP +- V) Q; R R+ R = -R- bit for
+    # bit makes R+ R- = -A^2, with A = R+ R the matrix both real routes solve
+    spec, grid, pp, scheme = case
+    perm = reflection_permutation(grid)
+    y = -(pp.c * pp.hbar) * derivative_matrix(grid, scheme)
+    v = spec.values(grid)
+    k = -0.5 * (y[perm] - y[:, perm])
+    plus, minus = k + np.diag(v), k - np.diag(v)
+    assert np.array_equal(plus[np.ix_(perm, perm)], -minus)
+    assert np.array_equal(gridmod._solve_root(y, v, perm, DEFAULT_TOL)[0], plus[:, perm])
+    n = grid.n_points
+    q = 0.5 * ((1 + 1j) * np.eye(n) + (1 - 1j) * np.eye(n)[perm])
+    for block, sign in ((plus, 1), (minus, -1)):
+        rotated = q.conj().T @ (1j * y + sign * np.diag(v)) @ q
+        assert np.abs(rotated - block).max() <= 1e-14 * max(1.0, np.abs(block).max())
+
+
 def _certificate(h, es) -> float:
     """max_i ||H v_i - E_i v_i|| / max(1, ||H||_F), recomputed densely."""
     assert np.allclose(np.linalg.norm(es.vectors, axis=0), 1.0, rtol=0, atol=1e-12)
@@ -175,22 +197,15 @@ def test_solve_dirac_takes_the_real_route(case):
     assert dense <= DEFAULT_TOL
     # the blockwise, real certificate is the dense one to rounding
     assert abs(es.residual - dense) <= 1e-15
-    real_route = solves.call_count == 1 and solves.call_args.args[0].shape == u.shape
-    if real_route:
-        values = np.sort_complex(es.values)
-        assert np.array_equal(values, np.sort_complex(-es.values))
-        assert np.array_equal(values, np.sort_complex(es.values.conj()))
+    # every drawn potential is exactly even and m0 > 0: one real solve of A
+    assert [(c.args[0].shape, c.args[0].dtype) for c in solves.call_args_list] == [
+        (u.shape, np.float64)]
+    values = np.sort_complex(es.values)
+    assert np.array_equal(values, np.sort_complex(-es.values))
+    assert np.array_equal(values, np.sort_complex(es.values.conj()))
     dirac, reduced = eigendecompose(h), eigendecompose(u)
     if _well_conditioned(h, dirac, u, reduced, pp):
         assert spectrum_gap(es.values, dirac.values) <= 1e-8
-        # Simple, well-conditioned eigenvalues of R+ R- (unitarily similar to
-        # u) give it a well-conditioned eigenvector basis.  At a repeated one
-        # (V = 0 on a central2 ring, say) dgeev may return nearly parallel
-        # vectors, and solve_dirac rightly falls back.
-        eps = reduced.values
-        gaps = np.abs(np.subtract.outer(eps, eps))[np.triu_indices(len(eps), 1)]
-        if gaps.min() > 1e-6 * max(1.0, np.abs(eps).max()):
-            assert real_route
 
 
 @settings(max_examples=100, deadline=None)
