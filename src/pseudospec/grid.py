@@ -42,6 +42,7 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     MAX_DIM,
+    PANEL,
     EigenSystem,
     as_cmatrix,
     eigendecompose,
@@ -379,16 +380,18 @@ def _solve_rotated(h: np.ndarray, perm: np.ndarray, rest: float, tol: float):
         root = np.sqrt((rest - mu) * (rest + mu))
         beta = -mu / (root + rest)
         unit = 1 / np.hypot(1.0, np.abs(beta))  # Q and R keep the norm of [x; beta x]
+        upper = np.concatenate([unit, beta * unit])
+        lower = np.concatenate([beta * unit, unit])
     values = np.concatenate([root, -root])
     order = sort_by_re_im(values)
-    values = values[order]
-    # column j of the sorted vectors comes from x[:, order[j] % n]; the halves
-    # are mapped back by Q and by Q R
+    values, upper, lower = values[order], upper[order], lower[order]
+    cols = order % n  # column j of the sorted vectors comes from x[:, cols[j]]
     vectors = np.empty((2 * n, 2 * n), dtype=np.complex128)
-    np.take(_apply_q(x, perm), order % n, axis=1, out=vectors[:n])
-    np.take(_apply_q(x[perm], perm), order % n, axis=1, out=vectors[n:])
-    vectors[:n] *= np.concatenate([unit, beta * unit])[order]
-    vectors[n:] *= np.concatenate([beta * unit, unit])[order]
+    for j in range(0, 2 * n, PANEL):  # in panels: vectors sets the route's peak memory
+        span = slice(j, j + PANEL)
+        panel = x[:, cols[span]]
+        vectors[:n, span] = _apply_q(panel, perm) * upper[span]  # Q on the top half
+        vectors[n:, span] = _apply_q(panel[perm], perm) * lower[span]  # Q R below
 
     def apply_h(x):
         # H [t; b] = [m t + v b + i Y b; i Y t - v t - m b], applied by blocks
