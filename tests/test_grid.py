@@ -476,7 +476,7 @@ def test_solve_dirac_builds_h_once_and_solves_a_once():
     (PhysParams(c=1.656717209063133, hbar=0.805960793635073), PotentialSpec.constant(0.0),
      make_grid(4.090021194496235, 8), CENTRAL2),
 ], ids=["huge potential", "free central2 ring"])
-def test_solve_dirac_takes_the_real_route(pp, spec, g, scheme):
+def test_solve_dirac_takes_the_real_route_where_the_product_fell_back(pp, spec, g, scheme):
     es, solved = _solve_counted(solve_dirac, spec, g, pp, scheme)
     n = g.n_points
     assert solved == [((n, n), np.float64)]
@@ -500,7 +500,7 @@ def test_solve_dirac_takes_the_2n_solve(pp, spec):
 
 
 def test_solve_dirac_matches_the_2n_solve_to_rounding_x_norm():
-    # The product route's eps carried rounding x ||H||^2: 1.2e-9 here.
+    # eps of the product R+ R- carried rounding x ||H||^2, a 5.4e-10 gap here
     g = make_grid(math.pi, 256)
     pp = PhysParams(m0=1e-3)
     es = solve_dirac(COS, g, pp, CENTRAL2)
