@@ -7,10 +7,10 @@ Grammar::
                 --scheme central2|fourier] [--tol X] [--format json|csv]
                [--out PATH]
 
-Commands: spectrum, metric, verify, reduce, sweep, evolve, converge.
-Models: rashba (flags --lambda --kx --ky), scalar_const (--v0 --kx),
-scalar_grid (--potential ... plus grid flags).  Each model is one entry
-of MODELS, which every command reads.
+Commands: spectrum, metric, verify, reduce, sweep, evolve, converge, each
+one entry of COMMANDS.  Models: rashba (flags --lambda --kx --ky),
+scalar_const (--v0 --kx), scalar_grid (--potential ... plus grid flags),
+each one entry of MODELS, which every command reads.
 
 Exit codes: 0 success, 2 usage/parameter error, 3 solver failure,
 4 regime violation.  Errors are mirrored as one-line JSON on stderr.
@@ -37,6 +37,7 @@ from . import grid as gridmod
 from .errors import (
     ComplexSpectrum,
     ConvergenceFailure,
+    DimensionMismatch,
     ExceptionalPoint,
     NotHermitian,
     NotPositiveDefinite,
@@ -45,6 +46,7 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    MAX_DIM,
     adjoint,
     eigendecompose,
     frob_norm,
@@ -106,7 +108,7 @@ _PARAM_DEFAULTS = {"m0": 1.0, "c": 1.0, "hbar": 1.0, "mode": 1, "width": 1.0}
 
 @dataclass(frozen=True)
 class GridFlags:
-    """Grid, potential and reduced-form flags, each at its value when left out.
+    """Grid and potential flags, each at its value when left out.
 
     Only the grid model reads them; a 2x2 model refuses any of them.
     """
@@ -117,7 +119,6 @@ class GridFlags:
     scheme: str = gridmod.FOURIER
     potential: str = "constant"
     pot_file: str | None = None
-    form: str = gridmod.PRODUCT_EXACT
 
 
 @dataclass
@@ -136,6 +137,8 @@ class RunConfig:
     sweep_min: float = 0.0
     sweep_max: float = 0.0
     sweep_steps: int = 0
+    # reduce
+    form: str = gridmod.PRODUCT_EXACT
     # metric / evolve
     methods: tuple[str, ...] = ("spectral",)
     normalize: bool = False
@@ -198,6 +201,8 @@ def _grid_inputs(cfg: RunConfig):
     """(grid flags, potential, grid, physical parameters) of a grid command."""
     flags = GridFlags(**cfg.grid)
     pp = _phys(cfg)
+    if flags.grid_n > MAX_DIM:
+        raise DimensionMismatch(f"grid of {flags.grid_n} points exceeds limit {MAX_DIM}")
     g = gridmod.make_grid(flags.grid_l, flags.grid_n, flags.bc)
     return flags, _potential(cfg, flags), g, pp
 
@@ -411,7 +416,7 @@ MODELS = {
         # the component-eliminated operator, whose reality breaking is the
         # object of interest, at the swept value of the potential parameter
         sweep=lambda cfg, flags, spec, g, pp: gridmod.solve_reduced(
-            _potential(cfg, flags), g, pp, flags.scheme, flags.form, cfg.tol
+            _potential(cfg, flags), g, pp, flags.scheme, tol=cfg.tol
         ),
         verify=_verify_grid,
     ),
@@ -422,23 +427,19 @@ def _record(cfg: RunConfig, flags=None, spec=None, *_, **sections) -> ResultReco
     """Record of the run's model and parameters with the given sections.
 
     A grid command passes its inputs; of those the potential is recorded,
-    followed by the grid flags, without ``grid_n`` for ``converge``, whose
-    grid sizes are its --N values.
+    followed by the grid flags.
     """
     model = MODELS[cfg.model]
     params = {name: cfg.param(name) for name in ("m0", "c", "hbar", *model.params)}
     if spec is not None:
         params.update(spec.describe(), grid_L=flags.grid_l, grid_n=flags.grid_n,
                       bc=flags.bc, scheme=flags.scheme)
-        if cfg.command == "converge":
-            del params["grid_n"]
     params["tol"] = cfg.tol
     return ResultRecord(model=cfg.model, params=params, **sections)
 
 
 def run_spectrum(cfg: RunConfig) -> ResultRecord:
     """Numerical (and, for 2x2 models, analytic) spectrum with classification."""
-    _require_model(cfg, _ANY)
     model = MODELS[cfg.model]
     inputs = model.load(cfg)
     es, analytic = model.spectrum(cfg, *inputs)
@@ -454,7 +455,8 @@ def run_spectrum(cfg: RunConfig) -> ResultRecord:
 def _metric_candidates(cfg: RunConfig, h) -> dict:
     model = MODELS[cfg.model]
     out: dict = {}
-    for method in cfg.methods:
+    # `all` runs the model's methods; a repeated method runs once
+    for method in model.methods if "all" in cfg.methods else dict.fromkeys(cfg.methods):
         if method == "spectral":
             out[method] = spectral_metric(h, normalize=cfg.normalize, tol=cfg.tol)
         elif method == "paper":
@@ -470,7 +472,6 @@ def _metric_candidates(cfg: RunConfig, h) -> dict:
 
 def run_metric(cfg: RunConfig) -> ResultRecord:
     """Construct the requested metric candidates and adjudicate each one."""
-    _require_model(cfg, _BLOCK)
     h = MODELS[cfg.model].matrix(cfg)
     candidates = _metric_candidates(cfg, h)
     reports = {name: check_metric(h, eta, cfg.tol) for name, eta in candidates.items()}
@@ -499,7 +500,6 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
     For the grid model the classified spectrum is the component-eliminated
     operator's, whose reality breaking is the object of interest.
     """
-    _require_model(cfg, _ANY)
     if cfg.sweep_param is None or cfg.sweep_steps < 2:
         raise ValueError("sweep needs --sweep-param, --sweep-min/max and --sweep-steps >= 2")
     inputs = MODELS[cfg.model].load(cfg)
@@ -554,10 +554,9 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
 
 def run_reduce(cfg: RunConfig) -> ResultRecord:
     """Grid solve: Dirac spectrum, component-eliminated spectrum, exact identity check."""
-    _require_model(cfg, _GRID)
     flags, spec, g, pp = _grid_inputs(cfg)
     *_, dirac_values, reduced_values, mismatch = gridmod.solve_pair(
-        spec, g, pp, flags.scheme, flags.form, cfg.tol
+        spec, g, pp, flags.scheme, cfg.form, cfg.tol
     )
     mapped = gridmod.reduced_to_dirac_energies(reduced_values, pp)
     mapped = mapped[sort_by_re_im(mapped)]
@@ -569,7 +568,7 @@ def run_reduce(cfg: RunConfig) -> ResultRecord:
         eigenvalues=complex_table(dirac_values),
         classification=classify_spectrum(dirac_values, cfg.tol),
         reduction={
-            "form": flags.form,
+            "form": cfg.form,
             "identity_mismatch": mismatch,
             "reduced_classification": reduced_kind,
             "reduced_eigenvalues": complex_table(reduced_values),
@@ -580,7 +579,6 @@ def run_reduce(cfg: RunConfig) -> ResultRecord:
 
 def run_verify(cfg: RunConfig) -> ResultRecord:
     """Certification battery for the chosen model at the given parameters."""
-    _require_model(cfg, _ANY)
     model = MODELS[cfg.model]
     inputs = model.load(cfg)
     checks = model.verify(cfg, *inputs)
@@ -595,7 +593,6 @@ def run_verify(cfg: RunConfig) -> ResultRecord:
 
 def run_evolve(cfg: RunConfig) -> ResultRecord:
     """Propagator checks: eta-pseudo-unitarity versus naive unitarity."""
-    _require_model(cfg, _BLOCK)
     pp = _phys(cfg)
     h = MODELS[cfg.model].matrix(cfg)
     eta = spectral_metric(h, normalize=cfg.normalize, tol=cfg.tol)
@@ -615,7 +612,6 @@ def run_evolve(cfg: RunConfig) -> ResultRecord:
 
 def run_converge(cfg: RunConfig) -> ResultRecord:
     """Grid-refinement study of the lowest-|E| eigenvalue."""
-    _require_model(cfg, _GRID)
     if not cfg.ns:
         raise ValueError("converge needs at least one --N")
     flags = GridFlags(**cfg.grid)
@@ -637,35 +633,70 @@ def run_converge(cfg: RunConfig) -> ResultRecord:
         tol=cfg.tol,
         track_level=cfg.track_level,
     )
-    return _record(
-        cfg,
-        flags,
-        spec,
-        study={
-            "scheme": flags.scheme,
-            "track_level": cfg.track_level,
-            "ref_n": study.ref_n,
-            "ref_value": study.ref_value,
-            "rows": [{"n": n, "error": err} for n, err in study.rows],
-        },
-    )
+    record = _record(cfg, flags, spec, study={
+        "scheme": flags.scheme,
+        "track_level": cfg.track_level,
+        "ref_n": study.ref_n,
+        "ref_value": study.ref_value,
+        "rows": [{"n": n, "error": err} for n, err in study.rows],
+    })
+    del record.params["grid_n"]  # its grid sizes are the --N values
+    return record
 
 
-_RUNNERS = {
-    "spectrum": run_spectrum,
-    "metric": run_metric,
-    "verify": run_verify,
-    "reduce": run_reduce,
-    "sweep": run_sweep,
-    "evolve": run_evolve,
-    "converge": run_converge,
+@dataclass(frozen=True)
+class Command:
+    """One command: its runner, the models it takes, its help line, its own flags."""
+
+    run: Callable[[RunConfig], ResultRecord]
+    models: tuple[str, ...]
+    help: str
+    flags: tuple[tuple[str, dict], ...] = ()  # (name, add_argument keywords) each
+
+
+_NORMALIZE = ("--normalize", dict(action="store_true",
+                                  help="unit-norm eigenvectors in the spectral sum"))
+
+COMMANDS = {
+    "spectrum": Command(run_spectrum, _ANY,
+                        "eigenvalues (numerical + closed form) and classification"),
+    "metric": Command(run_metric, _BLOCK, "construct and adjudicate metric candidates", (
+        _NORMALIZE,
+        ("--method", dict(dest="methods", action="append",
+                          choices=("spectral", "paper", "diagonal", "all"),
+                          help="repeatable; default spectral")),
+    )),
+    "verify": Command(run_verify, _ANY, "run the full certification battery"),
+    "reduce": Command(run_reduce, _GRID,
+                      "grid solve with the exact component-elimination identity", (
+        ("--form", dict(choices=(gridmod.PRODUCT_EXACT, gridmod.ANALYTIC_U))),
+    )),
+    "sweep": Command(run_sweep, _ANY, "1-parameter sweep with reality-threshold bisection", (
+        ("--sweep-param", dict(required=True)),
+        ("--sweep-min", dict(type=float, required=True)),
+        ("--sweep-max", dict(type=float, required=True)),
+        ("--sweep-steps", dict(type=int, required=True)),
+    )),
+    "evolve": Command(run_evolve, _BLOCK, "propagator pseudo-unitarity checks", (
+        _NORMALIZE,
+        ("--t", dict(dest="times", action="append", type=float,
+                     help="repeatable evolution time; default 1.0")),
+    )),
+    "converge": Command(run_converge, _GRID, "grid-refinement convergence study", (
+        ("--N", dict(dest="ns", action="append", type=int, help="repeatable grid size; ascending")),
+        ("--track-level", dict(dest="track_level", type=int,
+                               help="which distinct |E| level to follow (0 = lowest)")),
+    )),
 }
 
 
 def run(cfg: RunConfig) -> ResultRecord:
-    if cfg.command not in _RUNNERS:
+    """The command's record, once its model and that model's flags are accepted."""
+    if cfg.command not in COMMANDS:
         raise ValueError(f"unknown command {cfg.command!r}")
-    return _RUNNERS[cfg.command](cfg)
+    command = COMMANDS[cfg.command]
+    _require_model(cfg, command.models)
+    return command.run(cfg)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -688,16 +719,10 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = p.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("spectrum", "eigenvalues (numerical + closed form) and classification"),
-        ("metric", "construct and adjudicate metric candidates"),
-        ("verify", "run the full certification battery"),
-        ("reduce", "grid solve with the exact component-elimination identity"),
-        ("sweep", "1-parameter sweep with reality-threshold bisection"),
-        ("evolve", "propagator pseudo-unitarity checks"),
-        ("converge", "grid-refinement convergence study"),
-    ):
-        sp = sub.add_parser(name, help=doc, argument_default=argparse.SUPPRESS)
+    for name, command in COMMANDS.items():
+        # no abbreviations: '--t' is evolve's time, not the prefix of --tol
+        sp = sub.add_parser(name, help=command.help, argument_default=argparse.SUPPRESS,
+                            allow_abbrev=False)
         sp.add_argument("--model", choices=tuple(MODELS))
         sp.add_argument("--m0", type=float)
         sp.add_argument("--c", type=float)
@@ -706,47 +731,21 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="imaginary spin-orbit coupling strength (rashba)")
         sp.add_argument("--kx", type=float)
         sp.add_argument("--ky", type=float)
-        sp.add_argument("--v0", type=float,
-                        help="scalar potential strength (scalar models)")
+        sp.add_argument("--v0", type=float, help="scalar potential strength (scalar models)")
         sp.add_argument("--grid-L", dest="grid_l", type=float)
         sp.add_argument("--grid-n", dest="grid_n", type=int)
         sp.add_argument("--bc", choices=(gridmod.PERIODIC, gridmod.DIRICHLET))
         sp.add_argument("--scheme", choices=(gridmod.CENTRAL2, gridmod.FOURIER))
         sp.add_argument("--potential", choices=tuple(gridmod.FAMILIES))
-        sp.add_argument("--g", type=float,
-                        help="amplitude for cosine/gaussian potentials")
-        sp.add_argument("--mode", type=int,
-                        help="cosine mode number")
-        sp.add_argument("--width", type=float,
-                        help="gaussian width")
-        sp.add_argument("--file", dest="pot_file",
-                        help="CSV file for the samples potential")
+        sp.add_argument("--g", type=float, help="amplitude for cosine/gaussian potentials")
+        sp.add_argument("--mode", type=int, help="cosine mode number")
+        sp.add_argument("--width", type=float, help="gaussian width")
+        sp.add_argument("--file", dest="pot_file", help="CSV file for the samples potential")
         sp.add_argument("--tol", type=float)
         sp.add_argument("--format", dest="fmt", choices=(JSON, CSV))
         sp.add_argument("--out")
-        if name == "sweep":
-            sp.add_argument("--sweep-param", required=True)
-            sp.add_argument("--sweep-min", type=float, required=True)
-            sp.add_argument("--sweep-max", type=float, required=True)
-            sp.add_argument("--sweep-steps", type=int, required=True)
-        if name in ("metric", "evolve"):
-            sp.add_argument("--normalize", action="store_true",
-                            help="unit-norm eigenvectors in the spectral sum")
-        if name == "metric":
-            sp.add_argument("--method", dest="methods", action="append",
-                            choices=("spectral", "paper", "diagonal", "all"),
-                            help="repeatable; default spectral")
-        if name == "evolve":
-            sp.add_argument("--t", dest="times", action="append", type=float,
-                            help="repeatable evolution time; default 1.0")
-        if name == "reduce":
-            sp.add_argument("--form",
-                            choices=(gridmod.PRODUCT_EXACT, gridmod.ANALYTIC_U))
-        if name == "converge":
-            sp.add_argument("--N", dest="ns", action="append", type=int,
-                            help="repeatable grid size; ascending")
-            sp.add_argument("--track-level", dest="track_level", type=int,
-                            help="which distinct |E| level to follow (0 = lowest)")
+        for flag, options in command.flags:
+            sp.add_argument(flag, **options)
     return p
 
 
@@ -765,15 +764,9 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
     if "tol" not in args:
         args["tol"] = float(os.environ.get("PSEUDOSPEC_TOL") or DEFAULT_TOL)
     validate_tol(args["tol"])
-    for key in ("methods", "times", "ns"):
-        if key in args:
-            args[key] = tuple(args[key])
-    cfg = RunConfig(params=params, grid=grid, **args)
-    if "all" in cfg.methods:
-        cfg.methods = MODELS[cfg.model].methods
-    else:
-        cfg.methods = tuple(dict.fromkeys(cfg.methods))
-    return cfg
+    # a repeatable flag gives a list; RunConfig holds tuples
+    args = {key: tuple(v) if isinstance(v, list) else v for key, v in args.items()}
+    return RunConfig(params=params, grid=grid, **args)
 
 
 _NEGATIVE_NUMBER = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")

@@ -34,6 +34,7 @@ import numpy as np
 from .errors import (
     AsymmetricGrid,
     ConvergenceFailure,
+    DimensionMismatch,
     NoAnalyticDerivative,
     OddPotential,
     SampleGridMismatch,
@@ -666,9 +667,13 @@ def convergence_study(
     """
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("Ns must be a non-empty ascending list")
+    if track_level < 0:
+        raise ValueError(f"track level must be >= 0, got {track_level}")
     ref_n = REF_FACTOR * max(ns)
     if bc == DIRICHLET and ref_n % 2 == 0:
         ref_n += 1
+    if ref_n > MAX_DIM:
+        raise DimensionMismatch(f"reference grid of {ref_n} points exceeds limit {MAX_DIM}")
 
     def tracked(n: int) -> float:
         es = solve_dirac(spec, make_grid(half_length, n, bc), pp, scheme, tol)

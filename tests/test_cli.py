@@ -9,10 +9,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pseudospec import grid as gridmod
 from pseudospec.cli import (
     EXIT_REGIME,
     EXIT_USAGE,
     RunConfig,
+    _build_parser,
     main,
     run_converge,
     run_evolve,
@@ -571,3 +573,135 @@ def test_converge_refuses_sampled_potential_before_reading_it(name, capsys):
     error = json.loads(captured.err.splitlines()[0])["error"]
     assert error["type"] == "ValueError"
     assert "reference grid has 4x the largest --N points" in error["message"]
+
+
+# ------------------------------------------------- per-command flags and models
+
+_SWEEP_FLAGS = ["--sweep-param", "lambda", "--sweep-min", "0", "--sweep-max", "1",
+                "--sweep-steps", "2"]
+_COMMANDS = ("spectrum", "metric", "verify", "reduce", "sweep", "evolve", "converge")
+# flag, its value words, the RunConfig field it sets, the commands that take it
+_OWN_FLAGS = [
+    ("--sweep-param", ["lambda"], "sweep_param", ("sweep",)),
+    ("--sweep-min", ["0"], "sweep_min", ("sweep",)),
+    ("--sweep-max", ["1"], "sweep_max", ("sweep",)),
+    ("--sweep-steps", ["2"], "sweep_steps", ("sweep",)),
+    ("--method", ["all"], "methods", ("metric",)),
+    ("--normalize", [], "normalize", ("metric", "evolve")),
+    ("--t", ["2"], "times", ("evolve",)),
+    ("--form", ["product_exact"], "form", ("reduce",)),
+    ("--N", ["8"], "ns", ("converge",)),
+    ("--track-level", ["1"], "track_level", ("converge",)),
+]
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+@pytest.mark.parametrize("flag, value, dest, owners", _OWN_FLAGS,
+                         ids=[flag for flag, *_ in _OWN_FLAGS])
+def test_each_command_takes_only_its_own_flags(flag, value, dest, owners, command, capsys):
+    # '--t' and '--form' are also prefixes of '--tol' and '--format'
+    argv = [command, *(_SWEEP_FLAGS if command == "sweep" else []), flag, *value]
+    if command in owners:
+        assert dest in vars(_build_parser().parse_args(argv))
+        return
+    assert main([*argv, "--model", "rashba"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = f"unrecognized arguments: {' '.join([flag, *value])}"
+    assert captured.err.splitlines() == [
+        json.dumps({"error": {"type": "ValueError", "message": message}})
+    ]
+
+
+_MODEL_FLAGS = {
+    "rashba": ["--lambda", "0.5", "--kx", "1"],
+    "scalar_const": ["--v0", "0.5", "--kx", "1"],
+    "scalar_grid": ["--potential", "cosine", "--g", "0.5"],
+}
+_SWEPT = {"rashba": "lambda", "scalar_const": "v0", "scalar_grid": "g"}
+_BLOCK_MODELS = "('rashba', 'scalar_const')"
+_REFUSED = {
+    ("metric", "scalar_grid"): _BLOCK_MODELS,
+    ("evolve", "scalar_grid"): _BLOCK_MODELS,
+    ("reduce", "rashba"): "('scalar_grid',)",
+    ("reduce", "scalar_const"): "('scalar_grid',)",
+    ("converge", "rashba"): "('scalar_grid',)",
+    ("converge", "scalar_const"): "('scalar_grid',)",
+}
+
+
+@pytest.mark.parametrize("model", list(_MODEL_FLAGS))
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_each_command_refuses_the_models_it_does_not_take(command, model, capsys):
+    argv = [command, "--model", model, *_MODEL_FLAGS[model]]
+    if model == "scalar_grid" and command != "converge":
+        argv += ["--grid-n", "16"]
+    if command == "sweep":
+        argv += ["--sweep-param", _SWEPT[model], *_SWEEP_FLAGS[2:]]
+    if command == "converge":
+        argv += ["--N", "8"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    if (command, model) not in _REFUSED:
+        assert code == 0, captured.err
+        assert "supports models" not in captured.err
+        return
+    assert code == EXIT_USAGE and captured.out == ""
+    message = (f"command {command!r} supports models {_REFUSED[command, model]}, "
+               f"got {model!r}")
+    assert captured.err.splitlines() == [
+        json.dumps({"error": {"type": "ValueError", "message": message}})
+    ]
+
+
+# ------------------------------------------------------- oversized grid inputs
+
+_COSINE_GRID = ["--model", "scalar_grid", "--potential", "cosine", "--g", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spectrum", *_COSINE_GRID, "--grid-n", "30000"],
+         "grid of 30000 points exceeds limit 1024"),
+        (["reduce", *_COSINE_GRID, "--grid-n", "1025"], "grid of 1025 points exceeds limit 1024"),
+        (["sweep", *_COSINE_GRID, "--grid-n", "1025", "--sweep-param", "g", "--sweep-min", "0",
+          "--sweep-max", "1", "--sweep-steps", "2"], "grid of 1025 points exceeds limit 1024"),
+        (["converge", *_COSINE_GRID, "--N", "8", "--N", "300"],
+         "reference grid of 1200 points exceeds limit 1024"),
+        # a dirichlet reference grid is rounded up to odd: 4 x 256 + 1
+        (["converge", *_COSINE_GRID, "--bc", "dirichlet", "--scheme", "central2", "--N", "256"],
+         "reference grid of 1025 points exceeds limit 1024"),
+    ],
+    ids=["spectrum", "reduce", "sweep", "converge", "converge-dirichlet"],
+)
+def test_oversized_grids_are_refused_before_any_matrix(argv, message, monkeypatch, capsys):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a derivative matrix was built")
+
+    monkeypatch.setattr(gridmod, "derivative_matrix", refuse)
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        json.dumps({"error": {"type": "DimensionMismatch", "message": message}})
+    ]
+
+
+def test_converge_refuses_a_negative_track_level_before_any_solve(monkeypatch, capsys):
+    calls = []
+    original = gridmod.eigendecompose
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gridmod, "eigendecompose", counted)
+    code = main(["converge", "--model", "scalar_grid", "--potential", "cosine", "--g", "0.5",
+                 "--N", "8", "--N", "16", "--track-level", "-1"])
+    captured = capsys.readouterr()
+    assert calls == []
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err.splitlines() == [json.dumps(
+        {"error": {"type": "ValueError", "message": "track level must be >= 0, got -1"}}
+    )]
