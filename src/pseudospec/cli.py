@@ -89,8 +89,9 @@ EXIT_SOLVER = 3
 EXIT_REGIME = 4
 
 # Errors main reports as a JSON line on stderr; any other error propagates.
-# OverflowError comes from a closed form squaring a huge Python float.
-_REPORTED_ERRORS = (ValueError, OverflowError, FileNotFoundError, PseudospecError)
+# OverflowError comes from a closed form squaring a huge Python float, and
+# OSError from reading --file or writing --out.
+_REPORTED_ERRORS = (ValueError, OverflowError, OSError, PseudospecError)
 # Exit code of each reported error; the first matching row wins, so the
 # last row takes every other PseudospecError (odd potential, asymmetric
 # grid, dimension mismatch, ...) and overflow.  LinAlgError is a ValueError.
@@ -170,6 +171,8 @@ def _require_model(cfg: RunConfig, allowed: tuple[str, ...]) -> None:
     reads = ("m0", "c", "hbar", *MODELS[cfg.model].params)
     if cfg.model in _GRID:
         potential = GridFlags(**cfg.grid).potential
+        if potential not in gridmod.FAMILIES:
+            raise ValueError(f"unknown potential {potential!r}")
         model += f" with potential {potential!r}"
         reads += gridmod.FAMILIES[potential][0]
     elif cfg.grid:
@@ -191,8 +194,6 @@ def _potential(cfg: RunConfig, flags: GridFlags) -> gridmod.PotentialSpec:
         if not flags.pot_file:
             raise ValueError("samples potential needs --file PATH")
         return gridmod.PotentialSpec.from_csv(flags.pot_file)
-    if flags.potential not in gridmod.FAMILIES:
-        raise ValueError(f"unknown potential {flags.potential!r}")
     names, _ = gridmod.FAMILIES[flags.potential]
     return getattr(gridmod.PotentialSpec, flags.potential)(*map(cfg.param, names))
 
@@ -801,16 +802,16 @@ def main(argv: list[str] | None = None) -> int:
         # emit) with the JSON line; numpy's warning would print ahead of it.
         with np.errstate(over="ignore"):
             payload = emit(run(cfg), cfg.fmt)
+        elapsed_ms = int(round(1000 * (time.monotonic() - started)))
+        if cfg.out:
+            with open(cfg.out, "wb") as fh:
+                fh.write(payload)
+        else:
+            sys.stdout.buffer.write(payload)
+            sys.stdout.buffer.flush()
     except _REPORTED_ERRORS as exc:
         print(_error_json(exc), file=sys.stderr)
         return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
-    elapsed_ms = int(round(1000 * (time.monotonic() - started)))
-    if cfg.out:
-        with open(cfg.out, "wb") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.buffer.write(payload)
-        sys.stdout.buffer.flush()
     print(f"# runtime_ms={elapsed_ms}", file=sys.stderr)
     return 0
 

@@ -235,9 +235,9 @@ class PotentialSpec:
             header = next(reader, None)
             if header is None or [col.strip() for col in header[:2]] != ["x", "V"]:
                 raise ValueError(f"{path}: expected header 'x,V', got {header!r}")
-            for row in reader:
-                if not row:
-                    continue
+            for row in filter(None, reader):  # blank lines are skipped
+                if len(row) < 2:
+                    raise ValueError(f"{path}: line {reader.line_num}: expected x,V, got {row!r}")
                 xs.append(float(row[0]))
                 vs.append(float(row[1]))
         return cls.samples(xs, vs, source=path)
@@ -308,7 +308,9 @@ ANALYTIC_U = "analytic_U"
 
 
 def assemble_dirac_blocks(d: np.ndarray, v: np.ndarray, pp: PhysParams) -> np.ndarray:
-    """Raw block assembly [[mI, cP+V], [cP-V, -mI]]; no evenness gate."""
+    """Raw block assembly [[mI, cP+V], [cP-V, -mI]]; no evenness gate; 2N <= MAX_DIM."""
+    if 2 * len(v) > MAX_DIM:
+        raise DimensionMismatch(f"dimension {2 * len(v)} exceeds limit {MAX_DIM}")
     cp, vd = _coupling(d, v, pp)
     m = pp.rest_energy * np.eye(len(v))
     return np.block([[m, cp + vd], [cp - vd, -m]])
@@ -430,14 +432,13 @@ def solve_dirac(
 
     The complex 2N solve (``eigendecompose`` of the operator) is taken
     instead, with its errors, when m0 c^2 = 0 (a zero mode of A would divide
-    by E + m0 c^2 = 0), when 2N exceeds MAX_DIM, when V is not exactly even
-    or when the real route's solve or certificate fails.
+    by E + m0 c^2 = 0), when V is not exactly even or when the real route's
+    solve or certificate fails.
     """
     h = build_dirac_grid(spec, grid, pp, scheme)
-    es = None
-    if pp.rest_energy > 0 and len(h) <= MAX_DIM:
-        es = _solve_rotated(h, reflection_permutation(grid), pp.rest_energy, tol)
-    return eigendecompose(h, tol) if es is None else es
+    rest = pp.rest_energy
+    es = rest > 0 and _solve_rotated(h, reflection_permutation(grid), rest, tol)
+    return es or eigendecompose(h, tol)
 
 
 def build_reduced(
@@ -471,15 +472,13 @@ def _assemble_reduced(d, v, spec: PotentialSpec, grid: Grid1D, pp: PhysParams, f
     return as_cmatrix(matrix)
 
 
-def _solve_real_reduced(d, v, grid: Grid1D, pp: PhysParams, form: str, tol: float):
-    """U's eigensystem from A of ``_solve_root`` for ``product_exact``, or None.
+def _solve_real_reduced(d, v, grid: Grid1D, pp: PhysParams, tol: float):
+    """The ``product_exact`` U's eigensystem from A of ``_solve_root``, or None.
 
     U = (cP+V)(cP-V) = Q R+ R- Q^dag = -Q A^2 Q^dag, Q unitary, so an
     eigenpair (mu, x) of A gives U the value eps = -mu^2 and the unit vector
     Q x, certified against A^2, U in the Q basis to rounding.
     """
-    if form != PRODUCT_EXACT:
-        return None
     perm = reflection_permutation(grid)
     solved = _solve_root(-(pp.c * pp.hbar) * d, v, perm, tol)
     if solved is None:
@@ -500,24 +499,23 @@ def solve_reduced(
     grid: Grid1D,
     pp: PhysParams,
     scheme: str = FOURIER,
-    form: str = PRODUCT_EXACT,
     tol: float = DEFAULT_TOL,
 ) -> EigenSystem:
-    """Eigensystem of the reduced operator of ``build_reduced``.
+    """Eigensystem of the ``product_exact`` reduced operator of ``build_reduced``.
 
-    For ``product_exact`` it comes from one real N x N solve (dgeev) of A,
-    the matrix of ``solve_dirac``: (cP+V)(cP-V) is unitarily similar to
-    -A^2, so its values are eps = -mu^2 for the eigenvalues mu of A, closed
-    under conjugation exactly, and its unit vectors are Q x for A's vectors
-    x, each pair certified against A^2 at ``tol``.  The complex solve
+    It comes from one real N x N solve (dgeev) of A, the matrix of
+    ``solve_dirac``: (cP+V)(cP-V) is unitarily similar to -A^2, so its
+    values are eps = -mu^2 for the eigenvalues mu of A, closed under
+    conjugation exactly, and its unit vectors are Q x for A's vectors x,
+    each pair certified against A^2 at ``tol``.  The complex solve
     ``eigendecompose(build_reduced(...))`` is taken instead, with its
-    errors, for ``analytic_U``, when V is not exactly even (sampled values
-    pass the evenness gate to 1e-8), or when the real solve or its
-    certificate fails, the norm of A^2 overflowing included.
+    errors, when V is not exactly even (sampled values pass the evenness
+    gate to 1e-8), or when the real solve or its certificate fails, the
+    norm of A^2 overflowing included.
     """
     d, v = _gated(spec, grid, scheme)
-    es = _solve_real_reduced(d, v, grid, pp, form, tol)
-    return es or eigendecompose(_assemble_reduced(d, v, spec, grid, pp, form), tol)
+    es = _solve_real_reduced(d, v, grid, pp, tol)
+    return es or eigendecompose(_assemble_reduced(d, v, spec, grid, pp, PRODUCT_EXACT), tol)
 
 
 def solve_pair(
@@ -534,14 +532,16 @@ def solve_pair(
     with H the 2N x 2N Dirac operator and U the reduced one of ``form``.  H
     is solved by the complex 2N ``eigendecompose`` (zgeev): where the
     reduction identity is the claim, that solve is its independent check.
-    U is solved as by ``solve_reduced``.  Both matrices are built before
-    either solve, so a build error comes first.
+    U is solved as by ``solve_reduced`` for ``product_exact``, by the complex
+    N solve otherwise.  Both matrices are built before either solve, so a
+    build error comes first, a 2N past MAX_DIM before anything 2N exists.
     """
     d, v = _gated(spec, grid, scheme)
     h = assemble_dirac_blocks(d, v, pp)
     u = _assemble_reduced(d, v, spec, grid, pp, form)
     dirac = eigendecompose(h, tol).values
-    reduced = (_solve_real_reduced(d, v, grid, pp, form, tol) or eigendecompose(u, tol)).values
+    real = form == PRODUCT_EXACT and _solve_real_reduced(d, v, grid, pp, tol)
+    reduced = (real or eigendecompose(u, tol)).values
     return d, h, u, dirac, reduced, reduction_identity_mismatch(dirac, reduced, pp)
 
 

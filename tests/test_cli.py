@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import math
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,11 +14,13 @@ from hypothesis import strategies as st
 
 from pseudospec import grid as gridmod
 from pseudospec.cli import (
+    COMMANDS,
     EXIT_REGIME,
     EXIT_USAGE,
     RunConfig,
     _build_parser,
     main,
+    run,
     run_converge,
     run_evolve,
     run_metric,
@@ -688,6 +693,33 @@ def test_oversized_grids_are_refused_before_any_matrix(argv, message, monkeypatc
     ]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["spectrum", *_COSINE_GRID, "--grid-n", "1024"], "dimension 2048 exceeds limit 1024"),
+        (["reduce", *_COSINE_GRID, "--grid-n", "1024"], "dimension 2048 exceeds limit 1024"),
+        (["reduce", *_COSINE_GRID, "--grid-n", "1024", "--form", "analytic_U"],
+         "dimension 2048 exceeds limit 1024"),
+        (["verify", *_COSINE_GRID, "--grid-n", "600"], "dimension 1200 exceeds limit 1024"),
+        (["converge", *_COSINE_GRID, "--N", "256"], "dimension 2048 exceeds limit 1024"),
+    ],
+    ids=["spectrum", "reduce", "reduce-analytic_U", "verify", "converge"],
+)
+def test_grids_past_half_the_limit_are_refused_before_h_or_u(argv, message, monkeypatch,
+                                                              capsys):
+    # within the point limit, but their 2N x 2N operator is past MAX_DIM
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a block of H or U was built")
+
+    monkeypatch.setattr(gridmod, "_coupling", refuse)
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        json.dumps({"error": {"type": "DimensionMismatch", "message": message}})
+    ]
+
+
 def test_converge_refuses_a_negative_track_level_before_any_solve(monkeypatch, capsys):
     calls = []
     original = gridmod.eigendecompose
@@ -705,3 +737,114 @@ def test_converge_refuses_a_negative_track_level_before_any_solve(monkeypatch, c
     assert captured.err.splitlines() == [json.dumps(
         {"error": {"type": "ValueError", "message": "track level must be >= 0, got -1"}}
     )]
+
+
+# ------------------------------------------------------------------ file errors
+
+_SAMPLES = ["--model", "scalar_grid", "--potential", "samples", "--grid-n", "8", "--file"]
+
+
+@pytest.mark.parametrize("case", ["directory", "short row", "unwritable out"])
+def test_file_errors_exit_2_with_one_json_line(case, tmp_path, capsys):
+    short = tmp_path / "short.csv"
+    short.write_text("x,V\n1\n", encoding="utf-8")
+    out = tmp_path / "missing" / "x.json"
+    argv, error_type, message = {
+        "directory": (["spectrum", *_SAMPLES, str(tmp_path)], "IsADirectoryError",
+                      f"[Errno 21] Is a directory: '{tmp_path}'"),
+        "short row": (["spectrum", *_SAMPLES, str(short)], "ValueError",
+                      f"{short}: line 2: expected x,V, got ['1']"),
+        "unwritable out": (["spectrum", "--model", "rashba", "--lambda", "0.5", "--kx", "1",
+                            "--out", str(out)], "FileNotFoundError",
+                           f"[Errno 2] No such file or directory: '{out}'"),
+    }[case]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""  # and no '# runtime_ms' line
+    assert captured.err.splitlines() == [
+        json.dumps({"error": {"type": error_type, "message": message}})
+    ]
+    assert not out.exists()
+
+
+def test_run_refuses_an_unknown_potential_with_the_model_check():
+    cfg = RunConfig(command="spectrum", model="scalar_grid", grid={"potential": "foo"})
+    with pytest.raises(ValueError, match=r"^unknown potential 'foo'$"):
+        run(cfg)
+
+
+# ----------------------------------------------------------- CLI contract fuzz
+
+_HOSTILE = ("0", "-1", "nan", "inf", "1e300", "abc")
+
+
+def _values(*valid):
+    # one value in ten is hostile, so that most draws reach the solvers
+    return st.integers(0, 9).flatmap(lambda i: st.sampled_from(valid if i else _HOSTILE))
+
+
+_FLOAT = _values("0.5", "1", "2")
+_FUZZ_VALUES = {
+    **dict.fromkeys(("--m0", "--c", "--hbar", "--lambda", "--kx", "--ky", "--v0", "--g",
+                     "--width", "--grid-L", "--t", "--sweep-min", "--sweep-max"), _FLOAT),
+    "--tol": _values("1e-10", "1e-8"),
+    "--format": _values("json", "csv"),
+    "--mode": _values("1", "2"),
+    "--grid-n": _values("8", "9", "16", "17", "1025", "30000"),
+    "--bc": _values("periodic", "dirichlet"),
+    "--scheme": _values("central2", "fourier"),
+    "--potential": _values(*gridmod.FAMILIES),
+    "--file": st.sampled_from([str(pathlib.Path(__file__).parent / "golden" / name)
+                               for name in ("cos16.csv", "missing.csv", "")]),
+    "--sweep-param": _values("lambda", "v0", "g", "width", "mode"),
+    "--sweep-steps": _values("1", "2", "6"),
+    "--method": _values("spectral", "paper", "diagonal", "all"),
+    "--normalize": st.none(),
+    "--form": _values(gridmod.PRODUCT_EXACT, gridmod.ANALYTIC_U),
+    "--N": _values("8", "9", "16", "17", "32"),
+    "--track-level": _values("0", "1"),
+}
+_PHYS = ("--m0", "--c", "--hbar", "--tol", "--format")
+_FUZZ_READS = {
+    "rashba": (*_PHYS, "--lambda", "--kx", "--ky"),
+    "scalar_const": (*_PHYS, "--v0", "--kx"),
+    "scalar_grid": (*_PHYS, "--grid-L", "--grid-n", "--bc", "--scheme", "--potential", "--g",
+                    "--mode", "--width", "--file"),
+}
+_COMMON_FLAGS = sorted({flag for reads in _FUZZ_READS.values() for flag in reads})
+
+
+@st.composite
+def _hostile_argv(draw):
+    # nearly always the command's own flags, some that the model reads, now and
+    # then one that it does not read
+    command = draw(st.sampled_from(list(COMMANDS)))
+    model = draw(_values(*COMMANDS[command].models))
+    flags = [flag for flag, _ in COMMANDS[command].flags if draw(st.integers(0, 9))]
+    reads = _FUZZ_READS.get(model, _PHYS)
+    flags += draw(st.lists(st.sampled_from(reads), max_size=len(reads), unique=True))
+    if draw(st.integers(0, 9)) == 0:
+        flags.append(draw(st.sampled_from(_COMMON_FLAGS)))
+    argv = [command, "--model", model]
+    for flag in flags:
+        value = draw(_FUZZ_VALUES[flag])
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_hostile_argv())
+def test_cli_contract_holds_on_hostile_argv(argv):
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+         contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, EXIT_USAGE, 3, EXIT_REGIME), argv
+    assert caught == [] and "Warning" not in err.getvalue(), argv
+    if code == 0:
+        assert lines and lines[-1].startswith("# runtime_ms="), argv
+    else:
+        assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}, argv

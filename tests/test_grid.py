@@ -225,6 +225,14 @@ def test_samples_header_required(tmp_path):
         PotentialSpec.from_csv(str(path))
 
 
+def test_samples_short_row_names_the_file_and_line(tmp_path):
+    path = tmp_path / "short_row.csv"
+    path.write_text("x,V\n0,1\n\n1\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        PotentialSpec.from_csv(str(path))
+    assert str(err.value) == f"{path}: line 4: expected x,V, got ['1']"
+
+
 def test_odd_potential_fails_gate(tmp_path):
     g = make_grid(math.pi, 16)
     path = tmp_path / "odd.csv"
@@ -509,10 +517,12 @@ def test_solve_dirac_matches_the_2n_solve_to_rounding_x_norm():
 
 
 def test_solve_dirac_refuses_beyond_max_dim_with_the_2n_error():
-    err, solved = _solve_counted(solve_dirac, COS, make_grid(math.pi, 513), PP, FOURIER)
+    # refused where H is assembled: no block of H, and no solve
+    with mock.patch.object(gridmod, "_coupling", side_effect=AssertionError("H was built")):
+        err, solved = _solve_counted(solve_dirac, COS, make_grid(math.pi, 513), PP, FOURIER)
     assert isinstance(err, DimensionMismatch)
     assert str(err) == "dimension 1026 exceeds limit 1024"
-    assert solved == [((1026, 1026), np.complex128)]
+    assert solved == []
 
 
 def test_solve_dirac_reports_the_2n_failure_at_an_unreachable_tolerance():
@@ -533,20 +543,19 @@ def _off_by_1e10():
     return PotentialSpec.samples(g.points, v)
 
 
-@pytest.mark.parametrize("spec, form, tol, real_first", [
-    (COS, ANALYTIC_U, 1e-10, False),  # its d @ d is not exactly reflection-symmetric
-    (_off_by_1e10(), PRODUCT_EXACT, 1e-10, False),
+@pytest.mark.parametrize("spec, tol, real_first", [
+    (_off_by_1e10(), 1e-10, False),
     # A is solved, but ||A^2||_F overflows, as the complex solve's norm does
-    (PotentialSpec.cosine(1e100, 1), PRODUCT_EXACT, 1e-10, True),
-    (COS, PRODUCT_EXACT, 1e-17, True),  # the real solve fails its certificate first
-], ids=["analytic_U", "samples even to 1e-10", "huge potential", "unreachable tolerance"])
-def test_solve_reduced_takes_the_complex_solve(spec, form, tol, real_first):
+    (PotentialSpec.cosine(1e100, 1), 1e-10, True),
+    (COS, 1e-17, True),  # the real solve fails its certificate first
+], ids=["samples even to 1e-10", "huge potential", "unreachable tolerance"])
+def test_solve_reduced_takes_the_complex_solve(spec, tol, real_first):
     g = make_grid(math.pi, 16)
     # the complex solve's norm overflows for the huge potential, as in the CLI
     with np.errstate(over="ignore"):
-        out, solved = _solve_counted(solve_reduced, spec, g, PP, FOURIER, form, tol)
+        out, solved = _solve_counted(solve_reduced, spec, g, PP, FOURIER, tol)
         try:
-            expected = eigendecompose(build_reduced(spec, g, PP, FOURIER, form), tol)
+            expected = eigendecompose(build_reduced(spec, g, PP, FOURIER), tol)
         except (PseudospecError, ValueError) as exc:
             expected = exc
     assert solved == [((16, 16), np.float64)] * real_first + [((16, 16), np.complex128)]
@@ -568,6 +577,17 @@ def test_solve_pair_keeps_the_complex_2n_solve():
     assert np.array_equal(dirac, eigendecompose(h).values)
     assert np.array_equal(reduced, solve_reduced(COS, g, PP, FOURIER).values)
     assert mismatch == reduction_identity_mismatch(dirac, reduced, PP)
+
+
+def test_solve_pair_takes_the_complex_n_solve_for_analytic_u():
+    # its d @ d is not exactly reflection-symmetric, and it is not the product A^2
+    g = make_grid(math.pi, 16)
+    (_, h, u, dirac, reduced, _), solved = _solve_counted(
+        solve_pair, COS, g, PP, FOURIER, ANALYTIC_U)
+    assert solved == [((32, 32), np.complex128), ((16, 16), np.complex128)]
+    assert np.array_equal(u, build_reduced(COS, g, PP, FOURIER, ANALYTIC_U))
+    assert np.array_equal(dirac, eigendecompose(h).values)
+    assert np.array_equal(reduced, eigendecompose(u).values)
 
 
 _COS_ARGV = ["--model", "scalar_grid", "--potential", "cosine", "--g", "1", "--grid-n", "16"]
