@@ -170,6 +170,9 @@ def _require_model(cfg: RunConfig, allowed: tuple[str, ...]) -> None:
     model = repr(cfg.model)
     reads = ("m0", "c", "hbar", *MODELS[cfg.model].params)
     if cfg.model in _GRID:
+        unknown = sorted(set(cfg.grid) - {f.name for f in fields(GridFlags)})
+        if unknown:
+            raise ValueError(f"unknown grid flags {tuple(unknown)}")
         potential = GridFlags(**cfg.grid).potential
         if potential not in gridmod.FAMILIES:
             raise ValueError(f"unknown potential {potential!r}")
@@ -798,9 +801,10 @@ def main(argv: list[str] | None = None) -> int:
         ns = _build_parser().parse_args(_join_negative_values(argv))
         started = time.monotonic()
         cfg = config_from_args(ns)
-        # An overflowed value is refused by its gate (relative_residual,
-        # emit) with the JSON line; numpy's warning would print ahead of it.
-        with np.errstate(over="ignore"):
+        # A non-finite value is refused by its gate (relative_residual,
+        # emit, finite matrix entries) with the JSON line; numpy's warning
+        # (overflow, invalid value, divide by zero) would print ahead of it.
+        with np.errstate(all="ignore"):
             payload = emit(run(cfg), cfg.fmt)
         elapsed_ms = int(round(1000 * (time.monotonic() - started)))
         if cfg.out:

@@ -290,6 +290,10 @@ def _gated(spec: PotentialSpec, grid: Grid1D, scheme: str):
     """D and V(x_j) for the grid builders, once V has passed the evenness gate."""
     d = derivative_matrix(grid, scheme)
     v = spec.values(grid)
+    bad = ~np.isfinite(v)
+    if bad.any():  # a NaN defect would pass the evenness gate below
+        j = int(np.argmax(bad))
+        raise ValueError(f"potential is not finite on the grid: V({grid.points[j]:.6g}) = {v[j]}")
     defect = float(np.max(np.abs(v - v[reflection_permutation(grid)])))
     if defect > FAMILIES[spec.family][1] * float(np.max(np.abs(v), initial=0.0)):
         raise OddPotential(
@@ -364,9 +368,9 @@ def _solve_rotated(h: np.ndarray, perm: np.ndarray, rest: float, tol: float):
     In the basis diag(Q, Q R), ``h`` is [[rest I, A], [-A, -rest I]] with A
     of ``_solve_root``.  An eigenpair (mu, x) of A gives E = +s, with
     s = sqrt((rest - mu)(rest + mu)), the vector [x; beta x], and E = -s the
-    vector [beta x; x], where beta = -mu / (s + rest).  Re s >= 0, so the
-    denominator is at least rest in modulus.  None also where ||H||_F
-    overflows or a block is not exactly real.
+    vector [beta x; x], where beta = -mu / (s + rest).  Re s >= 0, so s + rest
+    = 0 only at rest = mu = 0 exactly, where beta and the certificate are NaN.
+    None also where ||H||_F overflows or a block is not exactly real.
     """
     norm = frob_norm(h)
     if not math.isfinite(norm):
@@ -431,13 +435,12 @@ def solve_dirac(
     blocks, in real arithmetic and ``linalg.PANEL`` columns at a time.
 
     The complex 2N solve (``eigendecompose`` of the operator) is taken
-    instead, with its errors, when m0 c^2 = 0 (a zero mode of A would divide
-    by E + m0 c^2 = 0), when V is not exactly even or when the real route's
-    solve or certificate fails.
+    instead, with its errors, only when V is not exactly even (sampled values
+    pass the evenness gate to 1e-8), when ||H||_F overflows, or when the real
+    solve or its certificate fails.
     """
     h = build_dirac_grid(spec, grid, pp, scheme)
-    rest = pp.rest_energy
-    es = rest > 0 and _solve_rotated(h, reflection_permutation(grid), rest, tol)
+    es = _solve_rotated(h, reflection_permutation(grid), pp.rest_energy, tol)
     return es or eigendecompose(h, tol)
 
 
@@ -509,9 +512,9 @@ def solve_reduced(
     conjugation exactly, and its unit vectors are Q x for A's vectors x,
     each pair certified against A^2 at ``tol``.  The complex solve
     ``eigendecompose(build_reduced(...))`` is taken instead, with its
-    errors, when V is not exactly even (sampled values pass the evenness
-    gate to 1e-8), or when the real solve or its certificate fails, the
-    norm of A^2 overflowing included.
+    errors, only when V is not exactly even (sampled values pass the evenness
+    gate to 1e-8), when ||A^2||_F overflows, or when the real solve or its
+    certificate fails.
     """
     d, v = _gated(spec, grid, scheme)
     es = _solve_real_reduced(d, v, grid, pp, tol)

@@ -371,6 +371,41 @@ def test_evolve_overflow_writes_only_the_json_line():
     assert "overflows" in error["message"]
 
 
+_INF16 = str(pathlib.Path(__file__).parent / "golden" / "inf16.csv")  # cos16.csv, V = inf at +-2.75
+_GAUSS16 = ["--model", "scalar_grid", "--potential", "gaussian", "--grid-n", "16"]
+_RASHBA1 = ["--model", "rashba", "--lambda", "0.5", "--kx", "1"]
+_LAMBDA_SWEEP = ["sweep", *_RASHBA1, "--sweep-param", "lambda", "--sweep-steps", "3"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["reduce", *_GAUSS16, "--g", "1e300", "--width", "0.5"], "matrix entries must be finite"),
+    (["verify", *_GAUSS16, "--g", "1", "--width", "0.5", "--c", "1e154"],
+     "matrix entries must be finite"),
+    (["spectrum", *_GAUSS16, "--g", "1", "--width", "1e-300"],
+     "potential is not finite on the grid: V(0) = nan"),
+    (["spectrum", *_GAUSS16, "--g", "1", "--width", "0.5", "--grid-L", "5e-324"],
+     "matrix entries must be finite"),
+    (["verify", *_RASHBA1, "--hbar", "5e-324"], "matrix entries must be finite"),
+    ([*_LAMBDA_SWEEP, "--sweep-min", "0", "--sweep-max", "inf"], "matrix entries must be finite"),
+    ([*_LAMBDA_SWEEP, "--sweep-min", "-1e308", "--sweep-max", "1e308"],
+     "matrix entries must be finite"),
+    (["spectrum", "--model", "scalar_grid", "--potential", "samples", "--file", _INF16,
+      "--grid-n", "16"], "potential is not finite on the grid: V(-2.74889) = inf"),
+], ids=["reduce huge g", "verify huge c", "tiny width", "tiny grid-L", "tiny hbar",
+        "sweep to inf", "sweep past max float", "inf samples"])
+def test_non_finite_intermediates_write_only_the_json_line(argv, message, capsys):
+    # the invalid value or division that makes them warns in numpy
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == EXIT_USAGE
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        json.dumps({"error": {"type": "ValueError", "message": message}})
+    ]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -773,9 +808,15 @@ def test_run_refuses_an_unknown_potential_with_the_model_check():
         run(cfg)
 
 
+def test_run_refuses_unknown_grid_flags_with_the_model_check():
+    cfg = RunConfig(command="spectrum", model="scalar_grid", grid={"grid_m": 16, "bc_": 1})
+    with pytest.raises(ValueError, match=r"^unknown grid flags \('bc_', 'grid_m'\)$"):
+        run(cfg)
+
+
 # ----------------------------------------------------------- CLI contract fuzz
 
-_HOSTILE = ("0", "-1", "nan", "inf", "1e300", "abc")
+_HOSTILE = ("0", "-1", "nan", "inf", "1e300", "1e154", "1e-300", "5e-324", "abc")
 
 
 def _values(*valid):
@@ -795,7 +836,7 @@ _FUZZ_VALUES = {
     "--scheme": _values("central2", "fourier"),
     "--potential": _values(*gridmod.FAMILIES),
     "--file": st.sampled_from([str(pathlib.Path(__file__).parent / "golden" / name)
-                               for name in ("cos16.csv", "missing.csv", "")]),
+                               for name in ("cos16.csv", "inf16.csv", "missing.csv", "")]),
     "--sweep-param": _values("lambda", "v0", "g", "width", "mode"),
     "--sweep-steps": _values("1", "2", "6"),
     "--method": _values("spectral", "paper", "diagonal", "all"),

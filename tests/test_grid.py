@@ -244,6 +244,28 @@ def test_odd_potential_fails_gate(tmp_path):
         build_reduced(spec, g, PP, FOURIER)
 
 
+def _inf_mirror_pair():
+    g = make_grid(math.pi, 16)
+    v = np.cos(g.points)
+    v[[1, 15]] = np.inf  # inf - inf makes the evenness defect NaN
+    return PotentialSpec.samples(g.points, v)
+
+
+@pytest.mark.parametrize("spec, message", [
+    # exp(-0 / 0) at x = 0
+    (PotentialSpec.gaussian(1.0, 1e-300), "potential is not finite on the grid: V(0) = nan"),
+    (_inf_mirror_pair(), "potential is not finite on the grid: V(-2.74889) = inf"),
+], ids=["gaussian width 1e-300", "samples inf at a mirror pair"])
+@pytest.mark.parametrize("build", [build_dirac_grid, build_reduced, solve_dirac, solve_pair])
+def test_non_finite_potential_is_refused_before_the_evenness_gate(spec, message, build):
+    g = make_grid(math.pi, 16)
+    with mock.patch.object(gridmod, "_coupling", side_effect=AssertionError("H was built")), \
+         np.errstate(divide="ignore", invalid="ignore"):
+        err, solved = _solve_counted(build, spec, g, PP, FOURIER)
+    assert type(err) is ValueError and str(err) == message
+    assert solved == []
+
+
 # ------------------------------------------------------------ dirac blocks
 
 
@@ -496,15 +518,17 @@ def test_solve_dirac_takes_the_real_route_where_the_product_fell_back(pp, spec, 
     assert spectrum_gap(es.values / norm, eigendecompose(h).values / norm) <= 1e-14
 
 
-@pytest.mark.parametrize("pp, spec", [
-    (PhysParams(m0=0.0), COS),  # a zero mode of A would divide by E + m0 c^2 = 0
-], ids=["massless"])
-def test_solve_dirac_takes_the_2n_solve(pp, spec):
+def test_solve_dirac_takes_the_real_route_when_massless():
+    # m0 = 0: beta = -mu / s has modulus 1 for mu != 0; an exact zero mu would
+    # make it 0 / 0 and send the solve to the 2N route by its certificate
     g = make_grid(math.pi, 32)
-    es, solved = _solve_counted(solve_dirac, spec, g, pp, FOURIER)
-    assert solved == [((64, 64), np.complex128)]
-    expected = eigendecompose(build_dirac_grid(spec, g, pp, FOURIER)).values
-    assert np.array_equal(es.values, expected)
+    pp = PhysParams(m0=0.0)
+    es, solved = _solve_counted(solve_dirac, COS, g, pp, FOURIER)
+    assert solved == [((32, 32), np.float64)]
+    h = build_dirac_grid(COS, g, pp, FOURIER)
+    resid = np.linalg.norm(h @ es.vectors - es.vectors * es.values, axis=0).max()
+    assert resid / frob_norm(h) <= 1e-14 and es.residual <= 1e-14
+    assert spectrum_gap(es.values, eigendecompose(h).values) <= 1e-12
 
 
 def test_solve_dirac_matches_the_2n_solve_to_rounding_x_norm():

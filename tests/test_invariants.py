@@ -187,7 +187,9 @@ def _certificate(h, es) -> float:
 
 
 @settings(max_examples=100, deadline=None)
-@given(_grid_cases(m0=st.floats(1e-3, 2.0)))
+@given(_grid_cases())
+@example((PotentialSpec.cosine(1.0, 1), make_grid(math.pi, 32, PERIODIC),
+          PhysParams(m0=0.0), FOURIER))
 def test_solve_dirac_takes_the_real_route(case):
     spec, grid, pp, scheme = case
     with mock.patch.object(gridmod, "eigendecompose", wraps=eigendecompose) as solves:
@@ -197,7 +199,7 @@ def test_solve_dirac_takes_the_real_route(case):
     assert dense <= DEFAULT_TOL
     # the blockwise, real certificate is the dense one to rounding
     assert abs(es.residual - dense) <= 1e-15
-    # every drawn potential is exactly even and m0 > 0: one real solve of A
+    # every drawn potential is exactly even, m0 = 0 included: one real solve of A
     assert [(c.args[0].shape, c.args[0].dtype) for c in solves.call_args_list] == [
         (u.shape, np.float64)]
     values = np.sort_complex(es.values)
