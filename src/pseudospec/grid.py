@@ -369,8 +369,9 @@ def _solve_rotated(h: np.ndarray, perm: np.ndarray, rest: float, tol: float):
     of ``_solve_root``.  An eigenpair (mu, x) of A gives E = +s, with
     s = sqrt((rest - mu)(rest + mu)), the vector [x; beta x], and E = -s the
     vector [beta x; x], where beta = -mu / (s + rest).  Re s >= 0, so s + rest
-    = 0 only at rest = mu = 0 exactly, where beta and the certificate are NaN.
-    None also where ||H||_F overflows or a block is not exactly real.
+    = 0 only where rest = 0 and s = 0 (mu = 0, or mu^2 underflows); beta is 0
+    there, and E = 0 has [x; 0] and [0; x].  None also where ||H||_F
+    overflows or a block is not exactly real.
     """
     norm = frob_norm(h)
     if not math.isfinite(norm):
@@ -386,6 +387,7 @@ def _solve_rotated(h: np.ndarray, perm: np.ndarray, rest: float, tol: float):
     with np.errstate(all="ignore"):
         root = np.sqrt((rest - mu) * (rest + mu))
         beta = -mu / (root + rest)
+        beta[root + rest == 0] = 0
         unit = 1 / np.hypot(1.0, np.abs(beta))  # Q and R keep the norm of [x; beta x]
         upper = np.concatenate([unit, beta * unit])
         lower = np.concatenate([beta * unit, unit])

@@ -518,14 +518,24 @@ def test_solve_dirac_takes_the_real_route_where_the_product_fell_back(pp, spec, 
     assert spectrum_gap(es.values / norm, eigendecompose(h).values / norm) <= 1e-14
 
 
-def test_solve_dirac_takes_the_real_route_when_massless():
-    # m0 = 0: beta = -mu / s has modulus 1 for mu != 0; an exact zero mu would
-    # make it 0 / 0 and send the solve to the 2N route by its certificate
-    g = make_grid(math.pi, 32)
-    pp = PhysParams(m0=0.0)
-    es, solved = _solve_counted(solve_dirac, COS, g, pp, FOURIER)
-    assert solved == [((32, 32), np.float64)]
-    h = build_dirac_grid(COS, g, pp, FOURIER)
+# A hypothesis draw: on this 11-point central2 box, A = Y + V R has the
+# eigenvalue mu = V for a constant V, exactly 0 at V = 0
+_BOX11 = make_grid(3.6752967764632216, 11, DIRICHLET)
+_MASSLESS = PhysParams(m0=0.0, c=1.964846077550007, hbar=1.5549686171721004)
+
+
+@pytest.mark.parametrize("spec, g, pp, scheme", [
+    (COS, make_grid(math.pi, 32), PhysParams(m0=0.0), FOURIER),
+    # s + m0 c^2 = 0: beta is set to 0 there, so E = 0 has [x; 0] and [0; x]
+    (PotentialSpec.constant(0.0), _BOX11, _MASSLESS, CENTRAL2),
+    (PotentialSpec.constant(1.6882689716108772e-168), _BOX11, _MASSLESS, CENTRAL2),
+], ids=["cosine", "mu = 0", "mu^2 underflows"])
+def test_solve_dirac_takes_the_real_route_when_massless(spec, g, pp, scheme):
+    # m0 = 0: beta = -mu / s has modulus 1 wherever s != 0
+    es, solved = _solve_counted(solve_dirac, spec, g, pp, scheme)
+    n = g.n_points
+    assert solved == [((n, n), np.float64)]
+    h = build_dirac_grid(spec, g, pp, scheme)
     resid = np.linalg.norm(h @ es.vectors - es.vectors * es.values, axis=0).max()
     assert resid / frob_norm(h) <= 1e-14 and es.residual <= 1e-14
     assert spectrum_gap(es.values, eigendecompose(h).values) <= 1e-12
@@ -633,6 +643,15 @@ def test_grid_sweep_takes_one_real_solve_per_point(capsys):
     assert points.call_count > 4  # the grid points and the bisection
     shapes = [(c.args[0].shape, c.args[0].dtype) for c in solves.call_args_list]
     assert shapes == [((16, 16), np.float64)] * points.call_count
+
+
+def test_massless_grid_spectrum_takes_one_real_solve(capsys):
+    with mock.patch.object(gridmod, "eigendecompose", wraps=eigendecompose) as solves:
+        assert main(["spectrum", "--model", "scalar_grid", "--potential", "cosine", "--g", "1",
+                     "--grid-n", "32", "--m0", "0"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["eigenvalues"]) == 64
+    assert [(c.args[0].shape, c.args[0].dtype) for c in solves.call_args_list] == [
+        ((32, 32), np.float64)]
 
 
 @pytest.mark.parametrize("scheme", [FOURIER, CENTRAL2])

@@ -190,6 +190,9 @@ def _certificate(h, es) -> float:
 @given(_grid_cases())
 @example((PotentialSpec.cosine(1.0, 1), make_grid(math.pi, 32, PERIODIC),
           PhysParams(m0=0.0), FOURIER))
+# an exact zero eigenvalue of A at m0 = 0, where s + m0 c^2 = 0
+@example((PotentialSpec.constant(0.0), make_grid(3.6752967764632216, 11, DIRICHLET),
+          PhysParams(m0=0.0, c=1.964846077550007, hbar=1.5549686171721004), CENTRAL2))
 def test_solve_dirac_takes_the_real_route(case):
     spec, grid, pp, scheme = case
     with mock.patch.object(gridmod, "eigendecompose", wraps=eigendecompose) as solves:
