@@ -394,7 +394,7 @@ _LAMBDA_SWEEP = ["sweep", *_RASHBA1, "--sweep-param", "lambda", "--sweep-steps",
 ], ids=["reduce huge g", "verify huge c", "tiny width", "tiny grid-L", "tiny hbar",
         "sweep to inf", "sweep past max float", "inf samples"])
 def test_non_finite_intermediates_write_only_the_json_line(argv, message, capsys):
-    # the invalid value or division that makes them warns in numpy
+    # numpy warns at the invalid value or the division by zero behind each one
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(argv) == EXIT_USAGE
