@@ -75,44 +75,39 @@ class Grid1D:
 
 
 def make_grid(half_length: float, n_points: int, bc: str = PERIODIC) -> Grid1D:
-    """Build a reflection-symmetric grid.
+    """Build a reflection-symmetric grid from the periodic ring of m points.
 
-    periodic: x_j = -L + j*dx, j = 0..N-1, dx = 2L/N (the point -L is kept,
-    +L identified with it).  dirichlet: odd N interior points of (-L, L)
-    with x = 0 at the center, endpoints excluded.
+    The ring is x_j = -L + j*dx, j = 0..m-1, dx = 2L/m (+L identified with
+    -L).  periodic: the whole ring, m = N.  dirichlet: m = N + 1 without the
+    wall point -L, so odd N interior points with x = 0 at the center.
     """
     if not (half_length > 0 and np.isfinite(half_length)):
         raise AsymmetricGrid(f"half-length must be positive, got {half_length}")
     if n_points < MIN_POINTS:
         raise AsymmetricGrid(f"need at least {MIN_POINTS} points, got {n_points}")
-    if bc == PERIODIC:
-        # (2j - N) * (L/N) equals -L + j*dx but makes x -> -x an exact
-        # permutation in floating point.
-        h2 = half_length / n_points
-        points = (2 * np.arange(n_points) - n_points) * h2
-    elif bc == DIRICHLET:
-        if n_points % 2 == 0:
-            raise AsymmetricGrid("dirichlet grids need odd N (center point at 0)")
-        m = n_points + 1
-        h2 = half_length / m
-        points = (2 * (np.arange(n_points) + 1) - m) * h2
-    else:
+    if bc not in (PERIODIC, DIRICHLET):
         raise AsymmetricGrid(f"unknown boundary kind {bc!r}")
+    if bc == DIRICHLET and n_points % 2 == 0:
+        raise AsymmetricGrid("dirichlet grids need odd N (center point at 0)")
+    wall = int(bc == DIRICHLET)
+    m = n_points + wall
+    # (2j - m) * (L/m) equals -L + j*dx but makes x -> -x an exact
+    # permutation in floating point.
+    h2 = half_length / m
     return Grid1D(
         half_length=half_length,
         n_points=n_points,
         bc=bc,
-        points=points,
+        points=(2 * np.arange(wall, m) - m) * h2,
         dx=2 * h2,
     )
 
 
 def reflection_permutation(grid: Grid1D) -> np.ndarray:
-    """Index permutation sigma with x[sigma[j]] == -x[j] exactly."""
-    n = grid.n_points
-    if grid.bc == PERIODIC:
-        return (-np.arange(n)) % n
-    return n - 1 - np.arange(n)
+    """sigma with x[sigma[j]] == -x[j] exactly: the ring's j -> (m - j) mod m."""
+    wall = int(grid.bc == DIRICHLET)
+    m = grid.n_points + wall
+    return (-np.arange(wall, m)) % m - wall
 
 
 def _circulant_column(n: int, entry) -> np.ndarray:
@@ -126,33 +121,30 @@ def _circulant_column(n: int, entry) -> np.ndarray:
     return c
 
 
-def _circulant(c: np.ndarray) -> np.ndarray:
-    """The circulant matrix with first column c: entry (i, j) is c[(i - j) % n]."""
-    i = np.arange(len(c))
+def _circulant(c: np.ndarray, start: int = 0) -> np.ndarray:
+    """Rows and columns start.. of the circulant c[(i - j) % n]."""
+    i = np.arange(start, len(c))
     return c[(i[:, None] - i) % len(c)]
 
 
 def derivative_matrix(grid: Grid1D, scheme: str = FOURIER) -> np.ndarray:
     """Real antisymmetric first-derivative matrix for the grid.
 
-    central2 is the standard (f_{j+1} - f_{j-1}) / (2 dx) stencil with
-    periodic wraparound or homogeneous Dirichlet closure; fourier is the
-    exact differentiation of the trigonometric interpolant (periodic
-    only).  Both satisfy R D R = -D exactly for the grid's reflection R.
+    central2 is the standard (f_{j+1} - f_{j-1}) / (2 dx) stencil on the
+    grid's ring, without the wall point's row and column on a dirichlet
+    grid; fourier is the exact differentiation of the trigonometric
+    interpolant (periodic only).  Both satisfy R D R = -D exactly for the
+    grid's reflection R.
     """
     n = grid.n_points
     if scheme == CENTRAL2:
-        if grid.bc == PERIODIC:
-            c = np.zeros(n)
-            c[1] = -1.0 / (2 * grid.dx)
-            c[n - 1] = 1.0 / (2 * grid.dx)
-            return _circulant(c)
-        d = np.zeros((n, n))
-        band = 1.0 / (2 * grid.dx)
-        idx = np.arange(n - 1)
-        d[idx, idx + 1] = band
-        d[idx + 1, idx] = -band
-        return d
+        wall = int(grid.bc == DIRICHLET)
+        # Only the two nonzeros are set, so every zero is +0.0: LAPACK's
+        # Householder steps read the sign of a zero.
+        c = np.zeros(n + wall)
+        c[1] = -1.0 / (2 * grid.dx)
+        c[-1] = 1.0 / (2 * grid.dx)
+        return _circulant(c, wall)
     if scheme == FOURIER:
         if grid.bc != PERIODIC:
             raise SchemeBoundaryMismatch("fourier differentiation needs a periodic grid")

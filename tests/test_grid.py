@@ -161,6 +161,57 @@ def test_fourier_requires_periodic():
         derivative_matrix(make_grid(1.0, 8), "upwind")
 
 
+def _per_kind_reference(half_length, n, bc, scheme):
+    # Points, dx, reflection and D written out once per boundary kind; the
+    # grid builders derive both kinds from one periodic ring instead.
+    m = n + 1 if bc == DIRICHLET else n
+    h2 = half_length / m
+    dx = 2 * h2
+    if bc == DIRICHLET:
+        points = (2 * (np.arange(n) + 1) - m) * h2
+        d = np.zeros((n, n))
+        idx = np.arange(n - 1)
+        d[idx, idx + 1] = 1.0 / (2 * dx)
+        d[idx + 1, idx] = -1.0 / (2 * dx)
+        return points, dx, n - 1 - np.arange(n), d
+    points = (2 * np.arange(n) - n) * h2
+    c = np.zeros(n)
+    if scheme == CENTRAL2:
+        c[1] = -1.0 / (2 * dx)
+        c[n - 1] = 1.0 / (2 * dx)
+    else:
+        h = 2 * math.pi / n
+        for k in range(1, (n - 1) // 2 + 1):
+            t = math.tan(k * h / 2) if n % 2 == 0 else math.sin(k * h / 2)
+            c[k] = 0.5 * (-1.0) ** k / t
+            c[n - k] = -c[k]
+    i = np.arange(n)
+    d = c[(i[:, None] - i) % n]
+    if scheme == FOURIER:
+        d = d * (math.pi / half_length)
+    return points, dx, (-np.arange(n)) % n, d
+
+
+def test_ring_grids_match_the_per_kind_formulas_bit_for_bit():
+    def same_bits(a, b):
+        return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+    for n in [*range(8, 65), 127, 128, 255, 256, 511, 512, 1023, 1024]:
+        cases = [("periodic", CENTRAL2), ("periodic", FOURIER)]
+        if n % 2:
+            cases.append((DIRICHLET, CENTRAL2))
+        for half_length in (1e-3, math.pi, 50.0):
+            for bc, scheme in cases:
+                points, dx, perm, d = _per_kind_reference(half_length, n, bc, scheme)
+                g = make_grid(half_length, n, bc)
+                got = derivative_matrix(g, scheme)
+                assert same_bits(g.points, points)
+                assert g.dx == dx
+                assert np.array_equal(reflection_permutation(g), perm)
+                assert same_bits(got, d), (n, half_length, bc, scheme)
+                assert got.flags.c_contiguous
+
+
 # ------------------------------------------------------------- potentials
 
 
