@@ -103,6 +103,9 @@ _EXIT_CODES = (
 )
 
 
+#: Most points a sweep takes; np.linspace holds them all at once.
+MAX_SWEEP_STEPS = 10_000
+
 #: Value of a model parameter that a RunConfig leaves out; 0 for the rest.
 _PARAM_DEFAULTS = {"m0": 1.0, "c": 1.0, "hbar": 1.0, "mode": 1, "width": 1.0}
 
@@ -188,6 +191,13 @@ def _require_model(cfg: RunConfig, allowed: tuple[str, ...]) -> None:
     for key, value in cfg.params.items():
         if not np.isfinite(value):
             raise ValueError(f"parameter {key} is not finite: {value}")
+    counts = [("sweep_steps", cfg.sweep_steps), ("track_level", cfg.track_level)]
+    counts += [(key, given[key]) for key, given in (("mode", cfg.params), ("grid_n", cfg.grid))
+               if key in given]
+    counts += [("N", n) for n in cfg.ns]
+    for key, value in counts:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
 def _potential(cfg: RunConfig, flags: GridFlags) -> gridmod.PotentialSpec:
@@ -504,8 +514,11 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
     For the grid model the classified spectrum is the component-eliminated
     operator's, whose reality breaking is the object of interest.
     """
-    if cfg.sweep_param is None or cfg.sweep_steps < 2:
-        raise ValueError("sweep needs --sweep-param, --sweep-min/max and --sweep-steps >= 2")
+    if cfg.sweep_param is None or not 2 <= cfg.sweep_steps <= MAX_SWEEP_STEPS:
+        raise ValueError(
+            f"sweep needs --sweep-param, --sweep-min/max and "
+            f"2 <= --sweep-steps <= {MAX_SWEEP_STEPS}"
+        )
     inputs = MODELS[cfg.model].load(cfg)
     # a 2x2 model sweeps its parameters, a grid command its potential's floats
     choices = (tuple(k for k, v in inputs[1].describe().items() if isinstance(v, float))

@@ -33,13 +33,14 @@ PANEL = 128
 
 
 def validate_tol(tol: float) -> None:
-    """Raise ValueError unless ``tol`` is finite and > 0.
+    """Raise ValueError unless 0 < ``tol`` < 1.
 
     A NaN tolerance would pass every ``resid > tol`` certificate, because
-    comparisons with NaN are false.
+    comparisons with NaN are false.  At tol >= 1 the realness test
+    |Im v| <= tol * max(1, |v|) would call every imaginary eigenvalue real.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be finite and > 0, got {tol}")
+    if not 0 < tol < 1:
+        raise ValueError(f"tolerance must satisfy 0 < tol < 1, got {tol}")
 
 
 def _square_finite(m: np.ndarray) -> np.ndarray:
@@ -157,7 +158,7 @@ def eigendecompose(a, tol: float = DEFAULT_TOL) -> EigenSystem:
     a : array_like
         Square real or complex matrix, dimension <= 1024.
     tol : float
-        Residual bound relative to max(1, ||A||_F); finite and > 0.
+        Residual bound relative to max(1, ||A||_F); 0 < tol < 1.
     """
     validate_tol(tol)
     m = np.asarray(a)

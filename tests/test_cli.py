@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from pseudospec.cli import (
     COMMANDS,
     EXIT_REGIME,
     EXIT_USAGE,
+    MAX_SWEEP_STEPS,
     RunConfig,
     _build_parser,
     main,
@@ -274,6 +276,23 @@ def test_cli_byte_determinism_json_and_csv(tmp_path):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("args", [
+    ["spectrum", "--model", "rashba", "--lambda", "0.5", "--kx", "1"],
+    ["reduce", "--model", "scalar_grid", "--potential", "cosine", "--g", "1", "--grid-n", "16"],
+], ids=["spectrum", "reduce"])
+def test_cli_out_file_holds_exactly_the_stdout_bytes(args, fmt, tmp_path):
+    out = tmp_path / "record"
+    written = cli(*args, "--format", fmt, "--out", str(out))
+    printed = cli(*args, "--format", fmt)
+    assert written.returncode == printed.returncode == 0
+    assert out.read_bytes() == printed.stdout and printed.stdout
+    assert written.stdout == b""
+    for run_ in (written, printed):
+        assert len(run_.stderr.splitlines()) == 1
+        assert run_.stderr.startswith(b"# runtime_ms=")
+
+
 def test_cli_spectrum_payload():
     r = cli("spectrum", "--model", "scalar_const", "--v0", "2", "--kx", "0")
     assert r.returncode == 0
@@ -498,7 +517,9 @@ def test_cli_negative_values_in_scientific_notation(capsys):
 
 @pytest.mark.parametrize(
     "flag, env",
-    [("nan", None), ("inf", None), ("0", None), ("-1", None), (None, "abc"), (None, "nan")],
+    [("nan", None), ("inf", None), ("0", None), ("-1", None), (None, "abc"), (None, "nan"),
+     # at tol >= 1 the realness test calls an imaginary eigenvalue real
+     ("1", None), ("2", None), ("1e300", None), (None, "1"), (None, "2"), (None, "1e300")],
 )
 def test_cli_rejects_bad_tolerance(flag, env, monkeypatch, capsys):
     argv = ["spectrum", "--model", "rashba", "--kx", "1"]
@@ -512,6 +533,30 @@ def test_cli_rejects_bad_tolerance(flag, env, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err.splitlines()[0])["error"]["type"] == "ValueError"
+
+
+def test_cli_tolerance_of_one_or_more_does_not_call_an_imaginary_spectrum_real(capsys):
+    # E = +-1.414i: |Im E| <= tol * max(1, |E|) holds for every tol >= 1
+    argv = ["metric", "--model", "rashba", "--lambda", "2", "--kx", "1", "--tol", "2"]
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [json.dumps({"error": {
+        "type": "ValueError", "message": "tolerance must satisfy 0 < tol < 1, got 2.0"}})]
+
+
+@pytest.mark.parametrize("steps", ["10001", str(10**9)])
+def test_sweep_steps_past_the_ceiling_are_refused_before_any_allocation(steps, capsys):
+    argv = ["sweep", "--model", "rashba", "--lambda", "0.5", "--kx", "1", "--sweep-param",
+            "lambda", "--sweep-min", "0", "--sweep-max", "1", "--sweep-steps", steps]
+    with mock.patch.object(np, "linspace", side_effect=AssertionError("allocated")):
+        assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [json.dumps({"error": {
+        "type": "ValueError",
+        "message": f"sweep needs --sweep-param, --sweep-min/max and "
+                   f"2 <= --sweep-steps <= {MAX_SWEEP_STEPS}"}})]
 
 
 @pytest.mark.parametrize(
@@ -812,6 +857,39 @@ def test_run_refuses_unknown_grid_flags_with_the_model_check():
     cfg = RunConfig(command="spectrum", model="scalar_grid", grid={"grid_m": 16, "bc_": 1})
     with pytest.raises(ValueError, match=r"^unknown grid flags \('bc_', 'grid_m'\)$"):
         run(cfg)
+
+
+@pytest.mark.parametrize("cfg, message", [
+    (RunConfig(command="spectrum", model="scalar_grid",
+               params={"g": 0.5, "mode": 2.5}, grid={"potential": "cosine"}),
+     "mode must be an integer, got 2.5"),
+    (RunConfig(command="spectrum", model="scalar_grid", grid={"grid_n": 16.0}),
+     "grid_n must be an integer, got 16.0"),
+    (RunConfig(command="spectrum", model="scalar_grid", grid={"grid_n": True}),
+     "grid_n must be an integer, got True"),
+    (RunConfig(command="sweep", model="scalar_grid", params={"g": 0.5},
+               grid={"potential": "cosine", "grid_n": 16}, sweep_param="g",
+               sweep_min=0.0, sweep_max=1.0, sweep_steps=3.0),
+     "sweep_steps must be an integer, got 3.0"),
+    (RunConfig(command="converge", model="scalar_grid", ns=(8, 16), track_level=0.5),
+     "track_level must be an integer, got 0.5"),
+    (RunConfig(command="converge", model="scalar_grid", ns=(8.0, 16.0)),
+     "N must be an integer, got 8.0"),
+], ids=["mode", "grid_n", "grid_n-bool", "sweep_steps", "track_level", "ns"])
+def test_run_refuses_a_non_integer_count_before_any_grid(cfg, message, monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a block of H or U was built")
+
+    monkeypatch.setattr(gridmod, "_coupling", refuse)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run(cfg)
+
+
+def test_run_takes_numpy_integer_counts():
+    cfg = RunConfig(command="converge", model="scalar_grid", params={"mode": np.int64(1)},
+                    grid={"potential": "cosine"}, ns=(np.int32(8), np.int64(16)),
+                    track_level=np.int64(0))
+    assert [row["n"] for row in run(cfg).study["rows"]] == [8, 16]
 
 
 # ----------------------------------------------------------- CLI contract fuzz

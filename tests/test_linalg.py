@@ -115,7 +115,7 @@ def test_eigendecompose_unreachable_tolerance_raises():
         eigendecompose(a, tol=1e-30)
 
 
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0, 1.0])
 def test_eigendecompose_rejects_bad_tolerance(tol):
     # NaN would otherwise pass the residual certificate silently
     with pytest.raises(ValueError):
