@@ -165,7 +165,12 @@ _ANY = (RASHBA, SCALAR_CONST, SCALAR_GRID)
 
 
 def _require_model(cfg: RunConfig, allowed: tuple[str, ...]) -> None:
-    """Refuse a model the command does not take, then flags it does not read."""
+    """Refuse a model the command does not take, then flags it does not read.
+
+    Then a non-finite parameter, and a count (mode, grid_n, sweep_steps,
+    track_level, each N) that is not an integer: argparse types them on the
+    command line, a library call to ``run`` may not.
+    """
     if cfg.model not in allowed:
         raise ValueError(
             f"command {cfg.command!r} supports models {allowed}, got {cfg.model!r}"

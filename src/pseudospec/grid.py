@@ -104,7 +104,7 @@ def make_grid(half_length: float, n_points: int, bc: str = PERIODIC) -> Grid1D:
 
 
 def reflection_permutation(grid: Grid1D) -> np.ndarray:
-    """sigma with x[sigma[j]] == -x[j] exactly: the ring's j -> (m - j) mod m."""
+    """Index permutation with x[sigma[j]] == -x[j]: the ring's j -> (m - j) mod m."""
     wall = int(grid.bc == DIRICHLET)
     m = grid.n_points + wall
     return (-np.arange(wall, m)) % m - wall

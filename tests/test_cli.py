@@ -535,16 +535,6 @@ def test_cli_rejects_bad_tolerance(flag, env, monkeypatch, capsys):
     assert json.loads(captured.err.splitlines()[0])["error"]["type"] == "ValueError"
 
 
-def test_cli_tolerance_of_one_or_more_does_not_call_an_imaginary_spectrum_real(capsys):
-    # E = +-1.414i: |Im E| <= tol * max(1, |E|) holds for every tol >= 1
-    argv = ["metric", "--model", "rashba", "--lambda", "2", "--kx", "1", "--tol", "2"]
-    assert main(argv) == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.splitlines() == [json.dumps({"error": {
-        "type": "ValueError", "message": "tolerance must satisfy 0 < tol < 1, got 2.0"}})]
-
-
 @pytest.mark.parametrize("steps", ["10001", str(10**9)])
 def test_sweep_steps_past_the_ceiling_are_refused_before_any_allocation(steps, capsys):
     argv = ["sweep", "--model", "rashba", "--lambda", "0.5", "--kx", "1", "--sweep-param",
