@@ -167,9 +167,11 @@ _ANY = (RASHBA, SCALAR_CONST, SCALAR_GRID)
 def _require_model(cfg: RunConfig, allowed: tuple[str, ...]) -> None:
     """Refuse a model the command does not take, then flags it does not read.
 
-    Then a non-finite parameter, and a count (mode, grid_n, sweep_steps,
-    track_level, each N) that is not an integer: argparse types them on the
-    command line, a library call to ``run`` may not.
+    Then a value of the wrong type: a real parameter, the grid's half-length,
+    tol, a sweep bound or a time that is not a real number (a str, None or
+    a bool), or a count (mode, grid_n, sweep_steps, track_level, each N)
+    that is not an integer.  argparse types them on the command line, a
+    library call to ``run`` may not.  Then a non-finite parameter.
     """
     if cfg.model not in allowed:
         raise ValueError(
@@ -193,9 +195,14 @@ def _require_model(cfg: RunConfig, allowed: tuple[str, ...]) -> None:
             raise ValueError(
                 f"model {model} does not read parameter {key!r}; it reads {reads}"
             )
-    for key, value in cfg.params.items():
-        if not np.isfinite(value):
-            raise ValueError(f"parameter {key} is not finite: {value}")
+    reals = [(key, value) for key, value in cfg.params.items() if key != "mode"]
+    if "grid_l" in cfg.grid:
+        reals.append(("grid_l", cfg.grid["grid_l"]))
+    reals += [("tol", cfg.tol), ("sweep_min", cfg.sweep_min), ("sweep_max", cfg.sweep_max)]
+    reals += [("t", t) for t in cfg.times]
+    for key, value in reals:
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+            raise ValueError(f"{key} must be a real number, got {value!r}")
     counts = [("sweep_steps", cfg.sweep_steps), ("track_level", cfg.track_level)]
     counts += [(key, given[key]) for key, given in (("mode", cfg.params), ("grid_n", cfg.grid))
                if key in given]
@@ -203,6 +210,9 @@ def _require_model(cfg: RunConfig, allowed: tuple[str, ...]) -> None:
     for key, value in counts:
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{key} must be an integer, got {value!r}")
+    for key, value in cfg.params.items():
+        if not np.isfinite(value):
+            raise ValueError(f"parameter {key} is not finite: {value}")
 
 
 def _potential(cfg: RunConfig, flags: GridFlags) -> gridmod.PotentialSpec:
@@ -334,9 +344,10 @@ def _verify_block(cfg: RunConfig) -> list[dict]:
 
 def _verify_grid(cfg: RunConfig, flags: GridFlags, spec, g, pp: PhysParams) -> list[dict]:
     perm = gridmod.reflection_permutation(g)
-    d, dirac, reduced, _, reduced_values, mismatch = gridmod.solve_pair(
+    d, v, _, reduced_values, mismatch = gridmod.solve_pair(
         spec, g, pp, flags.scheme, gridmod.PRODUCT_EXACT, cfg.tol
     )
+    # H and U are assembled after the solves, one at a time, for their symmetry checks
     checks = [
         _check(
             "derivative_reflects_odd",
@@ -345,12 +356,14 @@ def _verify_grid(cfg: RunConfig, flags: GridFlags, spec, g, pp: PhysParams) -> l
         ),
         _check(
             "grid_parity_pseudo_hermiticity",
-            gridmod.grid_parity_residual(dirac, g),
+            gridmod.grid_parity_residual(gridmod.assemble_dirac_blocks(d, v, pp), g),
             1e-12,
         ),
         _check(
             "reduced_reflection_conjugation",
-            gridmod.reflection_conjugation_residual(reduced, g),
+            gridmod.reflection_conjugation_residual(
+                gridmod.assemble_reduced(d, v, spec, g, pp, gridmod.PRODUCT_EXACT), g
+            ),
             1e-12,
         ),
         _check("reduction_identity_mismatch", mismatch, 1e-8),

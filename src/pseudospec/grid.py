@@ -26,6 +26,7 @@ diag(R, -R) maps H to its adjoint whenever V is even.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -303,10 +304,15 @@ PRODUCT_EXACT = "product_exact"
 ANALYTIC_U = "analytic_U"
 
 
+def _refuse_past_max_dim(n: int) -> None:
+    """Refuse a 2N x 2N Dirac operator past MAX_DIM, before anything 2N is built."""
+    if 2 * n > MAX_DIM:
+        raise DimensionMismatch(f"dimension {2 * n} exceeds limit {MAX_DIM}")
+
+
 def assemble_dirac_blocks(d: np.ndarray, v: np.ndarray, pp: PhysParams) -> np.ndarray:
     """Raw block assembly [[mI, cP+V], [cP-V, -mI]]; no evenness gate; 2N <= MAX_DIM."""
-    if 2 * len(v) > MAX_DIM:
-        raise DimensionMismatch(f"dimension {2 * len(v)} exceeds limit {MAX_DIM}")
+    _refuse_past_max_dim(len(v))
     cp, vd = _coupling(d, v, pp)
     m = pp.rest_energy * np.eye(len(v))
     return np.block([[m, cp + vd], [cp - vd, -m]])
@@ -319,20 +325,28 @@ def build_dirac_grid(
     return assemble_dirac_blocks(*_gated(spec, grid, scheme), pp)
 
 
-def _solve_root(y: np.ndarray, v: np.ndarray, perm: np.ndarray, tol: float):
-    """(A, eigendecompose(A)) for A = R+ R, the real matrix of both grid routes, or None.
+def _root_matrix(y: np.ndarray, v: np.ndarray, perm: np.ndarray, out: np.ndarray):
+    """Write A = R+ R, the real matrix of every grid route, into ``out``; or None.
 
     With Q = P+ + i P-, P+- = (I +- R)/2, the blocks cP +- V = iY +- V, with
     Y = -c hbar D and V = diag(v), become R+- = Q^dag (cP +- V) Q = K +- V,
     K = -(R Y - Y R)/2, real symmetric when R Y R = -Y bit for bit and v is
     exactly even.  Then R R+ R = -R-, so R+ R- = -A^2, and A = K R + V R is
-    Y with v added at the entries (j, perm[j]), exactly.  None where v is
-    even only to the evenness gate's tolerance, say, or the solve fails.
+    Y with v added at the entries (j, perm[j]), exactly.  None, with ``out``
+    untouched, where v is even only to the evenness gate's tolerance, say.
     """
     if not (np.array_equal(v, v[perm]) and np.array_equal(y[np.ix_(perm, perm)], -y)):
         return None
-    a = y.copy()
-    a[np.arange(len(v)), perm] += v
+    out[...] = y
+    out[np.arange(len(v)), perm] += v
+    return out
+
+
+def _solve_root(y: np.ndarray, v: np.ndarray, perm: np.ndarray, tol: float):
+    """(A, eigendecompose(A)) for A of ``_root_matrix``, or None where A or its solve fails."""
+    a = _root_matrix(y, v, perm, np.empty_like(y))
+    if a is None:
+        return None
     try:
         return a, eigendecompose(a, tol)
     except ConvergenceFailure:
@@ -344,10 +358,28 @@ def _apply_q(x: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return 0.5 * ((1 + 1j) * x + (1 - 1j) * x[perm])
 
 
-def _certified(apply, vectors: np.ndarray, values: np.ndarray, norm: float, tol: float):
+def _apply_h(y: np.ndarray, v: np.ndarray, rest: float, x: np.ndarray) -> np.ndarray:
+    """H [t; b] = [m t + v b + i Y b; i Y t - v t - m b], applied by blocks.
+
+    H = [[m I, iY + V], [iY - V, -m I]] with Y = -c hbar D and V = diag(v),
+    so Y acts on the complex halves in real arithmetic (``real_times_complex``)
+    and no 2N x 2N array is made.
+    """
+    n = len(v)
+    t, b = x[:n], x[n:]
+    top = real_times_complex(y, b)
+    top *= 1j
+    top += rest * t + v[:, None] * b
+    bottom = real_times_complex(y, t)
+    bottom *= 1j
+    bottom -= v[:, None] * t + rest * b
+    return np.concatenate([top, bottom])
+
+
+def _certified(apply, vectors, values, norm: float, tol: float, lift=None):
     """``max_column_residual`` relative to ``norm``, or None past ``tol`` or overflowed."""
     with np.errstate(all="ignore"):
-        worst = max_column_residual(apply, vectors, values)
+        worst = max_column_residual(apply, vectors, values, lift)
     if not (math.isfinite(worst) and math.isfinite(norm)):
         return None
     resid = relative_residual(worst, norm)
@@ -393,19 +425,7 @@ def _solve_rotated(h: np.ndarray, perm: np.ndarray, rest: float, tol: float):
         panel = x[:, cols[span]]
         vectors[:n, span] = _apply_q(panel, perm) * upper[span]  # Q on the top half
         vectors[n:, span] = _apply_q(panel[perm], perm) * lower[span]  # Q R below
-
-    def apply_h(x):
-        # H [t; b] = [m t + v b + i Y b; i Y t - v t - m b], applied by blocks
-        t, b = x[:n], x[n:]
-        top = real_times_complex(y, b)
-        top *= 1j
-        top += rest * t + v[:, None] * b
-        bottom = real_times_complex(y, t)
-        bottom *= 1j
-        bottom -= v[:, None] * t + rest * b
-        return np.concatenate([top, bottom])
-
-    resid = _certified(apply_h, vectors, values, norm, tol)
+    resid = _certified(functools.partial(_apply_h, y, v, rest), vectors, values, norm, tol)
     return None if resid is None else EigenSystem(values, vectors, resid)
 
 
@@ -452,10 +472,10 @@ def build_reduced(
     -c^2 hbar^2 D^2 + diag(i c hbar V' - V^2) from the closed-form
     derivative and differs by discretization error.
     """
-    return _assemble_reduced(*_gated(spec, grid, scheme), spec, grid, pp, form)
+    return assemble_reduced(*_gated(spec, grid, scheme), spec, grid, pp, form)
 
 
-def _assemble_reduced(d, v, spec: PotentialSpec, grid: Grid1D, pp: PhysParams, form: str):
+def assemble_reduced(d, v, spec: PotentialSpec, grid: Grid1D, pp: PhysParams, form: str):
     """``build_reduced``'s matrix from the gated D and V."""
     if form == PRODUCT_EXACT:
         cp, vd = _coupling(d, v, pp)
@@ -510,9 +530,54 @@ def solve_reduced(
     gate to 1e-8), when ||A^2||_F overflows, or when the real solve or its
     certificate fails.
     """
-    d, v = _gated(spec, grid, scheme)
+    return _solve_product(*_gated(spec, grid, scheme), spec, grid, pp, tol)
+
+
+def _solve_product(d, v, spec: PotentialSpec, grid: Grid1D, pp: PhysParams, tol: float):
+    """``solve_reduced``'s eigensystem from the gated D and V."""
     es = _solve_real_reduced(d, v, grid, pp, tol)
-    return es or eigendecompose(_assemble_reduced(d, v, spec, grid, pp, PRODUCT_EXACT), tol)
+    return es or eigendecompose(assemble_reduced(d, v, spec, grid, pp, PRODUCT_EXACT), tol)
+
+
+def _to_h_basis(z: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """T Z = [Q Z_top; Q R Z_bottom]: vectors of M in the basis of H."""
+    n = len(perm)
+    return np.concatenate([_apply_q(z[:n], perm), _apply_q(z[n:][perm], perm)])
+
+
+def _solve_real_dirac(d: np.ndarray, v: np.ndarray, perm: np.ndarray, pp: PhysParams,
+                      tol: float):
+    """H's values from one real 2N solve, certified against H, or None.
+
+    In the basis T = diag(Q, Q R), H is M = [[m I, A], [-A, -m I]], real,
+    with m = m0 c^2 and A of ``_root_matrix``.  M is filled in one array
+    and solved by ``eigendecompose`` (dgeev); H is never built.  Each panel
+    of M's vectors z is mapped to T z and certified against H applied by
+    its blocks (``_apply_h``), at ``tol`` relative to
+    ||H||_F = sqrt(2N m^2 + 2||Y||_F^2 + 2||v||^2).  A fault in M then fails
+    that certificate instead of cancelling out of the reduction identity,
+    whose reduced side is solved from A as well.  None where V is not
+    exactly even, or where the solve or its certificate fails.
+    """
+    n = len(v)
+    rest = pp.rest_energy
+    y = -(pp.c * pp.hbar) * d
+    m = np.zeros((2 * n, 2 * n))
+    if _root_matrix(y, v, perm, m[:n, n:]) is None:
+        return None
+    np.negative(m[:n, n:], out=m[n:, :n])
+    diag = np.arange(n)
+    m[diag, diag] = rest
+    m[diag + n, diag + n] = -rest
+    try:
+        es = eigendecompose(m, tol)
+    except (ConvergenceFailure, ValueError, np.linalg.LinAlgError):
+        return None
+    del m  # H's certificate reads only Y and v
+    norm = math.sqrt(2) * math.hypot(math.sqrt(n) * rest, frob_norm(y), float(np.linalg.norm(v)))
+    resid = _certified(functools.partial(_apply_h, y, v, rest), es.vectors, es.values, norm, tol,
+                       lift=functools.partial(_to_h_basis, perm=perm))
+    return None if resid is None else es.values
 
 
 def solve_pair(
@@ -523,23 +588,38 @@ def solve_pair(
     form: str = PRODUCT_EXACT,
     tol: float = DEFAULT_TOL,
 ):
-    """Both grid operators from one evenness gate, their spectra and the identity.
+    """Both grid spectra from one evenness gate, and their identity mismatch.
 
-    Returns (D, H, U, values of H, values of U, their identity mismatch),
-    with H the 2N x 2N Dirac operator and U the reduced one of ``form``.  H
-    is solved by the complex 2N ``eigendecompose`` (zgeev): where the
-    reduction identity is the claim, that solve is its independent check.
-    U is solved as by ``solve_reduced`` for ``product_exact``, by the complex
-    N solve otherwise.  Both matrices are built before either solve, so a
-    build error comes first, a 2N past MAX_DIM before anything 2N exists.
+    Returns (D, V(x_j), values of H, values of U, their identity mismatch),
+    with H the 2N x 2N Dirac operator and U the reduced one of ``form``.
+    H's values come from one real 2N solve (dgeev) of H in the basis
+    diag(Q, Q R), with its vectors certified against H itself
+    (``_solve_real_dirac``), so the 2N side stays an independent check of
+    the reduction identity.  U is solved as by ``solve_reduced`` for
+    ``product_exact``, by the complex N solve otherwise.  Neither H nor,
+    for ``product_exact``, U is built: a caller that needs them assembles
+    them from D and V.  The complex 2N solve of H (zgeev) is taken only
+    where V is not exactly even (sampled values pass the evenness gate to
+    1e-8), or where the real solve or its certificate fails; H and U are
+    then both built first, as they were before the real solve.  A 2N past
+    MAX_DIM is refused before anything 2N exists, and ``analytic_U``'s build
+    error before any solve.
     """
     d, v = _gated(spec, grid, scheme)
-    h = assemble_dirac_blocks(d, v, pp)
-    u = _assemble_reduced(d, v, spec, grid, pp, form)
-    dirac = eigendecompose(h, tol).values
-    real = form == PRODUCT_EXACT and _solve_real_reduced(d, v, grid, pp, tol)
-    reduced = (real or eigendecompose(u, tol)).values
-    return d, h, u, dirac, reduced, reduction_identity_mismatch(dirac, reduced, pp)
+    _refuse_past_max_dim(len(v))
+    u = None if form == PRODUCT_EXACT else assemble_reduced(d, v, spec, grid, pp, form)
+    dirac = _solve_real_dirac(d, v, reflection_permutation(grid), pp, tol)
+    if dirac is None:
+        h = assemble_dirac_blocks(d, v, pp)
+        if u is None:  # built for its error alone, which comes before the 2N solve's
+            assemble_reduced(d, v, spec, grid, pp, form)
+        dirac = eigendecompose(h, tol).values
+        del h
+    if u is None:
+        reduced = _solve_product(d, v, spec, grid, pp, tol)
+    else:
+        reduced = eigendecompose(u, tol)
+    return d, v, dirac, reduced.values, reduction_identity_mismatch(dirac, reduced.values, pp)
 
 
 def reduced_to_dirac_energies(eps, pp: PhysParams) -> np.ndarray:

@@ -104,16 +104,20 @@ def real_times_complex(r: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (r @ x.view(np.float64)).view(np.complex128)
 
 
-def max_column_residual(apply, vectors: np.ndarray, values: np.ndarray) -> float:
+def max_column_residual(apply, vectors: np.ndarray, values: np.ndarray, lift=None) -> float:
     """max_i ||A v_i - lambda_i v_i||_2, PANEL columns at a time.
 
     ``apply(X)`` returns A X, as a new array, for a block of columns X of
-    ``vectors``.  A NaN in any column's residual is returned at once, so it
-    never reads as a smaller number.
+    ``vectors``.  Given ``lift``, each block is first mapped to
+    ``lift(X)``, the same vectors in the basis ``apply`` acts in.  A NaN in
+    any column's residual is returned at once, so it never reads as a
+    smaller number.
     """
     worst = 0.0
     for j in range(0, vectors.shape[1], PANEL):
         cols = vectors[:, j:j + PANEL]
+        if lift is not None:
+            cols = lift(cols)
         residual = apply(cols)
         residual -= cols * values[j:j + PANEL]
         top = float(np.linalg.norm(residual, axis=0).max())

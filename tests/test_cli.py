@@ -5,6 +5,7 @@ import math
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -779,15 +780,28 @@ def test_grids_past_half_the_limit_are_refused_before_h_or_u(argv, message, monk
                                                               capsys):
     # within the point limit, but their 2N x 2N operator is past MAX_DIM
     def refuse(*_args, **_kwargs):
-        raise AssertionError("a block of H or U was built")
+        raise AssertionError("a block of H, M or U was built, or a solve ran")
 
-    monkeypatch.setattr(gridmod, "_coupling", refuse)
+    for name in ("_coupling", "_root_matrix", "eigendecompose"):
+        monkeypatch.setattr(gridmod, name, refuse)
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
         json.dumps({"error": {"type": "DimensionMismatch", "message": message}})
     ]
+
+
+def test_reduce_refuses_a_2n_past_the_limit_before_any_2n_array(capsys):
+    # D of 1024 points is 8 MB; one real 2048 x 2048 array would be 32 MB
+    tracemalloc.start()
+    try:
+        assert main(["reduce", *_COSINE_GRID, "--grid-n", "1024"]) == EXIT_USAGE
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "dimension 2048 exceeds limit 1024" in capsys.readouterr().err
+    assert peak < 2048 * 2048 * 8
 
 
 def test_converge_refuses_a_negative_track_level_before_any_solve(monkeypatch, capsys):
@@ -875,6 +889,39 @@ def test_run_refuses_a_non_integer_count_before_any_grid(cfg, message, monkeypat
         run(cfg)
 
 
+@pytest.mark.parametrize("cfg, message", [
+    (RunConfig(command="spectrum", model="rashba", params={"kx": "1"}),
+     "kx must be a real number, got '1'"),
+    (RunConfig(command="spectrum", model="rashba", params={"lambda": True}),
+     "lambda must be a real number, got True"),
+    (RunConfig(command="spectrum", model="scalar_grid", params={"v0": None}),
+     "v0 must be a real number, got None"),
+    (RunConfig(command="spectrum", model="scalar_grid", grid={"grid_l": "3"}),
+     "grid_l must be a real number, got '3'"),
+    (RunConfig(command="spectrum", model="rashba", tol="1e-10"),
+     "tol must be a real number, got '1e-10'"),
+    (RunConfig(command="sweep", model="rashba", sweep_param="lambda", sweep_min="0",
+               sweep_max=1.0, sweep_steps=3), "sweep_min must be a real number, got '0'"),
+    (RunConfig(command="evolve", model="rashba", times=(1.0, "2")),
+     "t must be a real number, got '2'"),
+    (RunConfig(command="spectrum", model="scalar_grid", params={"g": 0.5, "mode": "2"},
+               grid={"potential": "cosine"}), "mode must be an integer, got '2'"),
+], ids=["str", "bool", "None", "grid_l", "tol", "sweep_min", "time", "mode-str"])
+def test_run_refuses_a_value_that_is_not_a_real_number(cfg, message, monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a block of H or U was built")
+
+    monkeypatch.setattr(gridmod, "_coupling", refuse)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run(cfg)
+
+
+def test_run_takes_numpy_reals():
+    cfg = RunConfig(command="spectrum", model="rashba", tol=np.float64(1e-10),
+                    params={"lambda": np.float32(0.5), "kx": np.int64(1)})
+    assert run(cfg).classification == "all_real"
+
+
 def test_run_takes_numpy_integer_counts():
     cfg = RunConfig(command="converge", model="scalar_grid", params={"mode": np.int64(1)},
                     grid={"potential": "cosine"}, ns=(np.int32(8), np.int64(16)),
@@ -892,10 +939,27 @@ def _values(*valid):
     return st.integers(0, 9).flatmap(lambda i: st.sampled_from(valid if i else _HOSTILE))
 
 
-_FLOAT = _values("0.5", "1", "2")
+_GAUSSIAN = ["--potential", "gaussian"]
+_LAMBDA_STEPS = ["--sweep-param", "lambda", "--sweep-steps", "3"]
+# Per flag, a hostile value that passes the parser and reaches a refusal or a
+# non-finite intermediate, with the model and the flags it needs to get there.
+# Left to _values, each needs one value of nine, in one draw of ten, on a
+# matching command, model and potential: the 150 draws below reached none.
+_ROUTES = {
+    "--g": ("1e300", "scalar_grid", _GAUSSIAN),
+    "--c": ("1e154", "scalar_grid", _GAUSSIAN),
+    "--width": ("1e-300", "scalar_grid", _GAUSSIAN),
+    "--grid-L": ("5e-324", "scalar_grid", _GAUSSIAN),
+    "--hbar": ("5e-324", "rashba", []),
+    "--sweep-max": ("inf", "rashba", ["--sweep-min", "0", *_LAMBDA_STEPS]),
+    "--sweep-min": ("-1e308", "rashba", ["--sweep-max", "1e308", *_LAMBDA_STEPS]),
+    "--file": (_INF16, "scalar_grid", ["--potential", "samples"]),
+}
+
 _FUZZ_VALUES = {
     **dict.fromkeys(("--m0", "--c", "--hbar", "--lambda", "--kx", "--ky", "--v0", "--g",
-                     "--width", "--grid-L", "--t", "--sweep-min", "--sweep-max"), _FLOAT),
+                     "--width", "--grid-L", "--t", "--sweep-min", "--sweep-max"),
+                    _values("0.5", "1", "2")),
     "--tol": _values("1e-10", "1e-8"),
     "--format": _values("json", "csv"),
     "--mode": _values("1", "2"),
@@ -926,16 +990,26 @@ _COMMON_FLAGS = sorted({flag for reads in _FUZZ_READS.values() for flag in reads
 @st.composite
 def _hostile_argv(draw):
     # nearly always the command's own flags, some that the model reads, now and
-    # then one that it does not read
-    command = draw(st.sampled_from(list(COMMANDS)))
-    model = draw(_values(*COMMANDS[command].models))
+    # then one that it does not read; a third of the draws take one flag's route
+    route = draw(st.sampled_from(list(_ROUTES))) if draw(st.integers(0, 2)) == 0 else None
+    if route is None:
+        command = draw(st.sampled_from(list(COMMANDS)))
+        model = draw(_values(*COMMANDS[command].models))
+        fixed = []
+    else:
+        value, model, needs = _ROUTES[route]
+        command = "sweep" if _LAMBDA_STEPS[0] in needs else draw(st.sampled_from(
+            [name for name, command in COMMANDS.items() if model in command.models]))
+        fixed = [route, value, *needs]
     flags = [flag for flag, _ in COMMANDS[command].flags if draw(st.integers(0, 9))]
     reads = _FUZZ_READS.get(model, _PHYS)
     flags += draw(st.lists(st.sampled_from(reads), max_size=len(reads), unique=True))
     if draw(st.integers(0, 9)) == 0:
         flags.append(draw(st.sampled_from(_COMMON_FLAGS)))
-    argv = [command, "--model", model]
+    argv = [command, "--model", model, *fixed]
     for flag in flags:
+        if flag in fixed[::2]:
+            continue
         value = draw(_FUZZ_VALUES[flag])
         argv += [flag] if value is None else [flag, value]
     return argv

@@ -651,15 +651,17 @@ def test_solve_reduced_takes_the_complex_solve(spec, tol, real_first):
         assert np.array_equal(out.vectors, expected.vectors)
 
 
-def test_solve_pair_keeps_the_complex_2n_solve():
+def test_solve_pair_solves_both_sides_in_real_arithmetic():
+    # H in the basis diag(Q, Q R) is the real [[m I, A], [-A, -m I]]: one 2N
+    # dgeev, certified against H, and the reduced side's N x N dgeev of A
     g = make_grid(math.pi, 16)
-    (d, h, u, dirac, reduced, mismatch), solved = _solve_counted(
+    (d, v, dirac, reduced, mismatch), solved = _solve_counted(
         solve_pair, COS, g, PP, FOURIER)
-    assert solved == [((32, 32), np.complex128), ((16, 16), np.float64)]
+    assert solved == [((32, 32), np.float64), ((16, 16), np.float64)]
     assert np.array_equal(d, derivative_matrix(g, FOURIER))
-    assert np.array_equal(h, build_dirac_grid(COS, g, PP, FOURIER))
-    assert np.array_equal(u, build_reduced(COS, g, PP, FOURIER))
-    assert np.array_equal(dirac, eigendecompose(h).values)
+    assert np.array_equal(v, COS.values(g))
+    h = build_dirac_grid(COS, g, PP, FOURIER)
+    assert spectrum_gap(dirac, eigendecompose(h).values) <= 1e-14
     assert np.array_equal(reduced, solve_reduced(COS, g, PP, FOURIER).values)
     assert mismatch == reduction_identity_mismatch(dirac, reduced, PP)
 
@@ -667,13 +669,45 @@ def test_solve_pair_keeps_the_complex_2n_solve():
 def test_solve_pair_takes_the_complex_n_solve_for_analytic_u():
     # its d @ d is not exactly reflection-symmetric, and it is not the product A^2
     g = make_grid(math.pi, 16)
-    (_, h, u, dirac, reduced, _), solved = _solve_counted(
+    (_, _, dirac, reduced, _), solved = _solve_counted(
         solve_pair, COS, g, PP, FOURIER, ANALYTIC_U)
-    assert solved == [((32, 32), np.complex128), ((16, 16), np.complex128)]
-    assert np.array_equal(u, build_reduced(COS, g, PP, FOURIER, ANALYTIC_U))
-    assert np.array_equal(dirac, eigendecompose(h).values)
-    assert np.array_equal(reduced, eigendecompose(u).values)
+    assert solved == [((32, 32), np.float64), ((16, 16), np.complex128)]
+    h = build_dirac_grid(COS, g, PP, FOURIER)
+    assert spectrum_gap(dirac, eigendecompose(h).values) <= 1e-14
+    assert np.array_equal(reduced,
+                          eigendecompose(build_reduced(COS, g, PP, FOURIER, ANALYTIC_U)).values)
 
+
+def test_solve_pair_takes_the_complex_2n_solve_for_samples_even_to_the_gate():
+    spec, g = _off_by_1e10(), make_grid(math.pi, 16)
+    (_, _, dirac, reduced, mismatch), solved = _solve_counted(
+        solve_pair, spec, g, PP, FOURIER)
+    assert solved == [((32, 32), np.complex128), ((16, 16), np.complex128)]
+    assert np.array_equal(dirac, eigendecompose(build_dirac_grid(spec, g, PP, FOURIER)).values)
+    assert np.array_equal(reduced, eigendecompose(build_reduced(spec, g, PP, FOURIER)).values)
+    assert mismatch <= 1e-12
+
+
+def _root_on_the_diagonal(y, v, perm, out):
+    # a fault in building A: V added at (j, j) instead of (j, perm[j])
+    out[...] = y + np.diag(v)
+    return out
+
+
+def test_a_fault_in_a_fails_the_certificate_against_h():
+    # the 2N route certifies M's vectors against H built from Y and v, not
+    # against A, so the fault sends it to the complex 2N solve; the reduced
+    # side, solved from the faulty A, then misses the identity
+    g = make_grid(math.pi, 16)
+    d, v = derivative_matrix(g, FOURIER), COS.values(g)
+    perm = reflection_permutation(g)
+    assert gridmod._solve_real_dirac(d, v, perm, PP, 1e-10) is not None
+    with mock.patch.object(gridmod, "_root_matrix", _root_on_the_diagonal):
+        assert gridmod._solve_real_dirac(d, v, perm, PP, 1e-10) is None
+        (_, _, dirac, _, mismatch), solved = _solve_counted(solve_pair, COS, g, PP, FOURIER)
+    assert solved == [((32, 32), np.float64), ((32, 32), np.complex128), ((16, 16), np.float64)]
+    assert np.array_equal(dirac, eigendecompose(build_dirac_grid(COS, g, PP, FOURIER)).values)
+    assert mismatch > 1e-2
 
 _COS_ARGV = ["--model", "scalar_grid", "--potential", "cosine", "--g", "1", "--grid-n", "16"]
 
@@ -683,6 +717,23 @@ def test_grid_pair_commands_gate_once(command, capsys):
     with mock.patch.object(gridmod, "derivative_matrix", wraps=derivative_matrix) as built:
         assert main([command, *_COS_ARGV]) == 0
     assert built.call_count == 1
+
+
+def test_a_fault_in_a_fails_verify_s_identity_check(capsys):
+    with mock.patch.object(gridmod, "_root_matrix", _root_on_the_diagonal):
+        assert main(["verify", *_COS_ARGV]) == 0
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["reduction_identity_mismatch"]["pass"] is False
+
+
+def test_reduce_builds_neither_h_nor_u_on_the_real_route(capsys):
+    refuse = mock.Mock(side_effect=AssertionError("H or U was built"))
+    with mock.patch.object(gridmod, "assemble_dirac_blocks", refuse), \
+         mock.patch.object(gridmod, "assemble_reduced", refuse), \
+         mock.patch.object(gridmod, "_coupling", refuse):
+        assert main(["reduce", *_COS_ARGV]) == 0
+    assert json.loads(capsys.readouterr().out)["reduction"]["identity_mismatch"] <= 1e-13
+    refuse.assert_not_called()
 
 
 def test_grid_sweep_takes_one_real_solve_per_point(capsys):

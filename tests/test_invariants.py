@@ -13,7 +13,9 @@ certified against the 2N operator (its certificate is the dense
 ``solve_reduced`` the reduced spectrum, closed under conjugation bit for
 bit and certified against the complex reduced operator.  That solve is of
 A = R+ R, where R+- are the real blocks in the reflection basis, and the
-identity R R+ R = -R- it rests on holds bit for bit.
+identity R R+ R = -R- it rests on holds bit for bit.  ``solve_pair``'s
+Dirac values, from one real 2N solve, match the complex 2N solve to
+rounding x ||H||_F wherever both are well conditioned.
 """
 
 import math
@@ -38,9 +40,10 @@ from pseudospec.grid import (
     reduction_identity_mismatch,
     reflection_permutation,
     solve_dirac,
+    solve_pair,
     solve_reduced,
 )
-from pseudospec.linalg import DEFAULT_TOL, eigendecompose
+from pseudospec.linalg import DEFAULT_TOL, eigendecompose, frob_norm
 from pseudospec.metric import VALID_METRIC, check_metric, spectral_metric
 from pseudospec.models import Momentum2, PhysParams, build_rashba, build_scalar_const
 
@@ -229,3 +232,22 @@ def test_solve_reduced_takes_the_real_route(case):
     reduced = eigendecompose(u)
     if _first_order_errors(reduced, u).max() <= 1e-9:
         assert spectrum_gap(es.values, reduced.values) <= 1e-8
+
+
+@settings(max_examples=100, deadline=None)
+@given(_grid_cases())
+@example(_NEAR_EP)
+def test_solve_pair_matches_the_complex_2n_solve(case):
+    spec, grid, pp, scheme = case
+    with mock.patch.object(gridmod, "eigendecompose", wraps=eigendecompose) as solves:
+        _, _, dirac, _, _ = solve_pair(spec, grid, pp, scheme)
+    # every drawn potential is exactly even: one real 2N solve, one real N solve
+    n = grid.n_points
+    assert [(c.args[0].shape, c.args[0].dtype) for c in solves.call_args_list] == [
+        ((2 * n, 2 * n), np.float64), ((n, n), np.float64)]
+    h = build_dirac_grid(spec, grid, pp, scheme)
+    dense = eigendecompose(h)
+    scale = max(1.0, frob_norm(h))
+    # away from exceptional points, where both solves promise rounding x ||H||_F
+    if _first_order_errors(dense, h).max() <= 1e-13 * scale:
+        assert spectrum_gap(dirac / scale, dense.values / scale) <= 1e-12
