@@ -572,7 +572,7 @@ def _solve_real_dirac(d: np.ndarray, v: np.ndarray, perm: np.ndarray, pp: PhysPa
     try:
         es = eigendecompose(m, tol)
     except (ConvergenceFailure, ValueError, np.linalg.LinAlgError):
-        return None
+        return None  # the complex solve raises its own error, if any, in its old place
     del m  # H's certificate reads only Y and v
     norm = math.sqrt(2) * math.hypot(math.sqrt(n) * rest, frob_norm(y), float(np.linalg.norm(v)))
     resid = _certified(functools.partial(_apply_h, y, v, rest), es.vectors, es.values, norm, tol,
@@ -590,20 +590,17 @@ def solve_pair(
 ):
     """Both grid spectra from one evenness gate, and their identity mismatch.
 
-    Returns (D, V(x_j), values of H, values of U, their identity mismatch),
-    with H the 2N x 2N Dirac operator and U the reduced one of ``form``.
-    H's values come from one real 2N solve (dgeev) of H in the basis
-    diag(Q, Q R), with its vectors certified against H itself
-    (``_solve_real_dirac``), so the 2N side stays an independent check of
-    the reduction identity.  U is solved as by ``solve_reduced`` for
-    ``product_exact``, by the complex N solve otherwise.  Neither H nor,
-    for ``product_exact``, U is built: a caller that needs them assembles
-    them from D and V.  The complex 2N solve of H (zgeev) is taken only
-    where V is not exactly even (sampled values pass the evenness gate to
-    1e-8), or where the real solve or its certificate fails; H and U are
-    then both built first, as they were before the real solve.  A 2N past
-    MAX_DIM is refused before anything 2N exists, and ``analytic_U``'s build
-    error before any solve.
+    Returns (D, V(x_j), values of H, values of U, their mismatch), for H the
+    2N x 2N Dirac operator and U the reduced one of ``form``.  H's values
+    come from one real 2N solve certified against H (``_solve_real_dirac``),
+    so the 2N side stays an independent check of the identity; U's as by
+    ``solve_reduced`` for ``product_exact``, by the complex N solve
+    otherwise.  Neither H nor a ``product_exact`` U is built: a caller that
+    needs them assembles them from D and V.  The complex 2N solve (zgeev) is
+    taken only where V is not exactly even (sampled values pass the gate to
+    1e-8) or the real solve or its certificate fails, with H and U built
+    first.  So every error comes in its old order: a 2N past MAX_DIM before
+    anything 2N exists, a build error of U before any solve.
     """
     d, v = _gated(spec, grid, scheme)
     _refuse_past_max_dim(len(v))

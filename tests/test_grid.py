@@ -709,6 +709,7 @@ def test_a_fault_in_a_fails_the_certificate_against_h():
     assert np.array_equal(dirac, eigendecompose(build_dirac_grid(COS, g, PP, FOURIER)).values)
     assert mismatch > 1e-2
 
+
 _COS_ARGV = ["--model", "scalar_grid", "--potential", "cosine", "--g", "1", "--grid-n", "16"]
 
 
@@ -719,7 +720,7 @@ def test_grid_pair_commands_gate_once(command, capsys):
     assert built.call_count == 1
 
 
-def test_a_fault_in_a_fails_verify_s_identity_check(capsys):
+def test_a_fault_in_a_fails_verify(capsys):
     with mock.patch.object(gridmod, "_root_matrix", _root_on_the_diagonal):
         assert main(["verify", *_COS_ARGV]) == 0
     checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
