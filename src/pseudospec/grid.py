@@ -34,7 +34,6 @@ import numpy as np
 
 from .errors import (
     AsymmetricGrid,
-    ConvergenceFailure,
     DimensionMismatch,
     NoAnalyticDerivative,
     OddPotential,
@@ -47,9 +46,9 @@ from .linalg import (
     PANEL,
     EigenSystem,
     as_cmatrix,
+    certify,
     eigendecompose,
     frob_norm,
-    max_column_residual,
     real_times_complex,
     relative_residual,
     sort_by_re_im,
@@ -325,32 +324,28 @@ def build_dirac_grid(
     return assemble_dirac_blocks(*_gated(spec, grid, scheme), pp)
 
 
+def _exactly_even(y: np.ndarray, v: np.ndarray, perm: np.ndarray) -> bool:
+    """v == v[perm] and R Y R == -Y, bit for bit: the condition of every real route.
+
+    Where it fails (sampled values pass the evenness gate to 1e-8 only), the
+    rotated blocks are not exactly real, and the grid solves take the complex
+    solve (zgeev) of H or U.
+    """
+    return np.array_equal(v, v[perm]) and np.array_equal(y[np.ix_(perm, perm)], -y)
+
+
 def _root_matrix(y: np.ndarray, v: np.ndarray, perm: np.ndarray, out: np.ndarray):
-    """Write A = R+ R, the real matrix of every grid route, into ``out``; or None.
+    """Write A = R+ R, the real matrix of every grid route, into ``out``.
 
     With Q = P+ + i P-, P+- = (I +- R)/2, the blocks cP +- V = iY +- V, with
     Y = -c hbar D and V = diag(v), become R+- = Q^dag (cP +- V) Q = K +- V,
-    K = -(R Y - Y R)/2, real symmetric when R Y R = -Y bit for bit and v is
-    exactly even.  Then R R+ R = -R-, so R+ R- = -A^2, and A = K R + V R is
-    Y with v added at the entries (j, perm[j]), exactly.  None, with ``out``
-    untouched, where v is even only to the evenness gate's tolerance, say.
+    K = -(R Y - Y R)/2, real symmetric where ``_exactly_even`` holds.  Then
+    R R+ R = -R-, so R+ R- = -A^2, and A = K R + V R is Y with v added at
+    the entries (j, perm[j]), exactly.
     """
-    if not (np.array_equal(v, v[perm]) and np.array_equal(y[np.ix_(perm, perm)], -y)):
-        return None
     out[...] = y
     out[np.arange(len(v)), perm] += v
     return out
-
-
-def _solve_root(y: np.ndarray, v: np.ndarray, perm: np.ndarray, tol: float):
-    """(A, eigendecompose(A)) for A of ``_root_matrix``, or None where A or its solve fails."""
-    a = _root_matrix(y, v, perm, np.empty_like(y))
-    if a is None:
-        return None
-    try:
-        return a, eigendecompose(a, tol)
-    except ConvergenceFailure:
-        return None
 
 
 def _apply_q(x: np.ndarray, perm: np.ndarray) -> np.ndarray:
@@ -376,38 +371,30 @@ def _apply_h(y: np.ndarray, v: np.ndarray, rest: float, x: np.ndarray) -> np.nda
     return np.concatenate([top, bottom])
 
 
-def _certified(apply, vectors, values, norm: float, tol: float, lift=None):
-    """``max_column_residual`` relative to ``norm``, or None past ``tol`` or overflowed."""
-    with np.errstate(all="ignore"):
-        worst = max_column_residual(apply, vectors, values, lift)
-    if not (math.isfinite(worst) and math.isfinite(norm)):
-        return None
-    resid = relative_residual(worst, norm)
-    return resid if resid <= tol else None
+def _certify_h(y, v, rest: float, vectors, values, tol: float, lift=None) -> float:
+    """``certify`` eigenpairs of H, applied by its blocks (``_apply_h``).
+
+    The residual is relative to ||H||_F = sqrt(2N m^2 + 2||Y||_F^2 + 2||v||^2),
+    which holds since Y has a zero diagonal.
+    """
+    norm = math.sqrt(2) * math.hypot(math.sqrt(len(v)) * rest, frob_norm(y),
+                                     float(np.linalg.norm(v)))
+    return certify(functools.partial(_apply_h, y, v, rest), vectors, values, norm, tol, lift)
 
 
-def _solve_rotated(h: np.ndarray, perm: np.ndarray, rest: float, tol: float):
-    """The eigensystem of ``h`` from one real N x N solve, or None if uncertified.
+def _solve_rotated(y: np.ndarray, v: np.ndarray, perm: np.ndarray, rest: float, tol: float):
+    """H's eigensystem from one real N x N solve, for ``_exactly_even`` Y and v.
 
-    In the basis diag(Q, Q R), ``h`` is [[rest I, A], [-A, -rest I]] with A
-    of ``_solve_root``.  An eigenpair (mu, x) of A gives E = +s, with
+    In the basis diag(Q, Q R), H is [[rest I, A], [-A, -rest I]] with A of
+    ``_root_matrix``.  An eigenpair (mu, x) of A gives E = +s, with
     s = sqrt((rest - mu)(rest + mu)), the vector [x; beta x], and E = -s the
     vector [beta x; x], where beta = -mu / (s + rest).  Re s >= 0, so s + rest
     = 0 only where rest = 0 and s = 0 (mu = 0, or mu^2 underflows); beta is 0
-    there, and E = 0 has [x; 0] and [0; x].  None also where ||H||_F
-    overflows or a block is not exactly real.
+    there, and E = 0 has [x; 0] and [0; x].
     """
-    norm = frob_norm(h)
-    if not math.isfinite(norm):
-        return None
     n = len(perm)
-    coupling = h[:n, n:]  # cP + V = iY + V
-    y = np.ascontiguousarray(coupling.imag)
-    v = coupling.real.diagonal()
-    solved = _solve_root(y, v, perm, tol)
-    if solved is None:
-        return None
-    mu, x = solved[1].values, solved[1].vectors  # A's eigenpairs
+    es = eigendecompose(_root_matrix(y, v, perm, np.empty_like(y)), tol)
+    mu, x = es.values, es.vectors  # A's eigenpairs
     with np.errstate(all="ignore"):
         root = np.sqrt((rest - mu) * (rest + mu))
         beta = -mu / (root + rest)
@@ -425,8 +412,7 @@ def _solve_rotated(h: np.ndarray, perm: np.ndarray, rest: float, tol: float):
         panel = x[:, cols[span]]
         vectors[:n, span] = _apply_q(panel, perm) * upper[span]  # Q on the top half
         vectors[n:, span] = _apply_q(panel[perm], perm) * lower[span]  # Q R below
-    resid = _certified(functools.partial(_apply_h, y, v, rest), vectors, values, norm, tol)
-    return None if resid is None else EigenSystem(values, vectors, resid)
+    return EigenSystem(values, vectors, _certify_h(y, v, rest, vectors, values, tol))
 
 
 def solve_dirac(
@@ -440,22 +426,23 @@ def solve_dirac(
 
     The reflection R splits the grid into even and odd parts; in the basis
     diag(Q, Q R), Q = P+ + i P-, H is [[m I, A], [-A, -m I]] with m = m0 c^2
-    and A a real N x N matrix (``_solve_root``), which LAPACK solves in real
+    and A a real N x N matrix (``_root_matrix``), which LAPACK solves in real
     arithmetic (dgeev).  Each eigenvalue mu of A gives E = +-sqrt(m^2 - mu^2),
     so the values are closed under negation and conjugation exactly, and
     carry an error of about rounding x ||H||, as the 2N solve's do.  Every
     eigenpair is certified against the 2N operator:
     ||H v - E v|| / max(1, ||H||_F) <= tol for unit v, with H applied by its
     blocks, in real arithmetic and ``linalg.PANEL`` columns at a time.
-
-    The complex 2N solve (``eigendecompose`` of the operator) is taken
-    instead, with its errors, only when V is not exactly even (sampled values
-    pass the evenness gate to 1e-8), when ||H||_F overflows, or when the real
-    solve or its certificate fails.
+    Where V is not exactly even (``_exactly_even``), the operator takes the
+    complex 2N solve (``eigendecompose``) instead.
     """
     h = build_dirac_grid(spec, grid, pp, scheme)
-    es = _solve_rotated(h, reflection_permutation(grid), pp.rest_energy, tol)
-    return es or eigendecompose(h, tol)
+    n, perm = grid.n_points, reflection_permutation(grid)
+    coupling = h[:n, n:]  # cP + V = iY + V: the certificate is about this very H
+    y, v = np.ascontiguousarray(coupling.imag), coupling.real.diagonal()
+    if not _exactly_even(y, v, perm):
+        return eigendecompose(h, tol)
+    return _solve_rotated(y, v, perm, pp.rest_energy, tol)
 
 
 def build_reduced(
@@ -489,26 +476,23 @@ def assemble_reduced(d, v, spec: PotentialSpec, grid: Grid1D, pp: PhysParams, fo
     return as_cmatrix(matrix)
 
 
-def _solve_real_reduced(d, v, grid: Grid1D, pp: PhysParams, tol: float):
-    """The ``product_exact`` U's eigensystem from A of ``_solve_root``, or None.
+def _solve_real_reduced(y: np.ndarray, v: np.ndarray, perm: np.ndarray, tol: float):
+    """The ``product_exact`` U's eigensystem from A of ``_root_matrix``.
 
     U = (cP+V)(cP-V) = Q R+ R- Q^dag = -Q A^2 Q^dag, Q unitary, so an
     eigenpair (mu, x) of A gives U the value eps = -mu^2 and the unit vector
     Q x, certified against A^2, U in the Q basis to rounding.
     """
-    perm = reflection_permutation(grid)
-    solved = _solve_root(-(pp.c * pp.hbar) * d, v, perm, tol)
-    if solved is None:
-        return None
-    a, es = solved
+    a = _root_matrix(y, v, perm, np.empty_like(y))
+    es = eigendecompose(a, tol)
     square = a @ a
     mu2 = es.values**2
     order = sort_by_re_im(-mu2)
     x = es.vectors[:, order]
     with np.errstate(over="ignore"):
         norm = frob_norm(square)
-    resid = _certified(lambda cols: real_times_complex(square, cols), x, mu2[order], norm, tol)
-    return None if resid is None else EigenSystem(-mu2[order], _apply_q(x, perm), resid)
+    resid = certify(lambda cols: real_times_complex(square, cols), x, mu2[order], norm, tol)
+    return EigenSystem(-mu2[order], _apply_q(x, perm), resid)
 
 
 def solve_reduced(
@@ -524,19 +508,15 @@ def solve_reduced(
     ``solve_dirac``: (cP+V)(cP-V) is unitarily similar to -A^2, so its
     values are eps = -mu^2 for the eigenvalues mu of A, closed under
     conjugation exactly, and its unit vectors are Q x for A's vectors x,
-    each pair certified against A^2 at ``tol``.  The complex solve
-    ``eigendecompose(build_reduced(...))`` is taken instead, with its
-    errors, only when V is not exactly even (sampled values pass the evenness
-    gate to 1e-8), when ||A^2||_F overflows, or when the real solve or its
-    certificate fails.
+    each pair certified against A^2 at ``tol``.  Where V is not exactly even
+    (``_exactly_even``), ``build_reduced``'s matrix takes the complex solve
+    (``eigendecompose``) instead.
     """
-    return _solve_product(*_gated(spec, grid, scheme), spec, grid, pp, tol)
-
-
-def _solve_product(d, v, spec: PotentialSpec, grid: Grid1D, pp: PhysParams, tol: float):
-    """``solve_reduced``'s eigensystem from the gated D and V."""
-    es = _solve_real_reduced(d, v, grid, pp, tol)
-    return es or eigendecompose(assemble_reduced(d, v, spec, grid, pp, PRODUCT_EXACT), tol)
+    d, v = _gated(spec, grid, scheme)
+    y, perm = -(pp.c * pp.hbar) * d, reflection_permutation(grid)
+    if not _exactly_even(y, v, perm):
+        return eigendecompose(assemble_reduced(d, v, spec, grid, pp, PRODUCT_EXACT), tol)
+    return _solve_real_reduced(y, v, perm, tol)
 
 
 def _to_h_basis(z: np.ndarray, perm: np.ndarray) -> np.ndarray:
@@ -545,39 +525,29 @@ def _to_h_basis(z: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return np.concatenate([_apply_q(z[:n], perm), _apply_q(z[n:][perm], perm)])
 
 
-def _solve_real_dirac(d: np.ndarray, v: np.ndarray, perm: np.ndarray, pp: PhysParams,
+def _solve_real_dirac(y: np.ndarray, v: np.ndarray, perm: np.ndarray, rest: float,
                       tol: float):
-    """H's values from one real 2N solve, certified against H, or None.
+    """H's values from one real 2N solve, certified against H, for ``_exactly_even`` Y and v.
 
     In the basis T = diag(Q, Q R), H is M = [[m I, A], [-A, -m I]], real,
     with m = m0 c^2 and A of ``_root_matrix``.  M is filled in one array
     and solved by ``eigendecompose`` (dgeev); H is never built.  Each panel
     of M's vectors z is mapped to T z and certified against H applied by
-    its blocks (``_apply_h``), at ``tol`` relative to
-    ||H||_F = sqrt(2N m^2 + 2||Y||_F^2 + 2||v||^2).  A fault in M then fails
+    its blocks (``_certify_h``).  A fault in M then fails
     that certificate instead of cancelling out of the reduction identity,
-    whose reduced side is solved from A as well.  None where V is not
-    exactly even, or where the solve or its certificate fails.
+    whose reduced side is solved from A as well.
     """
     n = len(v)
-    rest = pp.rest_energy
-    y = -(pp.c * pp.hbar) * d
     m = np.zeros((2 * n, 2 * n))
-    if _root_matrix(y, v, perm, m[:n, n:]) is None:
-        return None
+    _root_matrix(y, v, perm, m[:n, n:])
     np.negative(m[:n, n:], out=m[n:, :n])
     diag = np.arange(n)
     m[diag, diag] = rest
     m[diag + n, diag + n] = -rest
-    try:
-        es = eigendecompose(m, tol)
-    except (ConvergenceFailure, ValueError, np.linalg.LinAlgError):
-        return None  # the complex solve raises its own error, if any, in its old place
+    es = eigendecompose(m, tol)
     del m  # H's certificate reads only Y and v
-    norm = math.sqrt(2) * math.hypot(math.sqrt(n) * rest, frob_norm(y), float(np.linalg.norm(v)))
-    resid = _certified(functools.partial(_apply_h, y, v, rest), es.vectors, es.values, norm, tol,
-                       lift=functools.partial(_to_h_basis, perm=perm))
-    return None if resid is None else es.values
+    _certify_h(y, v, rest, es.vectors, es.values, tol, functools.partial(_to_h_basis, perm=perm))
+    return es.values
 
 
 def solve_pair(
@@ -596,26 +566,21 @@ def solve_pair(
     so the 2N side stays an independent check of the identity; U's as by
     ``solve_reduced`` for ``product_exact``, by the complex N solve
     otherwise.  Neither H nor a ``product_exact`` U is built: a caller that
-    needs them assembles them from D and V.  The complex 2N solve (zgeev) is
-    taken only where V is not exactly even (sampled values pass the gate to
-    1e-8) or the real solve or its certificate fails, with H and U built
-    first.  So every error comes in its old order: a 2N past MAX_DIM before
-    anything 2N exists, a build error of U before any solve.
+    needs them assembles them from D and V.  Where V is not exactly even
+    (``_exactly_even``), H and U take the complex solve (zgeev) instead.
+    Errors come in one order: a 2N past MAX_DIM before anything 2N exists,
+    a build error of U before any solve.
     """
     d, v = _gated(spec, grid, scheme)
     _refuse_past_max_dim(len(v))
-    u = None if form == PRODUCT_EXACT else assemble_reduced(d, v, spec, grid, pp, form)
-    dirac = _solve_real_dirac(d, v, reflection_permutation(grid), pp, tol)
-    if dirac is None:
-        h = assemble_dirac_blocks(d, v, pp)
-        if u is None:  # built for its error alone, which comes before the 2N solve's
-            assemble_reduced(d, v, spec, grid, pp, form)
-        dirac = eigendecompose(h, tol).values
-        del h
-    if u is None:
-        reduced = _solve_product(d, v, spec, grid, pp, tol)
+    y, perm = -(pp.c * pp.hbar) * d, reflection_permutation(grid)
+    even = _exactly_even(y, v, perm)
+    u = None if even and form == PRODUCT_EXACT else assemble_reduced(d, v, spec, grid, pp, form)
+    if even:
+        dirac = _solve_real_dirac(y, v, perm, pp.rest_energy, tol)
     else:
-        reduced = eigendecompose(u, tol)
+        dirac = eigendecompose(assemble_dirac_blocks(d, v, pp), tol).values
+    reduced = _solve_real_reduced(y, v, perm, tol) if u is None else eigendecompose(u, tol)
     return d, v, dirac, reduced.values, reduction_identity_mismatch(dirac, reduced.values, pp)
 
 

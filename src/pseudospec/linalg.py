@@ -127,6 +127,22 @@ def max_column_residual(apply, vectors: np.ndarray, values: np.ndarray, lift=Non
     return worst
 
 
+def certify(apply, vectors, values, norm: float, tol: float, lift=None) -> float:
+    """``max_column_residual`` relative to max(1, ``norm``), checked against ``tol``.
+
+    Returns the relative residual; raises ConvergenceFailure past ``tol``,
+    and ValueError (``relative_residual``'s) where the residual or ``norm``
+    is not finite.  numpy's warnings on the way there are silenced, since
+    that error says what went wrong.
+    """
+    with np.errstate(all="ignore"):
+        worst = max_column_residual(apply, vectors, values, lift)
+    resid = relative_residual(worst, norm)
+    if not resid <= tol:
+        raise ConvergenceFailure(f"eigen residual {resid:.3e} exceeds tolerance {tol:.3e}")
+    return resid
+
+
 def sort_by_re_im(values: np.ndarray) -> np.ndarray:
     """Indices that sort complex values by (Re, Im) ascending."""
     return np.lexsort((values.imag, values.real))
@@ -177,11 +193,7 @@ def eigendecompose(a, tol: float = DEFAULT_TOL) -> EigenSystem:
         apply = lambda x: real_times_complex(m, x)
     else:
         apply = m.__matmul__
-    resid = relative_residual(max_column_residual(apply, vectors, values), m)
-    if not resid <= tol:
-        raise ConvergenceFailure(
-            f"eigen residual {resid:.3e} exceeds tolerance {tol:.3e}"
-        )
+    resid = certify(apply, vectors, values, frob_norm(m), tol)
     return EigenSystem(values=values, vectors=vectors, residual=resid)
 
 

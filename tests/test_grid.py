@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from conftest import spectrum_gap
 from pseudospec import grid as gridmod
-from pseudospec.cli import main
+from pseudospec.cli import EXIT_SOLVER, main
 from pseudospec.errors import (
     AsymmetricGrid,
     ConvergenceFailure,
@@ -539,7 +541,7 @@ def test_solve_dirac_takes_the_real_route_at_a_double_zero_mode():
 
 
 def test_solve_dirac_builds_h_once_and_solves_a_once():
-    # the 2N fallback needs H, and the traced benchmark sees its build
+    # H is built for the complex route and for the traced benchmark, which sees its build
     g = make_grid(math.pi, 48)
     with mock.patch.object(gridmod, "build_dirac_grid", wraps=build_dirac_grid) as built:
         es, solved = _solve_counted(solve_dirac, COS, g, PP, FOURIER)
@@ -610,15 +612,6 @@ def test_solve_dirac_refuses_beyond_max_dim_with_the_2n_error():
     assert solved == []
 
 
-def test_solve_dirac_reports_the_2n_failure_at_an_unreachable_tolerance():
-    g = make_grid(math.pi, 32)
-    with pytest.raises(ConvergenceFailure) as direct:
-        eigendecompose(build_dirac_grid(COS, g, PP, FOURIER), 1e-17)
-    err, solved = _solve_counted(solve_dirac, COS, g, PP, FOURIER, 1e-17)
-    assert isinstance(err, ConvergenceFailure) and str(err) == str(direct.value)
-    assert solved == [((32, 32), np.float64), ((64, 64), np.complex128)]
-
-
 def _off_by_1e10():
     # cos x with one value moved by 1e-10 relative: even to the samples gate's
     # 1e-8, not exactly, so its blocks are not exactly real
@@ -628,27 +621,43 @@ def _off_by_1e10():
     return PotentialSpec.samples(g.points, v)
 
 
-@pytest.mark.parametrize("spec, tol, real_first", [
-    (_off_by_1e10(), 1e-10, False),
-    # A is solved, but ||A^2||_F overflows, as the complex solve's norm does
-    (PotentialSpec.cosine(1e100, 1), 1e-10, True),
-    (COS, 1e-17, True),  # the real solve fails its certificate first
-], ids=["samples even to 1e-10", "huge potential", "unreachable tolerance"])
-def test_solve_reduced_takes_the_complex_solve(spec, tol, real_first):
+def test_solve_reduced_takes_the_complex_solve():
+    spec, g = _off_by_1e10(), make_grid(math.pi, 16)
+    d = derivative_matrix(g, FOURIER)
+    assert not gridmod._exactly_even(-d, spec.values(g), reflection_permutation(g))
+    out, solved = _solve_counted(solve_reduced, spec, g, PP, FOURIER)
+    expected = eigendecompose(build_reduced(spec, g, PP, FOURIER))
+    assert solved == [((16, 16), np.complex128)]
+    assert np.array_equal(out.values, expected.values)
+    assert np.array_equal(out.vectors, expected.vectors)
+
+
+_F64_16, _F64_32 = ((16, 16), np.float64), ((32, 32), np.float64)
+
+
+@pytest.mark.parametrize("solve, spec, tol, error, solved", [
+    # the certificate of the one real solve fails; nothing falls back
+    (solve_dirac, COS, 1e-17, ConvergenceFailure, [_F64_16]),
+    (solve_reduced, COS, 1e-17, ConvergenceFailure, [_F64_16]),
+    (solve_pair, COS, 1e-17, ConvergenceFailure, [_F64_32]),
+    # A is solved, but ||A^2||_F overflows: the reduced side's certificate
+    (solve_reduced, PotentialSpec.cosine(1e100, 1), 1e-10, ValueError, [_F64_16]),
+    (solve_pair, PotentialSpec.cosine(1e100, 1), 1e-10, ValueError, [_F64_32, _F64_16]),
+    # ||H||_F is finite at 1e100 (solve_dirac takes it); here ||A||_F overflows
+    (solve_dirac, PotentialSpec.cosine(1e160, 1), 1e-10, ValueError, [_F64_16]),
+], ids=["dirac unreachable tolerance", "reduced unreachable tolerance",
+        "pair unreachable tolerance", "reduced huge potential", "pair huge potential",
+        "dirac huge potential"])
+def test_the_real_route_raises_its_own_error(solve, spec, tol, error, solved):
     g = make_grid(math.pi, 16)
-    # the complex solve's norm overflows for the huge potential, as in the CLI
     with np.errstate(over="ignore"):
-        out, solved = _solve_counted(solve_reduced, spec, g, PP, FOURIER, tol)
-        try:
-            expected = eigendecompose(build_reduced(spec, g, PP, FOURIER), tol)
-        except (PseudospecError, ValueError) as exc:
-            expected = exc
-    assert solved == [((16, 16), np.float64)] * real_first + [((16, 16), np.complex128)]
-    if isinstance(expected, Exception):
-        assert type(out) is type(expected) and str(out) == str(expected)
+        err, shapes = _solve_counted(functools.partial(solve, tol=tol), spec, g, PP, FOURIER)
+    assert type(err) is error
+    if error is ConvergenceFailure:
+        assert re.fullmatch(r"eigen residual \S+ exceeds tolerance 1\.000e-17", str(err))
     else:
-        assert np.array_equal(out.values, expected.values)
-        assert np.array_equal(out.vectors, expected.vectors)
+        assert re.fullmatch(r"residual norm \S+ against matrix norm inf is not finite", str(err))
+    assert shapes == solved
 
 
 def test_solve_pair_solves_both_sides_in_real_arithmetic():
@@ -695,19 +704,20 @@ def _root_on_the_diagonal(y, v, perm, out):
 
 
 def test_a_fault_in_a_fails_the_certificate_against_h():
-    # the 2N route certifies M's vectors against H built from Y and v, not
-    # against A, so the fault sends it to the complex 2N solve; the reduced
-    # side, solved from the faulty A, then misses the identity
+    # both real routes to H's values certify against H applied from Y and v,
+    # not against A or M, so the fault fails the one real solve that used it,
+    # with no complex solve after it
     g = make_grid(math.pi, 16)
-    d, v = derivative_matrix(g, FOURIER), COS.values(g)
+    y, v = -(PP.c * PP.hbar) * derivative_matrix(g, FOURIER), COS.values(g)
     perm = reflection_permutation(g)
-    assert gridmod._solve_real_dirac(d, v, perm, PP, 1e-10) is not None
+    assert len(gridmod._solve_real_dirac(y, v, perm, PP.rest_energy, 1e-10)) == 32
     with mock.patch.object(gridmod, "_root_matrix", _root_on_the_diagonal):
-        assert gridmod._solve_real_dirac(d, v, perm, PP, 1e-10) is None
-        (_, _, dirac, _, mismatch), solved = _solve_counted(solve_pair, COS, g, PP, FOURIER)
-    assert solved == [((32, 32), np.float64), ((32, 32), np.complex128), ((16, 16), np.float64)]
-    assert np.array_equal(dirac, eigendecompose(build_dirac_grid(COS, g, PP, FOURIER)).values)
-    assert mismatch > 1e-2
+        with pytest.raises(ConvergenceFailure):
+            gridmod._solve_real_dirac(y, v, perm, PP.rest_energy, 1e-10)
+        pair, pair_solved = _solve_counted(solve_pair, COS, g, PP, FOURIER)
+        dirac, dirac_solved = _solve_counted(solve_dirac, COS, g, PP, FOURIER)
+    assert isinstance(pair, ConvergenceFailure) and pair_solved == [((32, 32), np.float64)]
+    assert isinstance(dirac, ConvergenceFailure) and dirac_solved == [((16, 16), np.float64)]
 
 
 _COS_ARGV = ["--model", "scalar_grid", "--potential", "cosine", "--g", "1", "--grid-n", "16"]
@@ -720,11 +730,14 @@ def test_grid_pair_commands_gate_once(command, capsys):
     assert built.call_count == 1
 
 
-def test_a_fault_in_a_fails_verify(capsys):
+@pytest.mark.parametrize("command", ["verify", "reduce", "spectrum"])
+def test_a_fault_in_a_fails_the_command(command, capsys):
     with mock.patch.object(gridmod, "_root_matrix", _root_on_the_diagonal):
-        assert main(["verify", *_COS_ARGV]) == 0
-    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
-    assert checks["reduction_identity_mismatch"]["pass"] is False
+        assert main([command, *_COS_ARGV]) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line)["error"]["type"] == "ConvergenceFailure"
 
 
 def test_reduce_builds_neither_h_nor_u_on_the_real_route(capsys):

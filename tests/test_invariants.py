@@ -174,7 +174,8 @@ def test_the_real_blocks_reflect_into_each_other(case):
     k = -0.5 * (y[perm] - y[:, perm])
     plus, minus = k + np.diag(v), k - np.diag(v)
     assert np.array_equal(plus[np.ix_(perm, perm)], -minus)
-    assert np.array_equal(gridmod._solve_root(y, v, perm, DEFAULT_TOL)[0], plus[:, perm])
+    assert gridmod._exactly_even(y, v, perm)
+    assert np.array_equal(gridmod._root_matrix(y, v, perm, np.empty_like(y)), plus[:, perm])
     n = grid.n_points
     q = 0.5 * ((1 + 1j) * np.eye(n) + (1 - 1j) * np.eye(n)[perm])
     for block, sign in ((plus, 1), (minus, -1)):
