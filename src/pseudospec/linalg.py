@@ -132,12 +132,9 @@ def certify(apply, vectors, values, norm: float, tol: float, lift=None) -> float
 
     Returns the relative residual; raises ConvergenceFailure past ``tol``,
     and ValueError (``relative_residual``'s) where the residual or ``norm``
-    is not finite.  numpy's warnings on the way there are silenced, since
-    that error says what went wrong.
+    is not finite.
     """
-    with np.errstate(all="ignore"):
-        worst = max_column_residual(apply, vectors, values, lift)
-    resid = relative_residual(worst, norm)
+    resid = relative_residual(max_column_residual(apply, vectors, values, lift), norm)
     if not resid <= tol:
         raise ConvergenceFailure(f"eigen residual {resid:.3e} exceeds tolerance {tol:.3e}")
     return resid
