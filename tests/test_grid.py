@@ -623,8 +623,8 @@ def _off_by_1e10():
 
 def test_solve_reduced_takes_the_complex_solve():
     spec, g = _off_by_1e10(), make_grid(math.pi, 16)
-    d = derivative_matrix(g, FOURIER)
-    assert not gridmod._exactly_even(-d, spec.values(g), reflection_permutation(g))
+    y = -(PP.c * PP.hbar) * derivative_matrix(g, FOURIER)
+    assert not gridmod._exactly_even(y, spec.values(g), reflection_permutation(g))
     out, solved = _solve_counted(solve_reduced, spec, g, PP, FOURIER)
     expected = eigendecompose(build_reduced(spec, g, PP, FOURIER))
     assert solved == [((16, 16), np.complex128)]
