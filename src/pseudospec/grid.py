@@ -476,23 +476,40 @@ def assemble_reduced(d, v, spec: PotentialSpec, grid: Grid1D, pp: PhysParams, fo
     return as_cmatrix(matrix)
 
 
+def _apply_u(y: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """U X = (iY + V)(iY - V) X, applied by blocks.
+
+    Y = -c hbar D acts in real arithmetic (``real_times_complex``), as in
+    ``_apply_h``, and no N x N complex U is made.
+    """
+    w = real_times_complex(y, x)
+    w *= 1j
+    w -= v[:, None] * x
+    out = real_times_complex(y, w)
+    out *= 1j
+    out += v[:, None] * w
+    return out
+
+
 def _solve_real_reduced(y: np.ndarray, v: np.ndarray, perm: np.ndarray, tol: float):
     """The ``product_exact`` U's eigensystem from A of ``_root_matrix``.
 
     U = (cP+V)(cP-V) = Q R+ R- Q^dag = -Q A^2 Q^dag, Q unitary, so an
     eigenpair (mu, x) of A gives U the value eps = -mu^2 and the unit vector
-    Q x, certified against A^2, U in the Q basis to rounding.
+    Q x.  Each panel of Q x is certified against U applied by its blocks
+    from Y and v (``_apply_u``), so a fault in building A fails it; the
+    residual is relative to ||A^2||_F, ||U||_F to rounding.
     """
     a = _root_matrix(y, v, perm, np.empty_like(y))
     es = eigendecompose(a, tol)
-    square = a @ a
-    mu2 = es.values**2
-    order = sort_by_re_im(-mu2)
-    x = es.vectors[:, order]
     with np.errstate(over="ignore"):
-        norm = frob_norm(square)
-    resid = certify(lambda cols: real_times_complex(square, cols), x, mu2[order], norm, tol)
-    return EigenSystem(-mu2[order], _apply_q(x, perm), resid)
+        norm = frob_norm(a @ a)
+    eps = -es.values**2
+    order = sort_by_re_im(eps)
+    eps, x = eps[order], es.vectors[:, order]
+    lift = functools.partial(_apply_q, perm=perm)
+    resid = certify(functools.partial(_apply_u, y, v), x, eps, norm, tol, lift)
+    return EigenSystem(eps, _apply_q(x, perm), resid)
 
 
 def solve_reduced(
@@ -508,9 +525,9 @@ def solve_reduced(
     ``solve_dirac``: (cP+V)(cP-V) is unitarily similar to -A^2, so its
     values are eps = -mu^2 for the eigenvalues mu of A, closed under
     conjugation exactly, and its unit vectors are Q x for A's vectors x,
-    each pair certified against A^2 at ``tol``.  Where V is not exactly even
-    (``_exactly_even``), ``build_reduced``'s matrix takes the complex solve
-    (``eigendecompose``) instead.
+    each pair certified against U, applied by its blocks, at ``tol``.  Where
+    V is not exactly even (``_exactly_even``), ``build_reduced``'s matrix
+    takes the complex solve (``eigendecompose``) instead.
     """
     d, v = _gated(spec, grid, scheme)
     y, perm = -(pp.c * pp.hbar) * d, reflection_permutation(grid)

@@ -720,6 +720,33 @@ def test_a_fault_in_a_fails_the_certificate_against_h():
     assert isinstance(dirac, ConvergenceFailure) and dirac_solved == [((16, 16), np.float64)]
 
 
+def test_u_applied_by_blocks_is_the_product_u():
+    g = make_grid(math.pi, 16)
+    y, v = -(PP.c * PP.hbar) * derivative_matrix(g, FOURIER), COS.values(g)
+    u = build_reduced(COS, g, PP, FOURIER)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(16, 6)) + 1j * rng.normal(size=(16, 6))
+    assert np.abs(gridmod._apply_u(y, v, x) - u @ x).max() <= 1e-14 * frob_norm(u)
+    # ||A^2||_F, the certificate's norm, is ||U||_F to rounding: U = -Q A^2 Q^dag
+    a = gridmod._root_matrix(y, v, reflection_permutation(g), np.empty_like(y))
+    assert frob_norm(a @ a) == pytest.approx(frob_norm(u), rel=1e-14)
+
+
+def test_a_fault_in_a_fails_the_certificate_against_u():
+    # the reduced side certifies Q x against U applied from Y and v, not
+    # against A^2 of the same A, so the fault fails its one real solve
+    g = make_grid(math.pi, 16)
+    y, v = -(PP.c * PP.hbar) * derivative_matrix(g, FOURIER), COS.values(g)
+    perm = reflection_permutation(g)
+    assert len(gridmod._solve_real_reduced(y, v, perm, 1e-10).values) == 16
+    with mock.patch.object(gridmod, "_root_matrix", _root_on_the_diagonal):
+        reduced, solved = _solve_counted(solve_reduced, COS, g, PP, FOURIER)
+    assert isinstance(reduced, ConvergenceFailure) and solved == [((16, 16), np.float64)]
+    resid = float(re.fullmatch(r"eigen residual (\S+) exceeds tolerance 1\.000e-10",
+                               str(reduced))[1])
+    assert resid > 1e-2
+
+
 _COS_ARGV = ["--model", "scalar_grid", "--potential", "cosine", "--g", "1", "--grid-n", "16"]
 
 
@@ -730,10 +757,16 @@ def test_grid_pair_commands_gate_once(command, capsys):
     assert built.call_count == 1
 
 
-@pytest.mark.parametrize("command", ["verify", "reduce", "spectrum"])
-def test_a_fault_in_a_fails_the_command(command, capsys):
+@pytest.mark.parametrize("argv", [
+    ["verify", *_COS_ARGV],
+    ["reduce", *_COS_ARGV],
+    ["spectrum", *_COS_ARGV],
+    ["sweep", *_COS_ARGV, "--sweep-param", "g", "--sweep-min", "5", "--sweep-max", "20",
+     "--sweep-steps", "4"],
+], ids=lambda argv: argv[0])
+def test_a_fault_in_a_fails_the_command(argv, capsys):
     with mock.patch.object(gridmod, "_root_matrix", _root_on_the_diagonal):
-        assert main([command, *_COS_ARGV]) == EXIT_SOLVER
+        assert main(argv) == EXIT_SOLVER
     captured = capsys.readouterr()
     assert captured.out == ""
     (line,) = captured.err.splitlines()
