@@ -384,11 +384,11 @@ def _block_spectrum(cfg: RunConfig):
     model = MODELS[cfg.model]
     h = model.matrix(cfg)
     analytic = _sorted_pair(model.analytic(cfg))
-    return eigendecompose(h, cfg.tol), analytic
+    return eigendecompose(h, cfg.tol).values, analytic
 
 
 def _block_sweep(cfg: RunConfig):
-    return eigendecompose(MODELS[cfg.model].matrix(cfg), cfg.tol)
+    return eigendecompose(MODELS[cfg.model].matrix(cfg), cfg.tol).values
 
 
 @dataclass(frozen=True)
@@ -404,8 +404,8 @@ class Model:
 
     params: tuple[str, ...]  # record parameters after m0, c, hbar, in order
     verify: Callable  # the `verify` battery: a list of checks
-    spectrum: Callable = _block_spectrum  # `spectrum`'s eigensystem and closed form
-    sweep: Callable = _block_sweep  # the eigensystem `sweep` classifies at one point
+    spectrum: Callable = _block_spectrum  # `spectrum`'s eigenvalues and closed form
+    sweep: Callable = _block_sweep  # the eigenvalues `sweep` classifies at one point
     matrix: Callable | None = None  # the 2x2 operator the commands solve
     load: Callable = lambda cfg: ()  # inputs built once per command
     methods: tuple[str, ...] = ()  # what `metric --method all` runs
@@ -474,13 +474,13 @@ def run_spectrum(cfg: RunConfig) -> ResultRecord:
     """Numerical (and, for 2x2 models, analytic) spectrum with classification."""
     model = MODELS[cfg.model]
     inputs = model.load(cfg)
-    es, analytic = model.spectrum(cfg, *inputs)
+    values, analytic = model.spectrum(cfg, *inputs)
     return _record(
         cfg,
         *inputs,
-        eigenvalues=complex_table(es.values),
+        eigenvalues=complex_table(values),
         analytic_eigenvalues=None if analytic is None else complex_table(analytic),
-        classification=classify_spectrum(es.values, cfg.tol),
+        classification=classify_spectrum(values, cfg.tol),
     )
 
 
@@ -522,7 +522,7 @@ def run_metric(cfg: RunConfig) -> ResultRecord:
 
 def _sweep_point(cfg: RunConfig, inputs: tuple, value: float):
     sub = replace(cfg, params={**cfg.params, cfg.sweep_param: value})
-    values = MODELS[cfg.model].sweep(sub, *inputs).values
+    values = MODELS[cfg.model].sweep(sub, *inputs)
     return values, classify_spectrum(values, cfg.tol)
 
 

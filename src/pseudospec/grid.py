@@ -43,8 +43,6 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     MAX_DIM,
-    PANEL,
-    EigenSystem,
     as_cmatrix,
     certify,
     eigendecompose,
@@ -371,7 +369,7 @@ def _apply_h(y: np.ndarray, v: np.ndarray, rest: float, x: np.ndarray) -> np.nda
     return np.concatenate([top, bottom])
 
 
-def _certify_h(y, v, rest: float, vectors, values, tol: float, lift=None) -> float:
+def _certify_h(y, v, rest: float, columns, values, tol: float) -> float:
     """``certify`` eigenpairs of H, applied by its blocks (``_apply_h``).
 
     The residual is relative to ||H||_F = sqrt(2N m^2 + 2||Y||_F^2 + 2||v||^2),
@@ -379,18 +377,19 @@ def _certify_h(y, v, rest: float, vectors, values, tol: float, lift=None) -> flo
     """
     norm = math.sqrt(2) * math.hypot(math.sqrt(len(v)) * rest, frob_norm(y),
                                      float(np.linalg.norm(v)))
-    return certify(functools.partial(_apply_h, y, v, rest), vectors, values, norm, tol, lift)
+    return certify(functools.partial(_apply_h, y, v, rest), columns, values, norm, tol)
 
 
 def _solve_rotated(y: np.ndarray, v: np.ndarray, perm: np.ndarray, rest: float, tol: float):
-    """H's eigensystem from one real N x N solve, for ``_exactly_even`` Y and v.
+    """H's sorted values from one real N x N solve, for ``_exactly_even`` Y and v.
 
     In the basis diag(Q, Q R), H is [[rest I, A], [-A, -rest I]] with A of
     ``_root_matrix``.  An eigenpair (mu, x) of A gives E = +s, with
     s = sqrt((rest - mu)(rest + mu)), the vector [x; beta x], and E = -s the
     vector [beta x; x], where beta = -mu / (s + rest).  Re s >= 0, so s + rest
     = 0 only where rest = 0 and s = 0 (mu = 0, or mu^2 underflows); beta is 0
-    there, and E = 0 has [x; 0] and [0; x].
+    there, and E = 0 has [x; 0] and [0; x].  The vectors are built and
+    certified a 2N x PANEL slab at a time, and never stored.
     """
     n = len(perm)
     es = eigendecompose(_root_matrix(y, v, perm, np.empty_like(y)), tol)
@@ -406,13 +405,14 @@ def _solve_rotated(y: np.ndarray, v: np.ndarray, perm: np.ndarray, rest: float, 
     order = sort_by_re_im(values)
     values, upper, lower = values[order], upper[order], lower[order]
     cols = order % n  # column j of the sorted vectors comes from x[:, cols[j]]
-    vectors = np.empty((2 * n, 2 * n), dtype=np.complex128)
-    for j in range(0, 2 * n, PANEL):  # in panels: vectors sets the route's peak memory
-        span = slice(j, j + PANEL)
+
+    def columns(span):  # Q on the top half, Q R below
         panel = x[:, cols[span]]
-        vectors[:n, span] = _apply_q(panel, perm) * upper[span]  # Q on the top half
-        vectors[n:, span] = _apply_q(panel[perm], perm) * lower[span]  # Q R below
-    return EigenSystem(values, vectors, _certify_h(y, v, rest, vectors, values, tol))
+        return np.concatenate([_apply_q(panel, perm) * upper[span],
+                               _apply_q(panel[perm], perm) * lower[span]])
+
+    _certify_h(y, v, rest, columns, values, tol)
+    return values
 
 
 def solve_dirac(
@@ -421,8 +421,8 @@ def solve_dirac(
     pp: PhysParams,
     scheme: str = FOURIER,
     tol: float = DEFAULT_TOL,
-) -> EigenSystem:
-    """Eigensystem of the 2N x 2N Dirac operator from one real N x N solve.
+) -> np.ndarray:
+    """Sorted eigenvalues of the 2N x 2N Dirac operator from one real N x N solve.
 
     The reflection R splits the grid into even and odd parts; in the basis
     diag(Q, Q R), Q = P+ + i P-, H is [[m I, A], [-A, -m I]] with m = m0 c^2
@@ -441,7 +441,7 @@ def solve_dirac(
     coupling = h[:n, n:]  # cP + V = iY + V: the certificate is about this very H
     y, v = np.ascontiguousarray(coupling.imag), coupling.real.diagonal()
     if not _exactly_even(y, v, perm):
-        return eigendecompose(h, tol)
+        return eigendecompose(h, tol).values
     return _solve_rotated(y, v, perm, pp.rest_energy, tol)
 
 
@@ -492,7 +492,7 @@ def _apply_u(y: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _solve_real_reduced(y: np.ndarray, v: np.ndarray, perm: np.ndarray, tol: float):
-    """The ``product_exact`` U's eigensystem from A of ``_root_matrix``.
+    """The ``product_exact`` U's sorted values from A of ``_root_matrix``.
 
     U = (cP+V)(cP-V) = Q R+ R- Q^dag = -Q A^2 Q^dag, Q unitary, so an
     eigenpair (mu, x) of A gives U the value eps = -mu^2 and the unit vector
@@ -506,10 +506,10 @@ def _solve_real_reduced(y: np.ndarray, v: np.ndarray, perm: np.ndarray, tol: flo
         norm = frob_norm(a @ a)
     eps = -es.values**2
     order = sort_by_re_im(eps)
-    eps, x = eps[order], es.vectors[:, order]
-    lift = functools.partial(_apply_q, perm=perm)
-    resid = certify(functools.partial(_apply_u, y, v), x, eps, norm, tol, lift)
-    return EigenSystem(eps, _apply_q(x, perm), resid)
+    eps = eps[order]
+    columns = lambda span: _apply_q(es.vectors[:, order[span]], perm)
+    certify(functools.partial(_apply_u, y, v), columns, eps, norm, tol)
+    return eps
 
 
 def solve_reduced(
@@ -518,8 +518,8 @@ def solve_reduced(
     pp: PhysParams,
     scheme: str = FOURIER,
     tol: float = DEFAULT_TOL,
-) -> EigenSystem:
-    """Eigensystem of the ``product_exact`` reduced operator of ``build_reduced``.
+) -> np.ndarray:
+    """Sorted eigenvalues of the ``product_exact`` reduced operator of ``build_reduced``.
 
     It comes from one real N x N solve (dgeev) of A, the matrix of
     ``solve_dirac``: (cP+V)(cP-V) is unitarily similar to -A^2, so its
@@ -532,7 +532,7 @@ def solve_reduced(
     d, v = _gated(spec, grid, scheme)
     y, perm = -(pp.c * pp.hbar) * d, reflection_permutation(grid)
     if not _exactly_even(y, v, perm):
-        return eigendecompose(assemble_reduced(d, v, spec, grid, pp, PRODUCT_EXACT), tol)
+        return eigendecompose(assemble_reduced(d, v, spec, grid, pp, PRODUCT_EXACT), tol).values
     return _solve_real_reduced(y, v, perm, tol)
 
 
@@ -563,7 +563,7 @@ def _solve_real_dirac(y: np.ndarray, v: np.ndarray, perm: np.ndarray, rest: floa
     m[diag + n, diag + n] = -rest
     es = eigendecompose(m, tol)
     del m  # H's certificate reads only Y and v
-    _certify_h(y, v, rest, es.vectors, es.values, tol, functools.partial(_to_h_basis, perm=perm))
+    _certify_h(y, v, rest, lambda span: _to_h_basis(es.vectors[:, span], perm), es.values, tol)
     return es.values
 
 
@@ -597,8 +597,8 @@ def solve_pair(
         dirac = _solve_real_dirac(y, v, perm, pp.rest_energy, tol)
     else:
         dirac = eigendecompose(assemble_dirac_blocks(d, v, pp), tol).values
-    reduced = _solve_real_reduced(y, v, perm, tol) if u is None else eigendecompose(u, tol)
-    return d, v, dirac, reduced.values, reduction_identity_mismatch(dirac, reduced.values, pp)
+    reduced = _solve_real_reduced(y, v, perm, tol) if u is None else eigendecompose(u, tol).values
+    return d, v, dirac, reduced, reduction_identity_mismatch(dirac, reduced, pp)
 
 
 def reduced_to_dirac_energies(eps, pp: PhysParams) -> np.ndarray:
@@ -732,8 +732,8 @@ def convergence_study(
         raise DimensionMismatch(f"reference grid of {ref_n} points exceeds limit {MAX_DIM}")
 
     def tracked(n: int) -> float:
-        es = solve_dirac(spec, make_grid(half_length, n, bc), pp, scheme, tol)
-        return _level_value(es.values, track_level)
+        values = solve_dirac(spec, make_grid(half_length, n, bc), pp, scheme, tol)
+        return _level_value(values, track_level)
 
     ref_value = tracked(ref_n)
     rows = [(n, abs(tracked(n) - ref_value)) for n in ns]

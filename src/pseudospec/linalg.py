@@ -104,37 +104,29 @@ def real_times_complex(r: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (r @ x.view(np.float64)).view(np.complex128)
 
 
-def max_column_residual(apply, vectors: np.ndarray, values: np.ndarray, lift=None) -> float:
-    """max_i ||A v_i - lambda_i v_i||_2, PANEL columns at a time.
+def certify(apply, columns, values, norm: float, tol: float) -> float:
+    """max_i ||A v_i - lambda_i v_i||_2 relative to max(1, ``norm``), checked against ``tol``.
 
-    ``apply(X)`` returns A X, as a new array, for a block of columns X of
-    ``vectors``.  Given ``lift``, each block is first mapped to
-    ``lift(X)``, the same vectors in the basis ``apply`` acts in.  A NaN in
-    any column's residual is returned at once, so it never reads as a
-    smaller number.
+    ``columns(span)`` returns the unit vectors of ``values[span]`` in the
+    basis ``apply`` acts in, for slices ``span`` of PANEL columns, and
+    ``apply(X)`` returns A X as a new array.  A NaN in any column's residual
+    ends the check at once, so it never reads as a smaller number.  Returns
+    the relative residual; raises ConvergenceFailure past ``tol``, and
+    ValueError (``relative_residual``'s) where the residual or ``norm`` is
+    not finite.
     """
     worst = 0.0
-    for j in range(0, vectors.shape[1], PANEL):
-        cols = vectors[:, j:j + PANEL]
-        if lift is not None:
-            cols = lift(cols)
+    for j in range(0, len(values), PANEL):
+        span = slice(j, j + PANEL)
+        cols = columns(span)
         residual = apply(cols)
-        residual -= cols * values[j:j + PANEL]
+        residual -= cols * values[span]
         top = float(np.linalg.norm(residual, axis=0).max())
         if math.isnan(top):
-            return top
+            worst = top
+            break
         worst = max(worst, top)
-    return worst
-
-
-def certify(apply, vectors, values, norm: float, tol: float, lift=None) -> float:
-    """``max_column_residual`` relative to max(1, ``norm``), checked against ``tol``.
-
-    Returns the relative residual; raises ConvergenceFailure past ``tol``,
-    and ValueError (``relative_residual``'s) where the residual or ``norm``
-    is not finite.
-    """
-    resid = relative_residual(max_column_residual(apply, vectors, values, lift), norm)
+    resid = relative_residual(worst, norm)
     if not resid <= tol:
         raise ConvergenceFailure(f"eigen residual {resid:.3e} exceeds tolerance {tol:.3e}")
     return resid
@@ -190,7 +182,7 @@ def eigendecompose(a, tol: float = DEFAULT_TOL) -> EigenSystem:
         apply = lambda x: real_times_complex(m, x)
     else:
         apply = m.__matmul__
-    resid = certify(apply, vectors, values, frob_norm(m), tol)
+    resid = certify(apply, lambda span: vectors[:, span], values, frob_norm(m), tol)
     return EigenSystem(values=values, vectors=vectors, residual=resid)
 
 

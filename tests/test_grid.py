@@ -2,12 +2,13 @@ import functools
 import json
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from conftest import spectrum_gap
+from conftest import certified_solve, dense_residual, spectrum_gap
 from pseudospec import grid as gridmod
 from pseudospec.cli import EXIT_SOLVER, main
 from pseudospec.errors import (
@@ -42,7 +43,7 @@ from pseudospec.grid import (
     solve_pair,
     solve_reduced,
 )
-from pseudospec.linalg import eigendecompose, frob_distance, frob_norm
+from pseudospec.linalg import certify, eigendecompose, frob_distance, frob_norm
 from pseudospec.metric import ALL_REAL, CONJUGATE_PAIRS, classify_spectrum
 from pseudospec.models import PhysParams
 
@@ -530,24 +531,40 @@ def test_solve_dirac_takes_the_real_route_at_a_double_zero_mode():
     # cos x on 32 fourier points: A has a double zero, so E = m0 c^2 and
     # E = -m0 c^2 each come twice, from [x; 0] and [0; x] of one vector x
     g = make_grid(math.pi, 32)
-    es, solved = _solve_counted(solve_dirac, COS, g, PP, FOURIER)
+    values, solved, vectors, resid = certified_solve(solve_dirac, COS, g, PP, FOURIER)
     assert solved == [((32, 32), np.float64)]
-    assert np.sum(np.abs(es.values - 1.0) < 1e-12) == 2
-    assert np.sum(np.abs(es.values + 1.0) < 1e-12) == 2
+    assert np.sum(np.abs(values - 1.0) < 1e-12) == 2
+    assert np.sum(np.abs(values + 1.0) < 1e-12) == 2
     h = build_dirac_grid(COS, g, PP, FOURIER)
-    resid = np.linalg.norm(h @ es.vectors - es.vectors * es.values, axis=0).max()
-    assert resid / frob_norm(h) <= 1e-14
-    assert es.residual <= 1e-14
+    assert dense_residual(h, vectors, values) <= 1e-14
+    assert resid <= 1e-14
 
 
 def test_solve_dirac_builds_h_once_and_solves_a_once():
     # H is built for the complex route and for the traced benchmark, which sees its build
     g = make_grid(math.pi, 48)
     with mock.patch.object(gridmod, "build_dirac_grid", wraps=build_dirac_grid) as built:
-        es, solved = _solve_counted(solve_dirac, COS, g, PP, FOURIER)
+        values, solved, vectors, resid = certified_solve(solve_dirac, COS, g, PP, FOURIER)
     assert built.call_count == 1
     assert solved == [((48, 48), np.float64)]
-    assert es.vectors.shape == (96, 96) and es.residual <= 1e-14
+    assert values.shape == (96,) and vectors.shape == (96, 96) and resid <= 1e-14
+
+
+@pytest.mark.parametrize("scheme", [FOURIER, CENTRAL2])
+def test_solve_dirac_holds_no_2n_vectors(scheme):
+    # the 2N x 2N complex vectors are built a 2N x PANEL slab at a time, so
+    # past H's build the solve holds at most one N x N complex array more
+    g = make_grid(math.pi, 512)
+
+    def traced_peak(build):
+        tracemalloc.start()
+        try:
+            build(COS, g, PP, scheme)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak(solve_dirac) <= traced_peak(build_dirac_grid) + 512 * 512 * 16
 
 
 @pytest.mark.parametrize("pp, spec, g, scheme", [
@@ -560,15 +577,14 @@ def test_solve_dirac_builds_h_once_and_solves_a_once():
      make_grid(4.090021194496235, 8), CENTRAL2),
 ], ids=["huge potential", "free central2 ring"])
 def test_solve_dirac_takes_the_real_route_where_the_product_fell_back(pp, spec, g, scheme):
-    es, solved = _solve_counted(solve_dirac, spec, g, pp, scheme)
+    values, solved, vectors, resid = certified_solve(solve_dirac, spec, g, pp, scheme)
     n = g.n_points
     assert solved == [((n, n), np.float64)]
     h = build_dirac_grid(spec, g, pp, scheme)
     norm = frob_norm(h)
-    resid = np.linalg.norm(h @ es.vectors - es.vectors * es.values, axis=0).max()
-    assert resid / norm <= 1e-14 and es.residual <= 1e-14
+    assert dense_residual(h, vectors, values) <= 1e-14 and resid <= 1e-14
     # scaled by ||H||_F: at g = 1e100 both solves put E = 0 at about 1e84
-    assert spectrum_gap(es.values / norm, eigendecompose(h).values / norm) <= 1e-14
+    assert spectrum_gap(values / norm, eigendecompose(h).values / norm) <= 1e-14
 
 
 # A hypothesis draw: on this 11-point central2 box, A = Y + V R has the
@@ -585,22 +601,21 @@ _MASSLESS = PhysParams(m0=0.0, c=1.964846077550007, hbar=1.5549686171721004)
 ], ids=["cosine", "mu = 0", "mu^2 underflows"])
 def test_solve_dirac_takes_the_real_route_when_massless(spec, g, pp, scheme):
     # m0 = 0: beta = -mu / s has modulus 1 wherever s != 0
-    es, solved = _solve_counted(solve_dirac, spec, g, pp, scheme)
+    values, solved, vectors, resid = certified_solve(solve_dirac, spec, g, pp, scheme)
     n = g.n_points
     assert solved == [((n, n), np.float64)]
     h = build_dirac_grid(spec, g, pp, scheme)
-    resid = np.linalg.norm(h @ es.vectors - es.vectors * es.values, axis=0).max()
-    assert resid / frob_norm(h) <= 1e-14 and es.residual <= 1e-14
-    assert spectrum_gap(es.values, eigendecompose(h).values) <= 1e-12
+    assert dense_residual(h, vectors, values) <= 1e-14 and resid <= 1e-14
+    assert spectrum_gap(values, eigendecompose(h).values) <= 1e-12
 
 
 def test_solve_dirac_matches_the_2n_solve_to_rounding_x_norm():
     # eps of the product R+ R- carried rounding x ||H||^2, a 5.4e-10 gap here
     g = make_grid(math.pi, 256)
     pp = PhysParams(m0=1e-3)
-    es = solve_dirac(COS, g, pp, CENTRAL2)
+    values = solve_dirac(COS, g, pp, CENTRAL2)
     dense = eigendecompose(build_dirac_grid(COS, g, pp, CENTRAL2)).values
-    assert spectrum_gap(es.values, dense) <= 1e-12
+    assert spectrum_gap(values, dense) <= 1e-12
 
 
 def test_solve_dirac_refuses_beyond_max_dim_with_the_2n_error():
@@ -625,11 +640,13 @@ def test_solve_reduced_takes_the_complex_solve():
     spec, g = _off_by_1e10(), make_grid(math.pi, 16)
     y = -(PP.c * PP.hbar) * derivative_matrix(g, FOURIER)
     assert not gridmod._exactly_even(y, spec.values(g), reflection_permutation(g))
-    out, solved = _solve_counted(solve_reduced, spec, g, PP, FOURIER)
+    with mock.patch.object(gridmod, "certify", wraps=certify) as certified:
+        out, solved = _solve_counted(solve_reduced, spec, g, PP, FOURIER)
     expected = eigendecompose(build_reduced(spec, g, PP, FOURIER))
     assert solved == [((16, 16), np.complex128)]
-    assert np.array_equal(out.values, expected.values)
-    assert np.array_equal(out.vectors, expected.vectors)
+    assert np.array_equal(out, expected.values)
+    # the values are eigendecompose's, under its own certificate alone
+    certified.assert_not_called()
 
 
 _F64_16, _F64_32 = ((16, 16), np.float64), ((32, 32), np.float64)
@@ -671,7 +688,7 @@ def test_solve_pair_solves_both_sides_in_real_arithmetic():
     assert np.array_equal(v, COS.values(g))
     h = build_dirac_grid(COS, g, PP, FOURIER)
     assert spectrum_gap(dirac, eigendecompose(h).values) <= 1e-14
-    assert np.array_equal(reduced, solve_reduced(COS, g, PP, FOURIER).values)
+    assert np.array_equal(reduced, solve_reduced(COS, g, PP, FOURIER))
     assert mismatch == reduction_identity_mismatch(dirac, reduced, PP)
 
 
@@ -738,7 +755,7 @@ def test_a_fault_in_a_fails_the_certificate_against_u():
     g = make_grid(math.pi, 16)
     y, v = -(PP.c * PP.hbar) * derivative_matrix(g, FOURIER), COS.values(g)
     perm = reflection_permutation(g)
-    assert len(gridmod._solve_real_reduced(y, v, perm, 1e-10).values) == 16
+    assert len(gridmod._solve_real_reduced(y, v, perm, 1e-10)) == 16
     with mock.patch.object(gridmod, "_root_matrix", _root_on_the_diagonal):
         reduced, solved = _solve_counted(solve_reduced, COS, g, PP, FOURIER)
     assert isinstance(reduced, ConvergenceFailure) and solved == [((16, 16), np.float64)]

@@ -25,7 +25,7 @@ import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import spectrum_gap
+from conftest import certified_solve, dense_residual, spectrum_gap
 from pseudospec import grid as gridmod
 from pseudospec.grid import (
     CENTRAL2,
@@ -183,13 +183,6 @@ def test_the_real_blocks_reflect_into_each_other(case):
         assert np.abs(rotated - block).max() <= 1e-14 * max(1.0, np.abs(block).max())
 
 
-def _certificate(h, es) -> float:
-    """max_i ||H v_i - E_i v_i|| / max(1, ||H||_F), recomputed densely."""
-    assert np.allclose(np.linalg.norm(es.vectors, axis=0), 1.0, rtol=0, atol=1e-12)
-    worst = np.linalg.norm(h @ es.vectors - es.vectors * es.values, axis=0).max()
-    return worst / max(1.0, np.linalg.norm(h))
-
-
 @settings(max_examples=100, deadline=None)
 @given(_grid_cases())
 @example((PotentialSpec.cosine(1.0, 1), make_grid(math.pi, 32, PERIODIC),
@@ -199,40 +192,39 @@ def _certificate(h, es) -> float:
           PhysParams(m0=0.0, c=1.964846077550007, hbar=1.5549686171721004), CENTRAL2))
 def test_solve_dirac_takes_the_real_route(case):
     spec, grid, pp, scheme = case
-    with mock.patch.object(gridmod, "eigendecompose", wraps=eigendecompose) as solves:
-        es = solve_dirac(spec, grid, pp, scheme)
+    values, solved, vectors, blockwise = certified_solve(solve_dirac, spec, grid, pp, scheme)
     h, u = build_dirac_grid(spec, grid, pp, scheme), build_reduced(spec, grid, pp, scheme)
-    dense = _certificate(h, es)
+    dense = dense_residual(h, vectors, values)
     assert dense <= DEFAULT_TOL
     # the blockwise, real certificate is the dense one to rounding
-    assert abs(es.residual - dense) <= 1e-15
+    assert abs(blockwise - dense) <= 1e-15
     # every drawn potential is exactly even, m0 = 0 included: one real solve of A
-    assert [(c.args[0].shape, c.args[0].dtype) for c in solves.call_args_list] == [
-        (u.shape, np.float64)]
-    values = np.sort_complex(es.values)
-    assert np.array_equal(values, np.sort_complex(-es.values))
-    assert np.array_equal(values, np.sort_complex(es.values.conj()))
+    assert solved == [(u.shape, np.float64)]
+    ordered = np.sort_complex(values)
+    assert np.array_equal(ordered, np.sort_complex(-values))
+    assert np.array_equal(ordered, np.sort_complex(values.conj()))
     dirac, reduced = eigendecompose(h), eigendecompose(u)
     if _well_conditioned(h, dirac, u, reduced, pp):
-        assert spectrum_gap(es.values, dirac.values) <= 1e-8
+        assert spectrum_gap(values, dirac.values) <= 1e-8
 
 
 @settings(max_examples=100, deadline=None)
 @given(_grid_cases())
 def test_solve_reduced_takes_the_real_route(case):
     spec, grid, pp, scheme = case
-    with mock.patch.object(gridmod, "eigendecompose", wraps=eigendecompose) as solves:
-        es = solve_reduced(spec, grid, pp, scheme)
+    values, solved, vectors, blockwise = certified_solve(solve_reduced, spec, grid, pp, scheme)
     u = build_reduced(spec, grid, pp, scheme)
     # every drawn potential is exactly even, so the blocks are exactly real
-    assert [(c.args[0].shape, c.args[0].dtype) for c in solves.call_args_list] == [
-        (u.shape, np.float64)]
-    assert _certificate(u, es) <= DEFAULT_TOL
-    values = np.sort_complex(es.values)
-    assert np.array_equal(values, np.sort_complex(es.values.conj()))
+    assert solved == [(u.shape, np.float64)]
+    # certified against U applied by its blocks, the dense U to rounding
+    dense = dense_residual(u, vectors, values)
+    assert dense <= DEFAULT_TOL
+    assert abs(blockwise - dense) <= 1e-15
+    ordered = np.sort_complex(values)
+    assert np.array_equal(ordered, np.sort_complex(values.conj()))
     reduced = eigendecompose(u)
     if _first_order_errors(reduced, u).max() <= 1e-9:
-        assert spectrum_gap(es.values, reduced.values) <= 1e-8
+        assert spectrum_gap(values, reduced.values) <= 1e-8
 
 
 @settings(max_examples=100, deadline=None)

@@ -11,11 +11,11 @@ from pseudospec.errors import ConvergenceFailure, DimensionMismatch, NotHermitia
 from pseudospec.linalg import (
     PANEL,
     adjoint,
+    certify,
     eigendecompose,
     frob_distance,
     frob_norm,
     mat_exp,
-    max_column_residual,
     min_eig_hermitian_part,
     real_times_complex,
 )
@@ -178,14 +178,37 @@ def _diagonal_system(n, bad):
     return np.arange(n, dtype=float), vectors
 
 
-def test_max_column_residual_reaches_the_last_partial_panel():
+def _panels(vectors, spans):
+    """A ``columns`` source over ``vectors`` that records the spans it is asked for."""
+    def columns(span):
+        spans.append((span.start, span.stop))
+        return vectors[:, span]
+    return columns
+
+
+def test_certify_reaches_the_last_partial_panel():
     n = 300  # panels of 128, 128 and 44 columns
     a = np.diag(np.arange(n, dtype=float))
     values, vectors = _diagonal_system(n, n - 1)
-    assert max_column_residual(a.__matmul__, vectors, values) == pytest.approx(2**-0.5)
-    assert max_column_residual(a.__matmul__, np.eye(n), values) == 0.0
+    spans = []
+    # norm 0: relative to max(1, 0), so the residual is the absolute one
+    assert certify(a.__matmul__, _panels(vectors, spans), values, 0.0, 0.8) == pytest.approx(
+        2**-0.5)
+    assert spans == [(0, 128), (128, 256), (256, 384)]
+    with pytest.raises(ConvergenceFailure, match="eigen residual 7.071e-01 exceeds"):
+        certify(a.__matmul__, _panels(vectors, []), values, 0.0, 0.7)
+    assert certify(a.__matmul__, _panels(np.eye(n), []), values, 0.0, 1e-10) == 0.0
+
+
+def test_certify_stops_at_a_nan_residual():
+    n = 300
+    a = np.diag(np.arange(n, dtype=float))
+    values, vectors = _diagonal_system(n, n - 1)  # the last panel's 0.707 is never read
     vectors[0, 0] = np.nan
-    assert np.isnan(max_column_residual(a.__matmul__, vectors, values))
+    spans = []
+    with pytest.raises(ValueError, match="residual norm nan against matrix norm 0.000e"):
+        certify(a.__matmul__, _panels(vectors, spans), values, 0.0, 0.9)
+    assert spans == [(0, 128)]
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
