@@ -246,7 +246,7 @@ class PotentialSpec:
                     f"{len(self.samples_x)} samples for a {grid.n_points}-point grid"
                 )
             gap = float(np.max(np.abs(self.samples_x - x)))
-            if gap > 1e-12 * max(1.0, grid.half_length):
+            if not gap <= 1e-12 * max(1.0, grid.half_length):  # a NaN x fails too
                 raise SampleGridMismatch(
                     f"sample abscissae deviate from grid points by {gap:.3e}"
                 )

@@ -1,6 +1,7 @@
 import functools
 import json
 import math
+import pathlib
 import re
 import tracemalloc
 from unittest import mock
@@ -270,6 +271,23 @@ def test_samples_grid_mismatch(tmp_path):
     write_potential_csv(short, g.points[:-1], np.cos(g.points[:-1]))
     with pytest.raises(SampleGridMismatch):
         PotentialSpec.from_csv(str(short)).values(g)
+
+
+def test_a_nan_abscissa_fails_the_sample_grid_gate(tmp_path, capsys):
+    # max |x - x_j| is NaN, and NaN > tol is false
+    lines = (pathlib.Path(__file__).parent / "golden" / "cos16.csv").read_text().splitlines()
+    lines[4] = "nan," + lines[4].split(",")[1]  # the 4th abscissa
+    path = tmp_path / "nan_x.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SampleGridMismatch, match="deviate from grid points by nan"):
+        PotentialSpec.from_csv(str(path)).values(make_grid(math.pi, 16))
+    assert main(["spectrum", "--model", "scalar_grid", "--potential", "samples",
+                 "--file", str(path), "--grid-n", "16"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [json.dumps({"error": {
+        "type": "SampleGridMismatch",
+        "message": "sample abscissae deviate from grid points by nan"}})]
 
 
 def test_samples_header_required(tmp_path):
