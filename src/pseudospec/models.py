@@ -37,6 +37,14 @@ from .linalg import adjoint, as_cmatrix, relative_residual
 _DEGENERACY_FLOOR = 1e-12
 
 
+def _square(x: float, name: str, where: str) -> float:
+    """x**2 of a Python float; an overflow names the quantity, its value and where."""
+    try:
+        return x**2
+    except OverflowError:
+        raise OverflowError(f"{name} squared overflows in {where}: {name} = {x:.6g}") from None
+
+
 @dataclass(frozen=True)
 class PhysParams:
     """Rest mass, speed of light and hbar; natural units by default."""
@@ -55,7 +63,7 @@ class PhysParams:
 
     @property
     def rest_energy(self) -> float:
-        return self.m0 * self.c**2
+        return self.m0 * _square(self.c, "c", "the rest energy m0 c^2")
 
 
 @dataclass(frozen=True)
@@ -73,7 +81,7 @@ class Momentum2:
 
     @property
     def k_sq(self) -> float:
-        return self.kx**2 + self.ky**2
+        return _square(self.kx, "kx", "kx^2 + ky^2") + _square(self.ky, "ky", "kx^2 + ky^2")
 
 
 @dataclass(frozen=True)
@@ -99,7 +107,10 @@ def rashba_energy(k: Momentum2, pp: PhysParams, lam: float) -> tuple[complex, co
     Principal branch: the radicand going negative yields a pure imaginary
     conjugate pair.
     """
-    radicand = pp.rest_energy**2 + (pp.c**2 - lam**2) * pp.hbar**2 * k.k_sq
+    where = "the radicand of rashba_energy"
+    radicand = _square(pp.rest_energy, "m0 c^2", where) + (
+        _square(pp.c, "c", where) - _square(lam, "lambda", where)
+    ) * _square(pp.hbar, "hbar", where) * k.k_sq
     e = cmath.sqrt(radicand)
     return e, -e
 
@@ -113,7 +124,9 @@ def build_scalar_const(kx: float, pp: PhysParams, v0: float) -> np.ndarray:
 
 def scalar_energy(kx: float, pp: PhysParams, v0: float) -> tuple[complex, complex]:
     """Closed-form pair +-sqrt(hbar^2 c^2 kx^2 + m0^2 c^4 - v0^2)."""
-    radicand = (pp.c * pp.hbar * kx) ** 2 + pp.rest_energy**2 - v0**2
+    where = "the radicand of scalar_energy"
+    radicand = (_square(pp.c * pp.hbar * kx, "c hbar kx", where)
+                + _square(pp.rest_energy, "m0 c^2", where) - _square(v0, "v0", where))
     e = cmath.sqrt(radicand)
     return e, -e
 

@@ -552,6 +552,24 @@ def test_sweep_steps_past_the_ceiling_are_refused_before_any_allocation(steps, c
                    f"2 <= --sweep-steps <= {MAX_SWEEP_STEPS}"}})]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--model", "scalar_const", "--v0", "0.5", "--kx", "1", "--c", "1e154"],
+     "m0 c^2 squared overflows in the radicand of scalar_energy: m0 c^2 = 1e+308"),
+    (["spectrum", "--model", "rashba", "--m0", "1e200", "--kx", "1"],
+     "m0 c^2 squared overflows in the radicand of rashba_energy: m0 c^2 = 1e+200"),
+    (["metric", "--model", "rashba", "--lambda", "0.5", "--kx", "1", "--c", "1e155"],
+     "c squared overflows in the rest energy m0 c^2: c = 1e+155"),
+], ids=["scalar radicand", "rashba radicand", "rest energy"])
+def test_a_closed_form_overflow_names_its_quantity(argv, message, capsys):
+    # a Python float's x**2 raised OverflowError (34, 'Numerical result out of range')
+    assert main(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        json.dumps({"error": {"type": "OverflowError", "message": message}})
+    ]
+
+
 @pytest.mark.parametrize(
     "argv, code, error",
     [
