@@ -11,7 +11,9 @@ the exit code and the stderr error line must be equal.  Stdout, JSON or
 CSV alike, is split into numbers and the text between them: the text
 (keys, verdicts, layout) must be equal, and each number may move by at
 most ``REL_TOL`` relative or ``ABS_TOL`` absolute.  Prints one line per
-changed case and exits 1 if any change is beyond those bounds.
+changed case, with one ``FAULT`` line per fault under it (a changed error
+line is followed by its old and new text), and exits 1 if any change is
+beyond those bounds.
 """
 
 from __future__ import annotations
@@ -67,7 +69,10 @@ def compare(old_cases: list[dict], new_cases: list[dict]) -> tuple[list[str], bo
         ok = ok and not faults
         lines.append(f"changed: {' '.join(argv)}: numbers moved by up to "
                      f"{rel:.1e} relative, {gap:.1e} absolute")
-        lines += [f"  FAULT {fault}" for fault in faults]
+        for fault in faults:
+            lines.append(f"  FAULT {fault}")
+            if fault == "error differs":
+                lines += [f"    old: {old[argv]['error']}", f"    new: {new[argv]['error']}"]
     lines.append(f"{changed} of {len(old)} cases changed; "
                  f"{'all within' if ok else 'NOT within'} the bounds")
     return lines, ok

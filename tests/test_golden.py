@@ -187,6 +187,22 @@ def test_fixture_diff_bounds_numbers_and_pins_text():
         assert golden_diff.compare([record], [dict(record, **{key: value})])[1] is False
 
 
+def test_fixture_diff_shows_a_changed_error_line(tmp_path, capsys):
+    case = next(c for c in json.loads(FIXTURE.read_text("utf-8")) if c["error"])
+    changed = dict(case, error=case["error"].replace('"message": "', '"message": "new '))
+    assert changed["error"] != case["error"]
+    paths = [tmp_path / "old.json", tmp_path / "new.json"]
+    for path, cases in zip(paths, ([case], [changed])):
+        path.write_text(json.dumps(cases), "utf-8")
+    assert golden_diff.main([str(path) for path in paths]) == 1
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "  FAULT error differs",
+        f"    old: {case['error']}",
+        f"    new: {changed['error']}",
+        "1 of 1 cases changed; NOT within the bounds",
+    ]
+
+
 def test_cached_parser_keeps_no_state_between_calls(monkeypatch, capsys):
     monkeypatch.chdir(FIXTURE.parent)
     monkeypatch.delenv("PSEUDOSPEC_TOL", raising=False)
