@@ -20,7 +20,9 @@ the same operator only up to discretization error and lives here as the
 Symmetry bookkeeping is exact by construction: the grids are built so
 the reflection x -> -x is an index permutation R of the points, the
 derivative matrices satisfy R D R = -D bit-for-bit, and conjugation with
-diag(R, -R) maps H to its adjoint whenever V is even.
+diag(R, -R) maps H to its adjoint whenever V is even.  The builders gate
+V's evenness and then use V's even part, so every grid operator is
+exactly even.
 """
 
 from __future__ import annotations
@@ -277,19 +279,25 @@ class PotentialSpec:
 
 
 def _gated(spec: PotentialSpec, grid: Grid1D, scheme: str):
-    """D and V(x_j) for the grid builders, once V has passed the evenness gate."""
+    """D and the even part of V(x_j) for the grid builders, once V has passed the gate.
+
+    The grid code solves the even part of the V that passed the evenness
+    gate, so every grid operator is exactly even.  An exactly even V passes
+    bit for bit; (V + RV)/2, halved term by term, cannot overflow.
+    """
     d = derivative_matrix(grid, scheme)
     v = spec.values(grid)
     bad = ~np.isfinite(v)
     if bad.any():  # a NaN defect would pass the evenness gate below
         j = int(np.argmax(bad))
         raise ValueError(f"potential is not finite on the grid: V({grid.points[j]:.6g}) = {v[j]}")
-    defect = float(np.max(np.abs(v - v[reflection_permutation(grid)])))
+    reflected = v[reflection_permutation(grid)]
+    defect = float(np.max(np.abs(v - reflected)))
     if defect > FAMILIES[spec.family][1] * float(np.max(np.abs(v), initial=0.0)):
         raise OddPotential(
             f"potential fails the evenness gate: max |V(x) - V(-x)| = {defect:.3e}"
         )
-    return d, v
+    return d, np.where(v == reflected, v, 0.5 * v + 0.5 * reflected)
 
 
 def _coupling(d: np.ndarray, v: np.ndarray, pp: PhysParams):
@@ -318,18 +326,12 @@ def assemble_dirac_blocks(d: np.ndarray, v: np.ndarray, pp: PhysParams) -> np.nd
 def build_dirac_grid(
     spec: PotentialSpec, grid: Grid1D, pp: PhysParams, scheme: str = FOURIER
 ) -> np.ndarray:
-    """Discretized 2N x 2N Dirac operator for an even potential (gate enforced)."""
-    return assemble_dirac_blocks(*_gated(spec, grid, scheme), pp)
+    """Discretized 2N x 2N Dirac operator for an even potential.
 
-
-def _exactly_even(y: np.ndarray, v: np.ndarray, perm: np.ndarray) -> bool:
-    """v == v[perm] and R Y R == -Y, bit for bit: the condition of every real route.
-
-    Where it fails (sampled values pass the evenness gate to 1e-8 only), the
-    rotated blocks are not exactly real, and the grid solves take the complex
-    solve (zgeev) of H or U.
+    The evenness gate is enforced, and the operator carries the even part
+    of the V that passed it (``_gated``).
     """
-    return np.array_equal(v, v[perm]) and np.array_equal(y[np.ix_(perm, perm)], -y)
+    return assemble_dirac_blocks(*_gated(spec, grid, scheme), pp)
 
 
 def _root_matrix(y: np.ndarray, v: np.ndarray, perm: np.ndarray, out: np.ndarray):
@@ -337,7 +339,8 @@ def _root_matrix(y: np.ndarray, v: np.ndarray, perm: np.ndarray, out: np.ndarray
 
     With Q = P+ + i P-, P+- = (I +- R)/2, the blocks cP +- V = iY +- V, with
     Y = -c hbar D and V = diag(v), become R+- = Q^dag (cP +- V) Q = K +- V,
-    K = -(R Y - Y R)/2, real symmetric where ``_exactly_even`` holds.  Then
+    K = -(R Y - Y R)/2, real symmetric since R Y R = -Y and v == v[perm]
+    bit for bit (``_gated``).  Then
     R R+ R = -R-, so R+ R- = -A^2, and A = K R + V R is Y with v added at
     the entries (j, perm[j]), exactly.
     """
@@ -381,7 +384,7 @@ def _certify_h(y, v, rest: float, columns, values, tol: float) -> float:
 
 
 def _solve_rotated(y: np.ndarray, v: np.ndarray, perm: np.ndarray, rest: float, tol: float):
-    """H's sorted values from one real N x N solve, for ``_exactly_even`` Y and v.
+    """H's sorted values from one real N x N solve.
 
     In the basis diag(Q, Q R), H is [[rest I, A], [-A, -rest I]] with A of
     ``_root_matrix``.  An eigenpair (mu, x) of A gives E = +s, with
@@ -433,15 +436,11 @@ def solve_dirac(
     eigenpair is certified against the 2N operator:
     ||H v - E v|| / max(1, ||H||_F) <= tol for unit v, with H applied by its
     blocks, in real arithmetic and ``linalg.PANEL`` columns at a time.
-    Where V is not exactly even (``_exactly_even``), the operator takes the
-    complex 2N solve (``eigendecompose``) instead.
     """
     h = build_dirac_grid(spec, grid, pp, scheme)
     n, perm = grid.n_points, reflection_permutation(grid)
     coupling = h[:n, n:]  # cP + V = iY + V: the certificate is about this very H
     y, v = np.ascontiguousarray(coupling.imag), coupling.real.diagonal()
-    if not _exactly_even(y, v, perm):
-        return eigendecompose(h, tol).values
     return _solve_rotated(y, v, perm, pp.rest_energy, tol)
 
 
@@ -457,7 +456,9 @@ def build_reduced(
     ``product_exact`` multiplies the blocks (cP+V)(cP-V) and preserves
     the Dirac correspondence exactly on the grid; ``analytic_U`` builds
     -c^2 hbar^2 D^2 + diag(i c hbar V' - V^2) from the closed-form
-    derivative and differs by discretization error.
+    derivative and differs by discretization error.  Like
+    ``build_dirac_grid``, it carries the even part of the V that passed
+    the evenness gate (``_gated``).
     """
     return assemble_reduced(*_gated(spec, grid, scheme), spec, grid, pp, form)
 
@@ -525,14 +526,10 @@ def solve_reduced(
     ``solve_dirac``: (cP+V)(cP-V) is unitarily similar to -A^2, so its
     values are eps = -mu^2 for the eigenvalues mu of A, closed under
     conjugation exactly, and its unit vectors are Q x for A's vectors x,
-    each pair certified against U, applied by its blocks, at ``tol``.  Where
-    V is not exactly even (``_exactly_even``), ``build_reduced``'s matrix
-    takes the complex solve (``eigendecompose``) instead.
+    each pair certified against U, applied by its blocks, at ``tol``.
     """
     d, v = _gated(spec, grid, scheme)
     y, perm = -(pp.c * pp.hbar) * d, reflection_permutation(grid)
-    if not _exactly_even(y, v, perm):
-        return eigendecompose(assemble_reduced(d, v, spec, grid, pp, PRODUCT_EXACT), tol).values
     return _solve_real_reduced(y, v, perm, tol)
 
 
@@ -544,7 +541,7 @@ def _to_h_basis(z: np.ndarray, perm: np.ndarray) -> np.ndarray:
 
 def _solve_real_dirac(y: np.ndarray, v: np.ndarray, perm: np.ndarray, rest: float,
                       tol: float):
-    """H's values from one real 2N solve, certified against H, for ``_exactly_even`` Y and v.
+    """H's values from one real 2N solve, certified against H.
 
     In the basis T = diag(Q, Q R), H is M = [[m I, A], [-A, -m I]], real,
     with m = m0 c^2 and A of ``_root_matrix``.  M is filled in one array
@@ -583,20 +580,15 @@ def solve_pair(
     so the 2N side stays an independent check of the identity; U's as by
     ``solve_reduced`` for ``product_exact``, by the complex N solve
     otherwise.  Neither H nor a ``product_exact`` U is built: a caller that
-    needs them assembles them from D and V.  Where V is not exactly even
-    (``_exactly_even``), H and U take the complex solve (zgeev) instead.
-    Errors come in one order: a 2N past MAX_DIM before anything 2N exists,
-    a build error of U before any solve.
+    needs them assembles them from D and V.  Errors come in one order: a
+    2N past MAX_DIM before anything 2N exists, a build error of U before
+    any solve.
     """
     d, v = _gated(spec, grid, scheme)
     _refuse_past_max_dim(len(v))
     y, perm = -(pp.c * pp.hbar) * d, reflection_permutation(grid)
-    even = _exactly_even(y, v, perm)
-    u = None if even and form == PRODUCT_EXACT else assemble_reduced(d, v, spec, grid, pp, form)
-    if even:
-        dirac = _solve_real_dirac(y, v, perm, pp.rest_energy, tol)
-    else:
-        dirac = eigendecompose(assemble_dirac_blocks(d, v, pp), tol).values
+    u = None if form == PRODUCT_EXACT else assemble_reduced(d, v, spec, grid, pp, form)
+    dirac = _solve_real_dirac(y, v, perm, pp.rest_energy, tol)
     reduced = _solve_real_reduced(y, v, perm, tol) if u is None else eigendecompose(u, tol).values
     return d, v, dirac, reduced, reduction_identity_mismatch(dirac, reduced, pp)
 
@@ -730,11 +722,12 @@ def convergence_study(
         ref_n += 1
     if ref_n > MAX_DIM:
         raise DimensionMismatch(f"reference grid of {ref_n} points exceeds limit {MAX_DIM}")
+    # every grid first, so a bad N is refused before the reference solve
+    ref_grid, *grids = (make_grid(half_length, n, bc) for n in (ref_n, *ns))
 
-    def tracked(n: int) -> float:
-        values = solve_dirac(spec, make_grid(half_length, n, bc), pp, scheme, tol)
-        return _level_value(values, track_level)
+    def tracked(grid: Grid1D) -> float:
+        return _level_value(solve_dirac(spec, grid, pp, scheme, tol), track_level)
 
-    ref_value = tracked(ref_n)
-    rows = [(n, abs(tracked(n) - ref_value)) for n in ns]
+    ref_value = tracked(ref_grid)
+    rows = [(g.n_points, abs(tracked(g) - ref_value)) for g in grids]
     return ConvergenceStudy(rows=rows, ref_n=ref_n, ref_value=ref_value)

@@ -13,7 +13,9 @@ CSV alike, is split into numbers and the text between them: the text
 most ``REL_TOL`` relative or ``ABS_TOL`` absolute.  Prints one line per
 changed case, with one ``FAULT`` line per fault under it (a changed error
 line is followed by its old and new text), and exits 1 if any change is
-beyond those bounds.
+beyond those bounds.  A case only in the old file is printed as
+``removed:`` and is a fault; a case only in the new one is printed as
+``added:`` and is not.
 """
 
 from __future__ import annotations
@@ -57,9 +59,10 @@ def compare(old_cases: list[dict], new_cases: list[dict]) -> tuple[list[str], bo
     """Report lines and whether every change is within the bounds."""
     old = {tuple(c["argv"]): c for c in old_cases}
     new = {tuple(c["argv"]): c for c in new_cases}
-    lines, ok = [], old.keys() == new.keys()
-    if not ok:
-        lines.append(f"case lists differ: {len(old.keys() ^ new.keys())} cases in one only")
+    lines, ok = [], old.keys() <= new.keys()
+    for argv in (argv for argv in old if argv not in new):
+        lines += [f"removed: {' '.join(argv)}", "  FAULT case removed"]
+    lines += [f"added: {' '.join(argv)}" for argv in new if argv not in old]
     changed = 0
     for argv in (argv for argv in old if argv in new):
         if old[argv] == new[argv]:

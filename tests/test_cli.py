@@ -631,6 +631,19 @@ def test_grid_command_reads_sampled_potential_once(argv, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["params"]["file"] == str(path)
 
 
+def test_verify_passes_on_samples_even_only_to_the_gate(capsys):
+    # cos16.csv with V[3] moved by 1e-10 relative: the grid code solves and
+    # checks the even part of the V that passed the gate, so no parity check
+    # contradicts the gate
+    path = pathlib.Path(__file__).parent / "golden" / "cos16_off.csv"
+    code = main(["verify", "--model", "scalar_grid", "--potential", "samples",
+                 "--file", str(path), "--grid-n", "16"])
+    record = json.loads(capsys.readouterr().out)
+    assert code == 0 and record["all_passed"] is True
+    checks = {c["name"]: c["value"] for c in record["checks"]}
+    assert checks["grid_parity_pseudo_hermiticity"] == 0.0
+
+
 _FAMILY_FLAGS = {
     "constant": ["--v0", "0.5"],
     "cosine": ["--g", "0.5"],
@@ -841,6 +854,25 @@ def test_converge_refuses_a_negative_track_level_before_any_solve(monkeypatch, c
     assert captured.err.splitlines() == [json.dumps(
         {"error": {"type": "ValueError", "message": "track level must be >= 0, got -1"}}
     )]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--bc", "dirichlet", "--N", "33", "--N", "64", "--N", "127"],
+     "dirichlet grids need odd N (center point at 0)"),
+    (["--N", "4", "--N", "128"], "need at least 8 points, got 4"),
+], ids=["even-dirichlet", "too-few-points"])
+def test_converge_refuses_a_bad_n_before_the_reference_solve(flags, message, monkeypatch,
+                                                              capsys):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a grid was solved")
+
+    monkeypatch.setattr(gridmod, "eigendecompose", refuse)
+    code = main(["converge", *_COSINE_GRID, "--scheme", "central2", *flags])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE and captured.out == ""
+    assert captured.err.splitlines() == [
+        json.dumps({"error": {"type": "AsymmetricGrid", "message": message}})
+    ]
 
 
 # ------------------------------------------------------------------ file errors

@@ -15,7 +15,9 @@ The sampled-potential cases read CSV files from ``golden/`` by a relative
 path, run from that directory, so the recorded ``file`` parameter does not
 depend on the checkout: ``cos16.csv`` is cos x on the 16-point periodic
 grid of [-pi, pi] (written ``%.17g``), ``sin16.csv`` is the odd sin x on
-the same grid and ``cos15.csv`` drops the last row of ``cos16.csv``.
+the same grid, ``cos15.csv`` drops the last row of ``cos16.csv`` and
+``cos16_off.csv`` moves its V[3] by 1e-10 relative, even only to the
+evenness gate of sampled values.
 """
 
 import functools
@@ -42,6 +44,8 @@ _GAUSS = ["--model", "scalar_grid", "--potential", "gaussian", "--g", "0.5",
           "--width", "0.5", "--grid-n", "24", "--scheme", "central2"]
 _SAMPLES = ["--model", "scalar_grid", "--potential", "samples", "--file", "cos16.csv",
             "--grid-n", "16"]
+_OFF_EVEN = ["--model", "scalar_grid", "--potential", "samples", "--file", "cos16_off.csv",
+             "--grid-n", "16"]
 
 _VALID = [
     ["spectrum", *_RASHBA],
@@ -81,6 +85,9 @@ _VALID = [
     ["sweep", *_GAUSS, "--sweep-param", "width", "--sweep-min", "0.3",
      "--sweep-max", "0.9", "--sweep-steps", "3"],
     ["spectrum", *_COSINE, "--m0", "0"],
+    ["spectrum", *_OFF_EVEN],
+    ["reduce", *_OFF_EVEN],
+    ["verify", *_OFF_EVEN],
 ]
 
 _ERRORS = [
@@ -201,6 +208,24 @@ def test_fixture_diff_shows_a_changed_error_line(tmp_path, capsys):
         f"    new: {changed['error']}",
         "1 of 1 cases changed; NOT within the bounds",
     ]
+
+
+def test_fixture_diff_lists_added_and_removed_cases(tmp_path, capsys):
+    first, second, third = json.loads(FIXTURE.read_text("utf-8"))[:3]
+    paths = [tmp_path / "old.json", tmp_path / "new.json"]
+    for path, cases in zip(paths, ([first, second], [first, third])):
+        path.write_text(json.dumps(cases), "utf-8")
+    assert golden_diff.main([str(path) for path in paths]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"removed: {' '.join(second['argv'])}",
+        "  FAULT case removed",
+        f"added: {' '.join(third['argv'])}",
+        "0 of 2 cases changed; NOT within the bounds",
+    ]
+    # an added case alone is reported, not a fault
+    assert golden_diff.compare([first], [first, third]) == (
+        [f"added: {' '.join(third['argv'])}", "0 of 1 cases changed; all within the bounds"],
+        True)
 
 
 def test_cached_parser_keeps_no_state_between_calls(monkeypatch, capsys):

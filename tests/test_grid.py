@@ -44,7 +44,7 @@ from pseudospec.grid import (
     solve_pair,
     solve_reduced,
 )
-from pseudospec.linalg import certify, eigendecompose, frob_distance, frob_norm
+from pseudospec.linalg import eigendecompose, frob_distance, frob_norm
 from pseudospec.metric import ALL_REAL, CONJUGATE_PAIRS, classify_spectrum
 from pseudospec.models import PhysParams
 
@@ -645,28 +645,6 @@ def test_solve_dirac_refuses_beyond_max_dim_with_the_2n_error():
     assert solved == []
 
 
-def _off_by_1e10():
-    # cos x with one value moved by 1e-10 relative: even to the samples gate's
-    # 1e-8, not exactly, so its blocks are not exactly real
-    g = make_grid(math.pi, 16)
-    v = np.cos(g.points)
-    v[3] *= 1 + 1e-10
-    return PotentialSpec.samples(g.points, v)
-
-
-def test_solve_reduced_takes_the_complex_solve():
-    spec, g = _off_by_1e10(), make_grid(math.pi, 16)
-    y = -(PP.c * PP.hbar) * derivative_matrix(g, FOURIER)
-    assert not gridmod._exactly_even(y, spec.values(g), reflection_permutation(g))
-    with mock.patch.object(gridmod, "certify", wraps=certify) as certified:
-        out, solved = _solve_counted(solve_reduced, spec, g, PP, FOURIER)
-    expected = eigendecompose(build_reduced(spec, g, PP, FOURIER))
-    assert solved == [((16, 16), np.complex128)]
-    assert np.array_equal(out, expected.values)
-    # the values are eigendecompose's, under its own certificate alone
-    certified.assert_not_called()
-
-
 _F64_16, _F64_32 = ((16, 16), np.float64), ((32, 32), np.float64)
 
 
@@ -722,14 +700,58 @@ def test_solve_pair_takes_the_complex_n_solve_for_analytic_u():
                           eigendecompose(build_reduced(COS, g, PP, FOURIER, ANALYTIC_U)).values)
 
 
-def test_solve_pair_takes_the_complex_2n_solve_for_samples_even_to_the_gate():
-    spec, g = _off_by_1e10(), make_grid(math.pi, 16)
-    (_, _, dirac, reduced, mismatch), solved = _solve_counted(
-        solve_pair, spec, g, PP, FOURIER)
-    assert solved == [((32, 32), np.complex128), ((16, 16), np.complex128)]
-    assert np.array_equal(dirac, eigendecompose(build_dirac_grid(spec, g, PP, FOURIER)).values)
-    assert np.array_equal(reduced, eigendecompose(build_reduced(spec, g, PP, FOURIER)).values)
-    assert mismatch <= 1e-12
+def _off_by_1e10():
+    # cos x with one value moved by 1e-10 relative: even to the samples gate's
+    # 1e-8, not exactly
+    g = make_grid(math.pi, 16)
+    v = np.cos(g.points)
+    v[3] *= 1 + 1e-10
+    return PotentialSpec.samples(g.points, v), g
+
+
+@pytest.mark.parametrize("solve, solved", [
+    (solve_dirac, [_F64_16]), (solve_reduced, [_F64_16]), (solve_pair, [_F64_32, _F64_16]),
+], ids=["dirac", "reduced", "pair"])
+def test_samples_even_to_the_gate_take_the_real_route_with_their_even_part(solve, solved):
+    spec, g = _off_by_1e10()
+    v, perm = spec.values(g), reflection_permutation(g)
+    assert not np.array_equal(v, v[perm])
+    even = v.copy()
+    even[[3, perm[3]]] = (v[3] + v[perm[3]]) / 2
+    out, shapes = _solve_counted(solve, spec, g, PP, FOURIER)
+    assert shapes == solved  # float64 solves only
+    expected = solve(PotentialSpec.samples(g.points, even), g, PP, FOURIER)
+    for got, want in zip(out, expected) if solve is solve_pair else [(out, expected)]:
+        assert np.array_equal(got, want)
+    if solve is solve_pair:
+        assert out[-1] <= 1e-12
+
+
+def test_an_exactly_even_potential_leaves_the_gate_bit_for_bit():
+    ring = make_grid(math.pi, 16)
+    signed = np.cos(ring.points)
+    # 0.0 at one point and -0.0 at its mirror: equal, so each keeps its sign
+    signed[3], signed[reflection_permutation(ring)[3]] = 0.0, -0.0
+    for spec, g, scheme in (
+        (COS, ring, FOURIER),
+        (PotentialSpec.gaussian(-0.5, 0.3), make_grid(2.0, 25, DIRICHLET), CENTRAL2),
+        (PotentialSpec.constant(0.0), make_grid(math.pi, 15, DIRICHLET), CENTRAL2),
+        (PotentialSpec.samples(ring.points, signed), ring, FOURIER),
+    ):
+        v = spec.values(g)
+        assert np.array_equal(v, v[reflection_permutation(g)])
+        assert gridmod._gated(spec, g, scheme)[1].tobytes() == v.tobytes()
+
+
+def test_the_even_part_of_huge_off_even_samples_is_finite_and_exactly_even():
+    g = make_grid(math.pi, 16)
+    perm = reflection_permutation(g)
+    v = np.full(16, 1.5e308)
+    v[3] *= 1 + 1e-10  # V + RV would overflow
+    _, even = gridmod._gated(PotentialSpec.samples(g.points, v), g, FOURIER)
+    assert np.isfinite(even).all()
+    assert np.array_equal(even, even[perm])
+    assert even[3] == even[perm[3]] == 0.5 * v[3] + 0.5 * v[perm[3]]
 
 
 def _root_on_the_diagonal(y, v, perm, out):

@@ -169,12 +169,14 @@ def test_the_real_blocks_reflect_into_each_other(case):
     # bit makes R+ R- = -A^2, with A = R+ R the matrix both real routes solve
     spec, grid, pp, scheme = case
     perm = reflection_permutation(grid)
-    y = -(pp.c * pp.hbar) * derivative_matrix(grid, scheme)
-    v = spec.values(grid)
+    d, v = gridmod._gated(spec, grid, scheme)
+    y = -(pp.c * pp.hbar) * d
+    # the gate's V is exactly even, and R Y R = -Y by construction of D
+    assert np.array_equal(v, v[perm])
+    assert np.array_equal(y[np.ix_(perm, perm)], -y)
     k = -0.5 * (y[perm] - y[:, perm])
     plus, minus = k + np.diag(v), k - np.diag(v)
     assert np.array_equal(plus[np.ix_(perm, perm)], -minus)
-    assert gridmod._exactly_even(y, v, perm)
     assert np.array_equal(gridmod._root_matrix(y, v, perm, np.empty_like(y)), plus[:, perm])
     n = grid.n_points
     q = 0.5 * ((1 + 1j) * np.eye(n) + (1 - 1j) * np.eye(n)[perm])
