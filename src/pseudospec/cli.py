@@ -24,7 +24,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import re
 import sys
 import time
@@ -171,7 +170,8 @@ def _require_model(cfg: RunConfig, allowed: tuple[str, ...]) -> None:
     tol, a sweep bound or a time that is not a real number (a str, None or
     a bool), or a count (mode, grid_n, sweep_steps, track_level, each N)
     that is not an integer.  argparse types them on the command line, a
-    library call to ``run`` may not.  Then a non-finite parameter.
+    library call to ``run`` may not.  Then a tolerance outside (0, 1), the
+    one tolerance of every verdict of the run, and a non-finite parameter.
     """
     if cfg.model not in allowed:
         raise ValueError(
@@ -210,6 +210,7 @@ def _require_model(cfg: RunConfig, allowed: tuple[str, ...]) -> None:
     for key, value in counts:
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{key} must be an integer, got {value!r}")
+    validate_tol(cfg.tol)
     for key, value in cfg.params.items():
         if not np.isfinite(value):
             raise ValueError(f"parameter {key} is not finite: {value}")
@@ -368,7 +369,7 @@ def _verify_grid(cfg: RunConfig, flags: GridFlags, spec, g, pp: PhysParams) -> l
         ),
         _check("reduction_identity_mismatch", mismatch, 1e-8),
     ]
-    kind = classify_spectrum(reduced_values, max(cfg.tol, 1e-8))
+    kind = classify_spectrum(reduced_values, cfg.tol)
     checks.append(
         _check(
             "reduced_spectrum_conjugate_closed",
@@ -595,7 +596,7 @@ def run_reduce(cfg: RunConfig) -> ResultRecord:
     )
     mapped = gridmod.reduced_to_dirac_energies(reduced_values, pp)
     mapped = mapped[sort_by_re_im(mapped)]
-    reduced_kind = classify_spectrum(reduced_values, max(cfg.tol, 1e-8))
+    reduced_kind = classify_spectrum(reduced_values, cfg.tol)
     return _record(
         cfg,
         flags,
@@ -785,20 +786,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(ns: argparse.Namespace) -> RunConfig:
-    """RunConfig from parsed flags; raises ValueError on a bad tolerance.
+    """RunConfig from parsed flags.
 
     A GridFlags field goes to the grid section, and a flag that is neither
-    that nor a RunConfig field is a model parameter.  ``PSEUDOSPEC_TOL``
-    sets the tolerance when ``--tol`` is not given.
+    that nor a RunConfig field is a model parameter.
     """
     args = dict(vars(ns))
     grid_keys = {f.name for f in fields(GridFlags)}
     grid = {name: args.pop(name) for name in list(args) if name in grid_keys}
     known = {f.name for f in fields(RunConfig)}
     params = {name: args.pop(name) for name in list(args) if name not in known}
-    if "tol" not in args:
-        args["tol"] = float(os.environ.get("PSEUDOSPEC_TOL") or DEFAULT_TOL)
-    validate_tol(args["tol"])
     # a repeatable flag gives a list; RunConfig holds tuples
     args = {key: tuple(v) if isinstance(v, list) else v for key, v in args.items()}
     return RunConfig(params=params, grid=grid, **args)

@@ -302,7 +302,7 @@ def _gated(spec: PotentialSpec, grid: Grid1D, scheme: str):
 
 def _coupling(d: np.ndarray, v: np.ndarray, pp: PhysParams):
     """cP = -i c hbar D and V = diag(V(x_j)), the terms of the blocks cP +- V."""
-    return (-1j * pp.c * pp.hbar) * d, np.diag(v.astype(complex))
+    return (-1j * pp.c_hbar) * d, np.diag(v.astype(complex))
 
 
 PRODUCT_EXACT = "product_exact"
@@ -469,8 +469,8 @@ def assemble_reduced(d, v, spec: PotentialSpec, grid: Grid1D, pp: PhysParams, fo
         cp, vd = _coupling(d, v, pp)
         matrix = (cp + vd) @ (cp - vd)
     elif form == ANALYTIC_U:
-        ch = pp.c * pp.hbar
         vprime = spec.derivative_values(grid)
+        ch = pp.c_hbar
         matrix = -(ch**2) * (d @ d) + np.diag(1j * ch * vprime - v**2)
     else:
         raise ValueError(f"unknown reduced form {form!r}")
@@ -529,7 +529,7 @@ def solve_reduced(
     each pair certified against U, applied by its blocks, at ``tol``.
     """
     d, v = _gated(spec, grid, scheme)
-    y, perm = -(pp.c * pp.hbar) * d, reflection_permutation(grid)
+    y, perm = -pp.c_hbar * d, reflection_permutation(grid)
     return _solve_real_reduced(y, v, perm, tol)
 
 
@@ -586,8 +586,8 @@ def solve_pair(
     """
     d, v = _gated(spec, grid, scheme)
     _refuse_past_max_dim(len(v))
-    y, perm = -(pp.c * pp.hbar) * d, reflection_permutation(grid)
     u = None if form == PRODUCT_EXACT else assemble_reduced(d, v, spec, grid, pp, form)
+    y, perm = -pp.c_hbar * d, reflection_permutation(grid)
     dirac = _solve_real_dirac(y, v, perm, pp.rest_energy, tol)
     reduced = _solve_real_reduced(y, v, perm, tol) if u is None else eigendecompose(u, tol).values
     return d, v, dirac, reduced, reduction_identity_mismatch(dirac, reduced, pp)
@@ -600,10 +600,6 @@ def reduced_to_dirac_energies(eps, pp: PhysParams) -> np.ndarray:
     return np.column_stack([roots, -roots]).ravel()
 
 
-#: Distance from -m0 c^2 within which a value is left out of the match.
-SINGULAR_TOL = 1e-8
-
-
 def reduction_identity_mismatch(dirac_values, reduced_values, pp: PhysParams) -> float:
     """Largest relative gap between the Dirac spectrum and the mapped one.
 
@@ -612,8 +608,10 @@ def reduction_identity_mismatch(dirac_values, reduced_values, pp: PhysParams) ->
     the whole list, because the sort order is not a matching: conjugate
     pairs can differ in the last ulp of their real parts, and on an all
     imaginary spectrum the real parts are rounding noise, so a value's
-    partner can sit anywhere in the other list.  Values within SINGULAR_TOL
-    of -m0 c^2, where the component elimination is singular, are skipped.
+    partner can sit anywhere in the other list.  Every value is matched:
+    det(H - E) = det((E^2 - m0^2 c^4) I - U) for every E (the block
+    determinant, then Sylvester's identity), so no value, -m0 c^2 included,
+    is a singular point of the elimination.
     """
     a = np.asarray(dirac_values, dtype=np.complex128).ravel()
     b = reduced_to_dirac_energies(reduced_values, pp)
@@ -628,11 +626,6 @@ def reduction_identity_mismatch(dirac_values, reduced_values, pp: PhysParams) ->
         cand = np.flatnonzero(~used)
         j = cand[int(np.argmin(np.abs(b[cand] - a[i])))]
         used[j] = True
-        if (
-            abs(a[i] + pp.rest_energy) <= SINGULAR_TOL
-            or abs(b[j] + pp.rest_energy) <= SINGULAR_TOL
-        ):
-            continue
         worst = max(worst, abs(a[i] - b[j]) / max(1.0, abs(a[i])))
     return float(worst)
 

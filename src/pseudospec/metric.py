@@ -144,7 +144,7 @@ def eta_inner(f, g, eta) -> complex:
 LOOP_PAIRING_MAX = 32
 
 
-def classify_spectrum(values, tol: float = 1e-8) -> str:
+def classify_spectrum(values, tol: float = DEFAULT_TOL) -> str:
     """Sort a spectrum into all_real / conjugate_pairs / mixed.
 
     A value is real when |Im| <= tol * max(1, |value|).  Otherwise a

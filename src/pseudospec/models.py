@@ -65,6 +65,14 @@ class PhysParams:
     def rest_energy(self) -> float:
         return self.m0 * _square(self.c, "c", "the rest energy m0 c^2")
 
+    @property
+    def c_hbar(self) -> float:
+        """c hbar, the scale of the grid's momentum cP = -i c hbar D."""
+        product = self.c * self.hbar
+        if not np.isfinite(product):
+            raise OverflowError(f"c hbar overflows: c = {self.c:.6g}, hbar = {self.hbar:.6g}")
+        return product
+
 
 @dataclass(frozen=True)
 class Momentum2:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -32,6 +33,7 @@ from pseudospec.cli import (
     run_sweep,
     run_verify,
 )
+from pseudospec.metric import classify_spectrum
 from pseudospec.records import emit
 
 
@@ -491,12 +493,15 @@ def test_cli_odd_potential_exit_two(tmp_path):
     assert json.loads(r.stderr.splitlines()[0])["error"]["type"] == "OddPotential"
 
 
-def test_cli_env_tol_override():
+def test_the_environment_sets_no_tolerance():
     import os
 
-    env = dict(os.environ, PSEUDOSPEC_TOL="1e-6")
-    r = cli("spectrum", "--model", "rashba", "--kx", "1", env=env)
-    assert json.loads(r.stdout)["params"]["tol"] == 1e-6
+    argv = ("spectrum", "--model", "rashba", "--kx", "1")
+    plain = cli(*argv, env={k: v for k, v in os.environ.items() if k != "PSEUDOSPEC_TOL"})
+    with_env = cli(*argv, env=dict(os.environ, PSEUDOSPEC_TOL="1e-6"))
+    assert plain.returncode == with_env.returncode == 0
+    assert with_env.stdout == plain.stdout
+    assert json.loads(with_env.stdout)["params"]["tol"] == 1e-10
 
 
 def test_cli_main_returns_zero(capsys):
@@ -519,19 +524,13 @@ def test_cli_negative_values_in_scientific_notation(capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, env",
-    [("nan", None), ("inf", None), ("0", None), ("-1", None), (None, "abc"), (None, "nan"),
+    "flag",
+    ["nan", "inf", "0", "-1",
      # at tol >= 1 the realness test calls an imaginary eigenvalue real
-     ("1", None), ("2", None), ("1e300", None), (None, "1"), (None, "2"), (None, "1e300")],
+     "1", "2", "1e300"],
 )
-def test_cli_rejects_bad_tolerance(flag, env, monkeypatch, capsys):
-    argv = ["spectrum", "--model", "rashba", "--kx", "1"]
-    if flag is not None:
-        argv += ["--tol", flag]
-    if env is None:
-        monkeypatch.delenv("PSEUDOSPEC_TOL", raising=False)
-    else:
-        monkeypatch.setenv("PSEUDOSPEC_TOL", env)
+def test_cli_rejects_bad_tolerance(flag, capsys):
+    argv = ["spectrum", "--model", "rashba", "--kx", "1", "--tol", flag]
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -552,6 +551,10 @@ def test_sweep_steps_past_the_ceiling_are_refused_before_any_allocation(steps, c
                    f"2 <= --sweep-steps <= {MAX_SWEEP_STEPS}"}})]
 
 
+_C_HBAR = ["--model", "scalar_grid", "--potential", "cosine", "--g", "1", "--c", "10",
+           "--hbar", "1e308"]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["verify", "--model", "scalar_const", "--v0", "0.5", "--kx", "1", "--c", "1e154"],
      "m0 c^2 squared overflows in the radicand of scalar_energy: m0 c^2 = 1e+308"),
@@ -559,9 +562,20 @@ def test_sweep_steps_past_the_ceiling_are_refused_before_any_allocation(steps, c
      "m0 c^2 squared overflows in the radicand of rashba_energy: m0 c^2 = 1e+200"),
     (["metric", "--model", "rashba", "--lambda", "0.5", "--kx", "1", "--c", "1e155"],
      "c squared overflows in the rest energy m0 c^2: c = 1e+155"),
-], ids=["scalar radicand", "rashba radicand", "rest energy"])
+    *(([*command, *_C_HBAR, "--grid-n", "16"], "c hbar overflows: c = 10, hbar = 1e+308")
+      for command in (["spectrum"], ["reduce"], ["reduce", "--form", "analytic_U"],
+                      ["verify"])),
+    (["sweep", *_C_HBAR, "--grid-n", "16", "--sweep-param", "g", "--sweep-min", "0",
+      "--sweep-max", "1", "--sweep-steps", "2"], "c hbar overflows: c = 10, hbar = 1e+308"),
+    (["converge", *_C_HBAR, "--N", "16"], "c hbar overflows: c = 10, hbar = 1e+308"),
+    (["reduce", "--form", "analytic_U", *_C_HBAR[:6], "--c", "1e200", "--hbar", "1e200",
+      "--grid-n", "16"], "c hbar overflows: c = 1e+200, hbar = 1e+200"),
+], ids=["scalar radicand", "rashba radicand", "rest energy", "c hbar spectrum",
+        "c hbar reduce", "c hbar analytic_U", "c hbar verify", "c hbar sweep",
+        "c hbar converge", "c hbar analytic_U 1e200"])
 def test_a_closed_form_overflow_names_its_quantity(argv, message, capsys):
-    # a Python float's x**2 raised OverflowError (34, 'Numerical result out of range')
+    # a Python float's x**2 raised OverflowError (34, 'Numerical result out of range');
+    # on a grid, c^2 is finite at c = 10 but c hbar is inf, and Y = -c hbar D held inf * 0
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -966,6 +980,48 @@ def test_run_refuses_a_value_that_is_not_a_real_number(cfg, message, monkeypatch
     monkeypatch.setattr(gridmod, "_coupling", refuse)
     with pytest.raises(ValueError, match=f"^{message}$"):
         run(cfg)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1.0, 2.0, math.nan])
+@pytest.mark.parametrize("cfg", [
+    RunConfig(command="spectrum", model="scalar_grid"),
+    RunConfig(command="sweep", model="scalar_grid", params={"g": 0.5},
+              grid={"potential": "cosine", "grid_n": 16}, sweep_param="g",
+              sweep_min=0.0, sweep_max=1.0, sweep_steps=3),
+    RunConfig(command="converge", model="scalar_grid", ns=(8, 16)),
+], ids=["spectrum", "sweep", "converge"])
+def test_run_refuses_a_bad_tolerance_before_any_grid(cfg, tol, monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(gridmod, "make_grid", refuse)
+    with pytest.raises(ValueError, match=rf"^tolerance must satisfy 0 < tol < 1, got {tol}$"):
+        run(replace(cfg, tol=tol))
+
+
+def test_reduce_verify_and_sweep_classify_the_reduced_spectrum_at_tol(monkeypatch, capsys):
+    # at g = 1e-9 the largest |Im eps| of the reduced values is 2.4e-10: paired at
+    # tol = 1e-10, real at 1e-8
+    faint = ["--model", "scalar_grid", "--potential", "gaussian", "--g", "1e-9",
+             "--width", "0.5", "--grid-n", "64"]
+    assert main(["reduce", *faint]) == 0
+    reduction = json.loads(capsys.readouterr().out)["reduction"]
+    assert reduction["reduced_classification"] == "conjugate_pairs"
+    assert main(["sweep", *faint, "--sweep-param", "g", "--sweep-min", "1e-9",
+                 "--sweep-max", "2e-9", "--sweep-steps", "2"]) == 0
+    points = json.loads(capsys.readouterr().out)["sweep"]["points"]
+    assert [point["classification"] for point in points] == ["conjugate_pairs"] * 2
+    kinds = []
+
+    def recorded(values, tol):
+        kinds.append(classify_spectrum(values, tol))
+        return kinds[-1]
+
+    monkeypatch.setattr("pseudospec.cli.classify_spectrum", recorded)
+    assert main(["verify", *faint]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert kinds == ["conjugate_pairs"]
+    assert record["all_passed"] is True
 
 
 def test_run_takes_numpy_reals():

@@ -125,6 +125,9 @@ _ERRORS = [
      "--grid-n", "513"],
     ["converge", "--model", "scalar_grid", "--potential", "cosine", "--g", "1",
      "--scheme", "central2", "--N", "256"],
+    ["spectrum", *_COSINE[:6], "--grid-n", "16", "--c", "10", "--hbar", "1e308"],
+    ["reduce", *_COSINE[:6], "--grid-n", "16", "--form", "analytic_U", "--c", "1e200",
+     "--hbar", "1e200"],
 ]
 
 CASES = [argv + ["--format", fmt] for argv in _VALID for fmt in ("json", "csv")] + _ERRORS
@@ -154,8 +157,8 @@ def _load() -> dict:
 
 
 def run_pinned() -> list[dict]:
-    """Every case, run in one child process with one BLAS thread and default tols."""
-    env = {k: v for k, v in os.environ.items() if k != "PSEUDOSPEC_TOL"}
+    """Every case, run in one child process with one BLAS thread."""
+    env = dict(os.environ)
     env.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
     src = str(HERE.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -230,7 +233,6 @@ def test_fixture_diff_lists_added_and_removed_cases(tmp_path, capsys):
 
 def test_cached_parser_keeps_no_state_between_calls(monkeypatch, capsys):
     monkeypatch.chdir(FIXTURE.parent)
-    monkeypatch.delenv("PSEUDOSPEC_TOL", raising=False)
     assert _build_parser() is _build_parser()
     assert run_main(["sweep", "--model", "rashba"])["exit"] == 2
     with pytest.raises(SystemExit) as exc:

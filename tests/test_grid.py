@@ -529,6 +529,18 @@ def test_identity_mismatch_on_an_all_imaginary_spectrum():
     assert reduction_identity_mismatch(dirac, reduced, pp) <= 1e-12
 
 
+def test_identity_mismatch_matches_the_value_at_minus_the_rest_energy():
+    # det(H - E) = det((E^2 - m0^2 c^4) I - U) for every E, so -m0 c^2 is not
+    # singular: a Dirac value there that moves by 1e-9 shows in the mismatch.
+    _, _, dirac, reduced, mismatch = solve_pair(PotentialSpec.constant(0.0),
+                                                make_grid(math.pi, 16), PP)
+    assert mismatch <= 1e-14
+    at_rest = int(np.argmin(np.abs(dirac + PP.rest_energy)))
+    assert abs(dirac[at_rest] + PP.rest_energy) <= 1e-14
+    dirac[at_rest] += 1e-9
+    assert reduction_identity_mismatch(dirac, reduced, PP) == pytest.approx(1e-9, rel=1e-5)
+
+
 # ------------------------------------------------------ real N x N route
 
 

@@ -2,8 +2,10 @@
 
 ``bench/tracer.py`` wraps every ``(module, name)`` of its ``LAYERS`` table
 in ``pseudospec``; a function renamed or removed here would break the
-traced benchmark run.  The benchmark's own tests are outside this suite,
-so this test loads the tracer by path and checks each binding.
+traced benchmark run.  The benchmark's own tests (``bench/test_bench.py``,
+in the suite through ``pyproject.toml``'s testpaths) exercise the traced
+run; this test loads the tracer by path, as a module outside the package,
+and checks each binding, so a missing one is named here first.
 """
 
 import importlib
