@@ -53,7 +53,7 @@ from .linalg import (
     relative_residual,
     sort_by_re_im,
 )
-from .models import PhysParams
+from .models import PhysParams, _square
 
 PERIODIC = "periodic"
 DIRICHLET = "dirichlet"
@@ -342,11 +342,18 @@ def _root_matrix(y: np.ndarray, v: np.ndarray, perm: np.ndarray, out: np.ndarray
     K = -(R Y - Y R)/2, real symmetric since R Y R = -Y and v == v[perm]
     bit for bit (``_gated``).  Then
     R R+ R = -R-, so R+ R- = -A^2, and A = K R + V R is Y with v added at
-    the entries (j, perm[j]), exactly.
+    the entries (j, perm[j]), exactly.  Adding +0.0 makes every zero +0.0:
+    A is the same bits whether Y was read from H or made from D.
     """
-    out[...] = y
+    np.add(y, 0.0, out=out)
     out[np.arange(len(v)), perm] += v
     return out
+
+
+def _solve_a(y: np.ndarray, v: np.ndarray, perm: np.ndarray, tol: float):
+    """A of ``_root_matrix`` and its eigenpairs: the one real solve (dgeev) of every grid route."""
+    a = _root_matrix(y, v, perm, np.empty_like(y))
+    return a, eigendecompose(a, tol)
 
 
 def _apply_q(x: np.ndarray, perm: np.ndarray) -> np.ndarray:
@@ -383,8 +390,9 @@ def _certify_h(y, v, rest: float, columns, values, tol: float) -> float:
     return certify(functools.partial(_apply_h, y, v, rest), columns, values, norm, tol)
 
 
-def _solve_rotated(y: np.ndarray, v: np.ndarray, perm: np.ndarray, rest: float, tol: float):
-    """H's sorted values from one real N x N solve.
+def _solve_rotated(y: np.ndarray, v: np.ndarray, perm: np.ndarray, rest: float, es,
+                   tol: float):
+    """H's sorted values from A's eigenpairs ``es`` (``_solve_a``).
 
     In the basis diag(Q, Q R), H is [[rest I, A], [-A, -rest I]] with A of
     ``_root_matrix``.  An eigenpair (mu, x) of A gives E = +s, with
@@ -395,8 +403,7 @@ def _solve_rotated(y: np.ndarray, v: np.ndarray, perm: np.ndarray, rest: float, 
     certified a 2N x PANEL slab at a time, and never stored.
     """
     n = len(perm)
-    es = eigendecompose(_root_matrix(y, v, perm, np.empty_like(y)), tol)
-    mu, x = es.values, es.vectors  # A's eigenpairs
+    mu, x = es.values, es.vectors
     with np.errstate(all="ignore"):
         root = np.sqrt((rest - mu) * (rest + mu))
         beta = -mu / (root + rest)
@@ -441,7 +448,7 @@ def solve_dirac(
     n, perm = grid.n_points, reflection_permutation(grid)
     coupling = h[:n, n:]  # cP + V = iY + V: the certificate is about this very H
     y, v = np.ascontiguousarray(coupling.imag), coupling.real.diagonal()
-    return _solve_rotated(y, v, perm, pp.rest_energy, tol)
+    return _solve_rotated(y, v, perm, pp.rest_energy, _solve_a(y, v, perm, tol)[1], tol)
 
 
 def build_reduced(
@@ -471,7 +478,8 @@ def assemble_reduced(d, v, spec: PotentialSpec, grid: Grid1D, pp: PhysParams, fo
     elif form == ANALYTIC_U:
         vprime = spec.derivative_values(grid)
         ch = pp.c_hbar
-        matrix = -(ch**2) * (d @ d) + np.diag(1j * ch * vprime - v**2)
+        ch2 = _square(ch, "c hbar", "the analytic_U term c^2 hbar^2 D^2")
+        matrix = -ch2 * (d @ d) + np.diag(1j * ch * vprime - v**2)
     else:
         raise ValueError(f"unknown reduced form {form!r}")
     return as_cmatrix(matrix)
@@ -492,8 +500,9 @@ def _apply_u(y: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve_real_reduced(y: np.ndarray, v: np.ndarray, perm: np.ndarray, tol: float):
-    """The ``product_exact`` U's sorted values from A of ``_root_matrix``.
+def _solve_real_reduced(y: np.ndarray, v: np.ndarray, perm: np.ndarray, a: np.ndarray, es,
+                        tol: float):
+    """The ``product_exact`` U's sorted values from A and its eigenpairs ``es`` (``_solve_a``).
 
     U = (cP+V)(cP-V) = Q R+ R- Q^dag = -Q A^2 Q^dag, Q unitary, so an
     eigenpair (mu, x) of A gives U the value eps = -mu^2 and the unit vector
@@ -501,8 +510,6 @@ def _solve_real_reduced(y: np.ndarray, v: np.ndarray, perm: np.ndarray, tol: flo
     from Y and v (``_apply_u``), so a fault in building A fails it; the
     residual is relative to ||A^2||_F, ||U||_F to rounding.
     """
-    a = _root_matrix(y, v, perm, np.empty_like(y))
-    es = eigendecompose(a, tol)
     with np.errstate(over="ignore"):
         norm = frob_norm(a @ a)
     eps = -es.values**2
@@ -530,38 +537,18 @@ def solve_reduced(
     """
     d, v = _gated(spec, grid, scheme)
     y, perm = -pp.c_hbar * d, reflection_permutation(grid)
-    return _solve_real_reduced(y, v, perm, tol)
+    return _solve_real_reduced(y, v, perm, *_solve_a(y, v, perm, tol), tol)
 
 
-def _to_h_basis(z: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """T Z = [Q Z_top; Q R Z_bottom]: vectors of M in the basis of H."""
-    n = len(perm)
-    return np.concatenate([_apply_q(z[:n], perm), _apply_q(z[n:][perm], perm)])
+def _witness(a: np.ndarray, rest: float) -> np.ndarray:
+    """Eigenvalues of M = [[rest I, A], [-A, -rest I]], H in the basis diag(Q, Q R).
 
-
-def _solve_real_dirac(y: np.ndarray, v: np.ndarray, perm: np.ndarray, rest: float,
-                      tol: float):
-    """H's values from one real 2N solve, certified against H.
-
-    In the basis T = diag(Q, Q R), H is M = [[m I, A], [-A, -m I]], real,
-    with m = m0 c^2 and A of ``_root_matrix``.  M is filled in one array
-    and solved by ``eigendecompose`` (dgeev); H is never built.  Each panel
-    of M's vectors z is mapped to T z and certified against H applied by
-    its blocks (``_certify_h``).  A fault in M then fails
-    that certificate instead of cancelling out of the reduction identity,
-    whose reduced side is solved from A as well.
+    They come from ``np.linalg.eigvals`` (dgeev without vectors), a solve
+    apart from A's: the independent 2N side of the reduction identity.
     """
-    n = len(v)
-    m = np.zeros((2 * n, 2 * n))
-    _root_matrix(y, v, perm, m[:n, n:])
-    np.negative(m[:n, n:], out=m[n:, :n])
-    diag = np.arange(n)
-    m[diag, diag] = rest
-    m[diag + n, diag + n] = -rest
-    es = eigendecompose(m, tol)
-    del m  # H's certificate reads only Y and v
-    _certify_h(y, v, rest, lambda span: _to_h_basis(es.vectors[:, span], perm), es.values, tol)
-    return es.values
+    n = len(a)
+    return np.linalg.eigvals(np.block([[np.diag(np.full(n, rest)), a],
+                                       [-a, np.diag(np.full(n, -rest))]]))
 
 
 def solve_pair(
@@ -572,25 +559,29 @@ def solve_pair(
     form: str = PRODUCT_EXACT,
     tol: float = DEFAULT_TOL,
 ):
-    """Both grid spectra from one evenness gate, and their identity mismatch.
+    """Both grid spectra from one evenness gate and one solve of A, and their identity mismatch.
 
     Returns (D, V(x_j), values of H, values of U, their mismatch), for H the
-    2N x 2N Dirac operator and U the reduced one of ``form``.  H's values
-    come from one real 2N solve certified against H (``_solve_real_dirac``),
-    so the 2N side stays an independent check of the identity; U's as by
-    ``solve_reduced`` for ``product_exact``, by the complex N solve
-    otherwise.  Neither H nor a ``product_exact`` U is built: a caller that
-    needs them assembles them from D and V.  Errors come in one order: a
-    2N past MAX_DIM before anything 2N exists, a build error of U before
-    any solve.
+    2N x 2N Dirac operator and U the reduced one of ``form``.  A is solved
+    once (``_solve_a``): H's values are ``solve_dirac``'s, the same bits,
+    and U's are ``solve_reduced``'s for ``product_exact``; an ``analytic_U``
+    U takes the complex N solve.  The mismatch is taken against the
+    eigenvalues of the real 2N matrix M (``_witness``), so the 2N side stays
+    an independent check of the identity.  Neither H nor a ``product_exact``
+    U is built: a caller that needs them assembles them from D and V.
+    Errors come in one order: a 2N past MAX_DIM before anything 2N exists,
+    a build error of U before any solve.
     """
     d, v = _gated(spec, grid, scheme)
     _refuse_past_max_dim(len(v))
     u = None if form == PRODUCT_EXACT else assemble_reduced(d, v, spec, grid, pp, form)
     y, perm = -pp.c_hbar * d, reflection_permutation(grid)
-    dirac = _solve_real_dirac(y, v, perm, pp.rest_energy, tol)
-    reduced = _solve_real_reduced(y, v, perm, tol) if u is None else eigendecompose(u, tol).values
-    return d, v, dirac, reduced, reduction_identity_mismatch(dirac, reduced, pp)
+    a, es = _solve_a(y, v, perm, tol)
+    dirac = _solve_rotated(y, v, perm, pp.rest_energy, es, tol)
+    reduced = (_solve_real_reduced(y, v, perm, a, es, tol) if u is None
+               else eigendecompose(u, tol).values)
+    mismatch = reduction_identity_mismatch(_witness(a, pp.rest_energy), reduced, pp)
+    return d, v, dirac, reduced, mismatch
 
 
 def reduced_to_dirac_energies(eps, pp: PhysParams) -> np.ndarray:

@@ -103,10 +103,14 @@ class AdjointSpinors:
 
 def build_rashba(k: Momentum2, pp: PhysParams, lam: float) -> np.ndarray:
     """2x2 model-I block at momentum k with imaginary spin-orbit coupling lam."""
-    pm = k.p_minus(pp.hbar)
-    pl = k.p_plus(pp.hbar)
     m = pp.rest_energy
-    return as_cmatrix([[m, (pp.c - lam) * pm], [(pp.c + lam) * pl, -m]])
+    upper, lower = (pp.c - lam) * k.p_minus(pp.hbar), (pp.c + lam) * k.p_plus(pp.hbar)
+    # a non-finite entry from finite inputs is an overflow; others meet as_cmatrix's error
+    if not all(map(cmath.isfinite, (upper, lower))) and all(
+            map(cmath.isfinite, (lam, k.kx, k.ky))):
+        raise OverflowError(f"rashba off-diagonal entry overflows: c = {pp.c:.6g}, lambda = "
+                            f"{lam:.6g}, hbar = {pp.hbar:.6g}, kx = {k.kx:.6g}, ky = {k.ky:.6g}")
+    return as_cmatrix([[m, upper], [lower, -m]])
 
 
 def rashba_energy(k: Momentum2, pp: PhysParams, lam: float) -> tuple[complex, complex]:
@@ -125,15 +129,15 @@ def rashba_energy(k: Momentum2, pp: PhysParams, lam: float) -> tuple[complex, co
 
 def build_scalar_const(kx: float, pp: PhysParams, v0: float) -> np.ndarray:
     """2x2 model-II block at wavenumber kx with constant potential strength v0."""
-    p = pp.c * pp.hbar * kx
     m = pp.rest_energy
+    p = pp.c_hbar * kx
     return as_cmatrix([[m, p + v0], [p - v0, -m]])
 
 
 def scalar_energy(kx: float, pp: PhysParams, v0: float) -> tuple[complex, complex]:
     """Closed-form pair +-sqrt(hbar^2 c^2 kx^2 + m0^2 c^4 - v0^2)."""
     where = "the radicand of scalar_energy"
-    radicand = (_square(pp.c * pp.hbar * kx, "c hbar kx", where)
+    radicand = (_square(pp.c_hbar * kx, "c hbar kx", where)
                 + _square(pp.rest_energy, "m0 c^2", where) - _square(v0, "v0", where))
     e = cmath.sqrt(radicand)
     return e, -e
@@ -165,7 +169,7 @@ def scalar_adjoint_spinors(kx: float, pp: PhysParams, v0: float) -> AdjointSpino
     """Eigenvectors of the adjoint model-II block (same conventions as model I)."""
     e, _ = scalar_energy(kx, pp, v0)
     _guard_degenerate(e, pp)
-    p = pp.c * pp.hbar * kx
+    p = pp.c_hbar * kx
     denom = e + pp.rest_energy
     u1 = np.array([1.0, (p + v0) / denom], dtype=complex)
     u2 = np.array([-(p - v0) / denom, 1.0], dtype=complex)
@@ -210,7 +214,7 @@ def eta_paper_scalar(kx: float, pp: PhysParams, v0: float) -> np.ndarray:
     e, _ = scalar_energy(kx, pp, v0)
     _guard_singular(e, pp)
     m = pp.rest_energy
-    p = pp.c * pp.hbar * kx
+    p = pp.c_hbar * kx
     off = (2.0 * e * p - 2.0 * v0 * m) / (e * e - m * m)
     return as_cmatrix(
         [

@@ -400,11 +400,12 @@ _LAMBDA_SWEEP = ["sweep", *_RASHBA1, "--sweep-param", "lambda", "--sweep-steps",
 
 
 @pytest.mark.parametrize("argv, message", [
-    # the real 2N solve's norm overflows; nothing falls back to build U
+    # the norm of the real solve of A overflows; nothing falls back to build U
     (["reduce", *_GAUSS16, "--g", "1e300", "--width", "0.5"],
      "residual norm inf against matrix norm inf is not finite"),
+    # A's own certificate, as in spectrum: ||A||_F overflows
     (["verify", *_GAUSS16, "--g", "1", "--width", "0.5", "--c", "1e154"],
-     "residual norm inf against matrix norm inf is not finite"),
+     "residual norm 1.067e+140 against matrix norm inf is not finite"),
     (["spectrum", *_GAUSS16, "--g", "1", "--width", "1e-300"],
      "potential is not finite on the grid: V(0) = nan"),
     (["spectrum", *_GAUSS16, "--g", "1", "--width", "0.5", "--grid-L", "5e-324"],
@@ -551,6 +552,19 @@ def test_sweep_steps_past_the_ceiling_are_refused_before_any_allocation(steps, c
                    f"2 <= --sweep-steps <= {MAX_SWEEP_STEPS}"}})]
 
 
+@pytest.mark.parametrize("command", ["reduce", "verify"])
+@pytest.mark.parametrize("potential", [
+    ["--potential", "constant", "--v0", "0"], ["--potential", "cosine", "--g", "1e-9"],
+], ids=["constant 0", "cosine 1e-9"])
+def test_grid_pair_commands_meet_a_tolerance_near_rounding(command, potential, capsys):
+    # A's pairs meet 1e-15 against A, H and U on these grids, and no other
+    # eigenvectors are certified
+    assert main([command, "--model", "scalar_grid", *potential, "--grid-n", "16",
+                 "--tol", "1e-15"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record.get("all_passed", True)
+
+
 _C_HBAR = ["--model", "scalar_grid", "--potential", "cosine", "--g", "1", "--c", "10",
            "--hbar", "1e308"]
 
@@ -570,12 +584,23 @@ _C_HBAR = ["--model", "scalar_grid", "--potential", "cosine", "--g", "1", "--c",
     (["converge", *_C_HBAR, "--N", "16"], "c hbar overflows: c = 10, hbar = 1e+308"),
     (["reduce", "--form", "analytic_U", *_C_HBAR[:6], "--c", "1e200", "--hbar", "1e200",
       "--grid-n", "16"], "c hbar overflows: c = 1e+200, hbar = 1e+200"),
+    (["reduce", "--form", "analytic_U", *_C_HBAR[:6], "--c", "1e100", "--hbar", "1e100",
+      "--grid-n", "16"], "c hbar squared overflows in the analytic_U term c^2 hbar^2 D^2: "
+                         "c hbar = 1e+200"),
+    (["spectrum", "--model", "scalar_const", "--v0", "0.5", "--kx", "1", "--c", "10",
+      "--hbar", "1e308"], "c hbar overflows: c = 10, hbar = 1e+308"),
+    (["spectrum", "--model", "rashba", "--kx", "1", "--c", "10", "--hbar", "1e308"],
+     "rashba off-diagonal entry overflows: c = 10, lambda = 0, hbar = 1e+308, kx = 1, ky = 0"),
+    (["verify", "--model", "scalar_const", "--v0", "0.5", "--kx", "1e-300", "--c", "10",
+      "--hbar", "1e308"], "c hbar overflows: c = 10, hbar = 1e+308"),
 ], ids=["scalar radicand", "rashba radicand", "rest energy", "c hbar spectrum",
         "c hbar reduce", "c hbar analytic_U", "c hbar verify", "c hbar sweep",
-        "c hbar converge", "c hbar analytic_U 1e200"])
+        "c hbar converge", "c hbar analytic_U 1e200", "c hbar squared analytic_U",
+        "c hbar scalar_const", "rashba off-diagonal", "c hbar before kx scalar_const"])
 def test_a_closed_form_overflow_names_its_quantity(argv, message, capsys):
     # a Python float's x**2 raised OverflowError (34, 'Numerical result out of range');
-    # on a grid, c^2 is finite at c = 10 but c hbar is inf, and Y = -c hbar D held inf * 0
+    # c^2 is finite at c = 10 but c hbar is inf, and a block or Y = -c hbar D held inf
+    # (times 0 on a grid), which only the check of finite entries saw
     assert main(argv) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -27,6 +27,7 @@ from pseudospec.grid import (
     CENTRAL2,
     DIRICHLET,
     FOURIER,
+    PERIODIC,
     PRODUCT_EXACT,
     PotentialSpec,
     assemble_dirac_blocks,
@@ -657,17 +658,17 @@ def test_solve_dirac_refuses_beyond_max_dim_with_the_2n_error():
     assert solved == []
 
 
-_F64_16, _F64_32 = ((16, 16), np.float64), ((32, 32), np.float64)
+_F64_16 = ((16, 16), np.float64)
 
 
 @pytest.mark.parametrize("solve, spec, tol, error, solved", [
     # the certificate of the one real solve fails; nothing falls back
     (solve_dirac, COS, 1e-17, ConvergenceFailure, [_F64_16]),
     (solve_reduced, COS, 1e-17, ConvergenceFailure, [_F64_16]),
-    (solve_pair, COS, 1e-17, ConvergenceFailure, [_F64_32]),
+    (solve_pair, COS, 1e-17, ConvergenceFailure, [_F64_16]),
     # A is solved, but ||A^2||_F overflows: the reduced side's certificate
     (solve_reduced, PotentialSpec.cosine(1e100, 1), 1e-10, ValueError, [_F64_16]),
-    (solve_pair, PotentialSpec.cosine(1e100, 1), 1e-10, ValueError, [_F64_32, _F64_16]),
+    (solve_pair, PotentialSpec.cosine(1e100, 1), 1e-10, ValueError, [_F64_16]),
     # ||H||_F is finite at 1e100 (solve_dirac takes it); here ||A||_F overflows
     (solve_dirac, PotentialSpec.cosine(1e160, 1), 1e-10, ValueError, [_F64_16]),
 ], ids=["dirac unreachable tolerance", "reduced unreachable tolerance",
@@ -686,18 +687,24 @@ def test_the_real_route_raises_its_own_error(solve, spec, tol, error, solved):
 
 
 def test_solve_pair_solves_both_sides_in_real_arithmetic():
-    # H in the basis diag(Q, Q R) is the real [[m I, A], [-A, -m I]]: one 2N
-    # dgeev, certified against H, and the reduced side's N x N dgeev of A
+    # one N x N dgeev of A serves both sides; H in the basis diag(Q, Q R) is
+    # the real M = [[m I, A], [-A, -m I]], whose values alone are the witness
     g = make_grid(math.pi, 16)
-    (d, v, dirac, reduced, mismatch), solved = _solve_counted(
-        solve_pair, COS, g, PP, FOURIER)
-    assert solved == [((32, 32), np.float64), ((16, 16), np.float64)]
+    with mock.patch.object(np.linalg, "eig", wraps=np.linalg.eig) as vectors:
+        (d, v, dirac, reduced, mismatch), solved = _solve_counted(
+            solve_pair, COS, g, PP, FOURIER)
+    assert solved == [((16, 16), np.float64)]
+    assert [c.args[0].shape for c in vectors.call_args_list] == [(16, 16)]
     assert np.array_equal(d, derivative_matrix(g, FOURIER))
     assert np.array_equal(v, COS.values(g))
-    h = build_dirac_grid(COS, g, PP, FOURIER)
-    assert spectrum_gap(dirac, eigendecompose(h).values) <= 1e-14
+    assert np.array_equal(dirac, solve_dirac(COS, g, PP, FOURIER))
     assert np.array_equal(reduced, solve_reduced(COS, g, PP, FOURIER))
-    assert mismatch == reduction_identity_mismatch(dirac, reduced, PP)
+    y, perm = -PP.c_hbar * d, reflection_permutation(g)
+    witness = gridmod._witness(gridmod._root_matrix(y, v, perm, np.empty_like(y)),
+                               PP.rest_energy)
+    h = build_dirac_grid(COS, g, PP, FOURIER)
+    assert spectrum_gap(witness, eigendecompose(h).values) <= 1e-14
+    assert mismatch == reduction_identity_mismatch(witness, reduced, PP)
 
 
 def test_solve_pair_takes_the_complex_n_solve_for_analytic_u():
@@ -705,11 +712,29 @@ def test_solve_pair_takes_the_complex_n_solve_for_analytic_u():
     g = make_grid(math.pi, 16)
     (_, _, dirac, reduced, _), solved = _solve_counted(
         solve_pair, COS, g, PP, FOURIER, ANALYTIC_U)
-    assert solved == [((32, 32), np.float64), ((16, 16), np.complex128)]
-    h = build_dirac_grid(COS, g, PP, FOURIER)
-    assert spectrum_gap(dirac, eigendecompose(h).values) <= 1e-14
+    assert solved == [((16, 16), np.float64), ((16, 16), np.complex128)]
+    assert np.array_equal(dirac, solve_dirac(COS, g, PP, FOURIER))
     assert np.array_equal(reduced,
                           eigendecompose(build_reduced(COS, g, PP, FOURIER, ANALYTIC_U)).values)
+
+
+@pytest.mark.parametrize("spec, flags, n, bc, scheme", [
+    (COS, ["--potential", "cosine", "--g", "1"], 32, PERIODIC, FOURIER),
+    (PotentialSpec.gaussian(0.5, 0.5), ["--potential", "gaussian", "--g", "0.5", "--width",
+                                        "0.5"], 32, PERIODIC, CENTRAL2),
+    (PotentialSpec.cosine(0.5, 2), ["--potential", "cosine", "--g", "0.5", "--mode", "2"],
+     33, DIRICHLET, CENTRAL2),
+], ids=["fourier periodic", "central2 periodic", "central2 dirichlet"])
+def test_spectrum_and_reduce_print_one_set_of_dirac_bytes(spec, flags, n, bc, scheme, capsys):
+    # both take H's values from the pairs of the one A, not from separate solves
+    g = make_grid(math.pi, n, bc)
+    assert np.array_equal(solve_pair(spec, g, PP, scheme)[2], solve_dirac(spec, g, PP, scheme))
+    printed = []
+    for command in ("spectrum", "reduce"):
+        assert main([command, "--model", "scalar_grid", *flags, "--grid-n", str(n), "--bc", bc,
+                     "--scheme", scheme]) == 0
+        printed.append(json.dumps(json.loads(capsys.readouterr().out)["eigenvalues"]))
+    assert printed[0] == printed[1]
 
 
 def _off_by_1e10():
@@ -722,7 +747,7 @@ def _off_by_1e10():
 
 
 @pytest.mark.parametrize("solve, solved", [
-    (solve_dirac, [_F64_16]), (solve_reduced, [_F64_16]), (solve_pair, [_F64_32, _F64_16]),
+    (solve_dirac, [_F64_16]), (solve_reduced, [_F64_16]), (solve_pair, [_F64_16]),
 ], ids=["dirac", "reduced", "pair"])
 def test_samples_even_to_the_gate_take_the_real_route_with_their_even_part(solve, solved):
     spec, g = _off_by_1e10()
@@ -773,20 +798,26 @@ def _root_on_the_diagonal(y, v, perm, out):
 
 
 def test_a_fault_in_a_fails_the_certificate_against_h():
-    # both real routes to H's values certify against H applied from Y and v,
-    # not against A or M, so the fault fails the one real solve that used it,
-    # with no complex solve after it
+    # H's values are certified against H applied from Y and v, not against
+    # A, so the fault passes A's own certificate and fails H's, in the one
+    # real solve of every route to H's values
     g = make_grid(math.pi, 16)
     y, v = -(PP.c * PP.hbar) * derivative_matrix(g, FOURIER), COS.values(g)
     perm = reflection_permutation(g)
-    assert len(gridmod._solve_real_dirac(y, v, perm, PP.rest_energy, 1e-10)) == 32
+    _, pairs = gridmod._solve_a(y, v, perm, 1e-10)
+    assert len(gridmod._solve_rotated(y, v, perm, PP.rest_energy, pairs, 1e-10)) == 32
     with mock.patch.object(gridmod, "_root_matrix", _root_on_the_diagonal):
-        with pytest.raises(ConvergenceFailure):
-            gridmod._solve_real_dirac(y, v, perm, PP.rest_energy, 1e-10)
+        _, faulty = gridmod._solve_a(y, v, perm, 1e-10)
+        with pytest.raises(ConvergenceFailure) as failed:
+            gridmod._solve_rotated(y, v, perm, PP.rest_energy, faulty, 1e-10)
         pair, pair_solved = _solve_counted(solve_pair, COS, g, PP, FOURIER)
         dirac, dirac_solved = _solve_counted(solve_dirac, COS, g, PP, FOURIER)
-    assert isinstance(pair, ConvergenceFailure) and pair_solved == [((32, 32), np.float64)]
-    assert isinstance(dirac, ConvergenceFailure) and dirac_solved == [((16, 16), np.float64)]
+    resid = float(re.fullmatch(r"eigen residual (\S+) exceeds tolerance 1\.000e-10",
+                               str(failed.value))[1])
+    assert resid > 1e-2
+    for err in (pair, dirac):
+        assert isinstance(err, ConvergenceFailure) and str(err) == str(failed.value)
+    assert pair_solved == dirac_solved == [_F64_16]
 
 
 def test_u_applied_by_blocks_is_the_product_u():
@@ -807,7 +838,8 @@ def test_a_fault_in_a_fails_the_certificate_against_u():
     g = make_grid(math.pi, 16)
     y, v = -(PP.c * PP.hbar) * derivative_matrix(g, FOURIER), COS.values(g)
     perm = reflection_permutation(g)
-    assert len(gridmod._solve_real_reduced(y, v, perm, 1e-10)) == 16
+    assert len(gridmod._solve_real_reduced(y, v, perm, *gridmod._solve_a(y, v, perm, 1e-10),
+                                           1e-10)) == 16
     with mock.patch.object(gridmod, "_root_matrix", _root_on_the_diagonal):
         reduced, solved = _solve_counted(solve_reduced, COS, g, PP, FOURIER)
     assert isinstance(reduced, ConvergenceFailure) and solved == [((16, 16), np.float64)]

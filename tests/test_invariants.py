@@ -13,9 +13,10 @@ certified against the 2N operator (its certificate is the dense
 ``solve_reduced`` the reduced spectrum, closed under conjugation bit for
 bit and certified against the complex reduced operator.  That solve is of
 A = R+ R, where R+- are the real blocks in the reflection basis, and the
-identity R R+ R = -R- it rests on holds bit for bit.  ``solve_pair``'s
-Dirac values, from one real 2N solve, match the complex 2N solve to
-rounding x ||H||_F wherever both are well conditioned.
+identity R R+ R = -R- it rests on holds bit for bit.  ``solve_pair``
+solves A once: its Dirac values are ``solve_dirac``'s bit for bit, and
+they and the eigenvalues of its real 2N witness M match the complex 2N
+solve to rounding x ||H||_F wherever that is well conditioned.
 """
 
 import math
@@ -234,15 +235,21 @@ def test_solve_reduced_takes_the_real_route(case):
 @example(_NEAR_EP)
 def test_solve_pair_matches_the_complex_2n_solve(case):
     spec, grid, pp, scheme = case
-    with mock.patch.object(gridmod, "eigendecompose", wraps=eigendecompose) as solves:
+    with mock.patch.object(gridmod, "eigendecompose", wraps=eigendecompose) as solves, \
+         mock.patch.object(gridmod, "_witness", wraps=gridmod._witness) as witnessed:
         _, _, dirac, _, _ = solve_pair(spec, grid, pp, scheme)
-    # every drawn potential is exactly even: one real 2N solve, one real N solve
+    # every drawn potential is exactly even: one real N solve of A, whose
+    # pairs give the Dirac values, and the values of the real 2N M
     n = grid.n_points
     assert [(c.args[0].shape, c.args[0].dtype) for c in solves.call_args_list] == [
-        ((2 * n, 2 * n), np.float64), ((n, n), np.float64)]
+        ((n, n), np.float64)]
+    assert np.array_equal(dirac, solve_dirac(spec, grid, pp, scheme))
+    (call,) = witnessed.call_args_list
+    witness = gridmod._witness(*call.args)
     h = build_dirac_grid(spec, grid, pp, scheme)
     dense = eigendecompose(h)
     scale = max(1.0, frob_norm(h))
-    # away from exceptional points, where both solves promise rounding x ||H||_F
+    # away from exceptional points, where every solve promises rounding x ||H||_F
     if _first_order_errors(dense, h).max() <= 1e-13 * scale:
-        assert spectrum_gap(dirac / scale, dense.values / scale) <= 1e-12
+        for values in (dirac, witness):
+            assert spectrum_gap(values / scale, dense.values / scale) <= 1e-12
