@@ -104,6 +104,9 @@ _EXIT_CODES = (
 
 #: Most points a sweep takes; np.linspace holds them all at once.
 MAX_SWEEP_STEPS = 10_000
+#: Relative width of the bracket at which a threshold bisection stops;
+#: near 0 it is the absolute width.
+BISECT_RTOL = 1e-9
 
 #: Value of a model parameter that a RunConfig leaves out; 0 for the rest.
 _PARAM_DEFAULTS = {"m0": 1.0, "c": 1.0, "hbar": 1.0, "mode": 1, "width": 1.0}
@@ -527,11 +530,36 @@ def _sweep_point(cfg: RunConfig, inputs: tuple, value: float):
     return values, classify_spectrum(values, cfg.tol)
 
 
+def _split_at_zero(cfg: RunConfig, inputs: tuple) -> dict | None:
+    """The threshold of a grid sweep of g from 0 whose spectrum is complex from g = 0 on.
+
+    Where some level of c^2 P^2 splits at first order in g, visibly at the
+    bisection's stop width (``grid.first_order_split``), the threshold is
+    g = 0 itself, with the count of split levels and the lowest of them.
+    None for any other sweep, which bisects its first bracket.  Only a grid
+    potential has a parameter g, so ``inputs`` are a grid command's.
+    """
+    if cfg.sweep_param != "g" or cfg.sweep_min != 0:
+        return None
+    flags, spec, g, pp = inputs
+    split = gridmod.first_order_split(spec, g, pp, flags.scheme, cfg.tol, BISECT_RTOL)
+    if not len(split):
+        return None
+    return {"param": "g", "value": 0.0, "split_levels": len(split),
+            "lowest_split": float(split[0])}
+
+
 def run_sweep(cfg: RunConfig) -> ResultRecord:
-    """Classify the spectrum along a 1-parameter sweep; bisect a reality threshold.
+    """Classify the spectrum along a 1-parameter sweep; find its reality threshold.
 
     For the grid model the classified spectrum is the component-eliminated
-    operator's, whose reality breaking is the object of interest.
+    operator's, whose reality breaking is the object of interest.  The
+    threshold lies in the first bracket whose lower point is all real and
+    upper point is not, and is bisected to a width of BISECT_RTOL x
+    max(1, |upper end|).  A grid sweep of g from exactly 0 whose first
+    bracket is at 0 is not bisected where some degenerate level of c^2 P^2
+    splits at first order in g (``_split_at_zero``): its threshold is 0,
+    recorded with ``split_levels`` and ``lowest_split``.
     """
     if cfg.sweep_param is None or not 2 <= cfg.sweep_steps <= MAX_SWEEP_STEPS:
         raise ValueError(
@@ -564,15 +592,17 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
     threshold = None
     for i in range(len(grid_values) - 1):
         if kinds[i] == ALL_REAL and kinds[i + 1] != ALL_REAL:
-            lo, hi = float(grid_values[i]), float(grid_values[i + 1])
-            while hi - lo > 1e-9 * max(1.0, abs(hi)):
-                mid = 0.5 * (lo + hi)
-                _, kind = _sweep_point(cfg, inputs, mid)
-                if kind == ALL_REAL:
-                    lo = mid
-                else:
-                    hi = mid
-            threshold = {"param": cfg.sweep_param, "value": 0.5 * (lo + hi)}
+            threshold = _split_at_zero(cfg, inputs) if i == 0 else None
+            if threshold is None:
+                lo, hi = float(grid_values[i]), float(grid_values[i + 1])
+                while hi - lo > BISECT_RTOL * max(1.0, abs(hi)):
+                    mid = 0.5 * (lo + hi)
+                    _, kind = _sweep_point(cfg, inputs, mid)
+                    if kind == ALL_REAL:
+                        lo = mid
+                    else:
+                        hi = mid
+                threshold = {"param": cfg.sweep_param, "value": 0.5 * (lo + hi)}
             break
     return _record(
         cfg,
@@ -707,7 +737,9 @@ COMMANDS = {
                       "grid solve with the exact component-elimination identity", (
         ("--form", dict(choices=(gridmod.PRODUCT_EXACT, gridmod.ANALYTIC_U))),
     )),
-    "sweep": Command(run_sweep, _ANY, "1-parameter sweep with reality-threshold bisection", (
+    "sweep": Command(run_sweep, _ANY,
+                     "1-parameter sweep with its reality threshold: bisected, or 0 for "
+                     "a grid g sweep from 0 whose levels split at first order", (
         ("--sweep-param", dict(required=True)),
         ("--sweep-min", dict(type=float, required=True)),
         ("--sweep-max", dict(type=float, required=True)),

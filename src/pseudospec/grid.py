@@ -30,7 +30,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -538,6 +538,50 @@ def solve_reduced(
     d, v = _gated(spec, grid, scheme)
     y, perm = -pp.c_hbar * d, reflection_permutation(grid)
     return _solve_real_reduced(y, v, perm, *_solve_a(y, v, perm, tol), tol)
+
+
+def first_order_split(
+    spec: PotentialSpec,
+    grid: Grid1D,
+    pp: PhysParams,
+    scheme: str,
+    tol: float,
+    width: float,
+) -> np.ndarray:
+    """The levels of U0 = c^2 P^2 that the coupling g makes complex at first order.
+
+    With W the even part of the potential at g = 1 (``_gated``), U(g) =
+    (cP + gW)(cP - gW) = U0 - i g c hbar S + O(g^2): U0 = c^2 hbar^2 D^T D
+    and S = WD - DW are real symmetric.  One ``np.linalg.eigh`` of U0 gives
+    its levels, clustered wherever a gap is <= tol * max(1, ||U0||_F); the
+    +-k pairs of the ring and the central2 doublers come degenerate.  On a
+    level X first-order perturbation theory gives the values
+    eps0 - i g c hbar eig(X^T S X) (Kato, "Perturbation Theory for Linear
+    Operators", ch. II), so with beta = c hbar max|eig(X^T S X)| the level
+    turns complex at g ~ spread / (2 beta).  It counts as split when:
+
+    - beta > tol * max(1, c hbar ||S||_F), above rounding;
+    - spread / (2 beta) <= width, below the g a threshold bisection resolves;
+    - width * beta > tol * max(1, |eps0|): at g = width the imaginary part
+      is past ``classify_spectrum``'s tolerance, so the split shows there.
+
+    Returns the lowest value of U0 of each split level, ascending.
+    """
+    d, w = _gated(replace(spec, g=1.0), grid, scheme)
+    y = pp.c_hbar * d
+    s = w[:, None] * d - d * w
+    eps0, x = np.linalg.eigh(y.T @ y)
+    # ||U0||_F is the norm of its values
+    ends = np.flatnonzero(np.diff(eps0) > tol * max(1.0, float(np.linalg.norm(eps0)))) + 1
+    rounding = tol * max(1.0, pp.c_hbar * frob_norm(s))
+    coupled = x.T @ s @ x
+    split = []
+    for lo, hi in zip([0, *ends], [*ends, len(eps0)]):
+        beta = pp.c_hbar * np.abs(np.linalg.eigvalsh(coupled[lo:hi, lo:hi])).max()
+        if (beta > rounding and eps0[hi - 1] - eps0[lo] <= 2 * width * beta
+                and width * beta > tol * max(1.0, abs(eps0[hi - 1]))):
+            split.append(eps0[lo])
+    return np.array(split)
 
 
 def _witness(a: np.ndarray, rest: float) -> np.ndarray:

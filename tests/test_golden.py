@@ -88,6 +88,11 @@ _VALID = [
     ["spectrum", *_OFF_EVEN],
     ["reduce", *_OFF_EVEN],
     ["verify", *_OFF_EVEN],
+    # degenerate levels of c^2 P^2 split at first order: the threshold is g = 0
+    ["sweep", *_GAUSS, "--sweep-param", "g", "--sweep-min", "0", "--sweep-max", "3",
+     "--sweep-steps", "4"],
+    ["sweep", *_GAUSS, "--scheme", "fourier", "--sweep-param", "g", "--sweep-min", "0",
+     "--sweep-max", "3", "--sweep-steps", "4"],
 ]
 
 _ERRORS = [

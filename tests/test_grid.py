@@ -904,16 +904,34 @@ def test_massless_grid_spectrum_takes_one_real_solve(capsys):
         ((32, 32), np.float64)]
 
 
-@pytest.mark.parametrize("scheme", [FOURIER, CENTRAL2])
-def test_gaussian_sweep_threshold_is_the_bisection_floor(scheme, capsys):
+@pytest.mark.parametrize("scheme, lowest", [(FOURIER, 0.9999999999996317),
+                                             (CENTRAL2, 0.9991970675391472)])
+def test_gaussian_sweep_threshold_is_the_sweep_min(scheme, lowest, capsys):
     # Degenerate levels of c^2 P^2 (the +-k pairs of the ring, and the
     # central2 doublers) split at first order in g, so the reduced spectrum
-    # is complex for every g > 0 and the bisection stops at its floor:
-    # 1e-9 * max(1, hi) reached after 29 halvings of [0, 0.3].
+    # is complex for every g > 0: the threshold is --sweep-min itself, found
+    # without bisecting, and the lowest split level is k = 1's.
     argv = ["sweep", "--model", "scalar_grid", "--potential", "gaussian", "--g", "0.5",
             "--width", "0.5", "--grid-n", "128", "--scheme", scheme, "--sweep-param", "g",
             "--sweep-min", "0", "--sweep-max", "3", "--sweep-steps", "11"]
-    assert main(argv) == 0
+    with mock.patch.object(gridmod, "eigendecompose", wraps=eigendecompose) as solves:
+        assert main(argv) == 0
     threshold = json.loads(capsys.readouterr().out)["threshold"]
-    assert threshold == {"param": "g", "value": 0.3 / 2**30}
-    assert threshold["value"] == 2.7939677238464354e-10
+    assert threshold == {"param": "g", "value": 0.0, "split_levels": 1, "lowest_split": lowest}
+    assert solves.call_count == 11  # the grid points, and no bisection
+
+
+def test_a_first_bracket_at_zero_without_a_split_is_bisected(capsys):
+    # cosine mode 1 on the periodic ring couples no +-k pair at first order,
+    # so its first bracket, [0, 20], is bisected
+    argv = ["sweep", "--model", "scalar_grid", "--potential", "cosine", "--grid-n", "16",
+            "--sweep-param", "g", "--sweep-min", "0", "--sweep-max", "20", "--sweep-steps", "2"]
+    with mock.patch.object(gridmod, "first_order_split",
+                           wraps=gridmod.first_order_split) as rule:
+        assert main(argv) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert [p["classification"] for p in record["sweep"]["points"]] == [ALL_REAL,
+                                                                         CONJUGATE_PAIRS]
+    (call,) = rule.call_args_list  # the rule ran on the first bracket and found no split
+    assert len(gridmod.first_order_split(*call.args)) == 0
+    assert record["threshold"] == {"param": "g", "value": 5.166824741754681}

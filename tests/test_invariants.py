@@ -16,13 +16,19 @@ A = R+ R, where R+- are the real blocks in the reflection basis, and the
 identity R R+ R = -R- it rests on holds bit for bit.  ``solve_pair``
 solves A once: its Dirac values are ``solve_dirac``'s bit for bit, and
 they and the eigenvalues of its real 2N witness M match the complex 2N
-solve to rounding x ||H||_F wherever that is well conditioned.
+solve to rounding x ||H||_F wherever that is well conditioned.  Over
+gaussian and cosine shapes on grids of N <= 64, ``first_order_split``
+finds a split level only where the reduced spectrum at g = 1e-9 is already
+not all real, so a sweep that reports its threshold at g = 0 agrees with
+what a bisection from 0 would find.
 """
 
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +43,7 @@ from pseudospec.grid import (
     build_dirac_grid,
     build_reduced,
     derivative_matrix,
+    first_order_split,
     make_grid,
     reduction_identity_mismatch,
     reflection_permutation,
@@ -44,8 +51,15 @@ from pseudospec.grid import (
     solve_pair,
     solve_reduced,
 )
+from pseudospec.cli import BISECT_RTOL
 from pseudospec.linalg import DEFAULT_TOL, eigendecompose, frob_norm
-from pseudospec.metric import VALID_METRIC, check_metric, spectral_metric
+from pseudospec.metric import (
+    ALL_REAL,
+    VALID_METRIC,
+    check_metric,
+    classify_spectrum,
+    spectral_metric,
+)
 from pseudospec.models import Momentum2, PhysParams, build_rashba, build_scalar_const
 
 _UNIT = st.floats(0.5, 2.0)
@@ -88,14 +102,21 @@ def test_block_spectral_metric_holds_below_threshold(h):
 
 
 @st.composite
-def _grid_cases(draw, m0=st.floats(0.0, 2.0)):
-    """(potential, grid, physical parameters, scheme) on a small grid."""
+def _grids(draw, n_max):
+    """(grid, scheme): central2 periodic or dirichlet, or fourier, N = 8..n_max."""
     scheme, bc = draw(st.sampled_from([(CENTRAL2, PERIODIC), (CENTRAL2, DIRICHLET),
                                        (FOURIER, PERIODIC)]))
-    n = draw(st.integers(8, 32))
+    n = draw(st.integers(8, n_max))
     if bc == DIRICHLET and n % 2 == 0:
-        n += 1 if n < 32 else -1
-    grid = make_grid(draw(st.floats(1.0, 5.0)), n, bc)
+        n += 1 if n < n_max else -1
+    return make_grid(draw(st.floats(1.0, 5.0)), n, bc), scheme
+
+
+@st.composite
+def _grid_cases(draw, m0=st.floats(0.0, 2.0)):
+    """(potential, grid, physical parameters, scheme) on a small grid."""
+    grid, scheme = draw(_grids(32))
+    n = grid.n_points
     amplitude = draw(st.floats(-2.0, 2.0))
     family = draw(st.sampled_from(["constant", "cosine", "gaussian", "samples"]))
     if family == "constant":
@@ -253,3 +274,46 @@ def test_solve_pair_matches_the_complex_2n_solve(case):
     if _first_order_errors(dense, h).max() <= 1e-13 * scale:
         for values in (dirac, witness):
             assert spectrum_gap(values / scale, dense.values / scale) <= 1e-12
+
+
+@st.composite
+def _g_sweeps(draw):
+    """(potential, grid, physical parameters, scheme) of a grid g sweep, N = 8..64."""
+    grid, scheme = draw(_grids(64))
+    if draw(st.booleans()):
+        spec = PotentialSpec.cosine(1.0, draw(st.integers(1, 3)))
+    else:
+        spec = PotentialSpec.gaussian(1.0, draw(st.floats(0.2, 2.0)))
+    pp = PhysParams(m0=draw(st.floats(0.0, 2.0)), c=draw(_UNIT), hbar=draw(_UNIT))
+    return spec, grid, pp, scheme
+
+
+# Cosine mode 1 on central2 dirichlet N = 15: its first-order split is what
+# makes a bisection from g = 0 end at its floor (4.66e-10 over [0, 1]).
+_COS_DIRICHLET = (PotentialSpec.cosine(1.0, 1), make_grid(math.pi, 15, DIRICHLET),
+                  PhysParams(), CENTRAL2)
+# Cosine mode 1 on the periodic ring couples no +-k pair: beta is rounding,
+# about 1e-14 x c hbar ||S||_F, and the rule must not fire.
+_COS_PERIODIC = (PotentialSpec.cosine(1.0, 1), make_grid(math.pi, 64, PERIODIC),
+                 PhysParams(), FOURIER)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_g_sweeps())
+@example(_COS_DIRICHLET)
+@example(_COS_PERIODIC)
+def test_a_first_order_split_shows_at_the_bisection_stop_width(case):
+    # where the rule reports a threshold of 0, the reduced spectrum at
+    # g = 1e-9 is already not all real, so bisecting from 0 would end
+    # within its stop width of 0
+    spec, grid, pp, scheme = case
+    split = first_order_split(spec, grid, pp, scheme, DEFAULT_TOL, BISECT_RTOL)
+    values = solve_reduced(replace(spec, g=BISECT_RTOL), grid, pp, scheme)
+    if len(split):
+        assert classify_spectrum(values, DEFAULT_TOL) != ALL_REAL
+    assert np.all(np.diff(split) > 0)
+
+
+@pytest.mark.parametrize("case, fires", [(_COS_DIRICHLET, True), (_COS_PERIODIC, False)])
+def test_the_first_order_rule_fires_where_a_level_splits(case, fires):
+    assert (len(first_order_split(*case, DEFAULT_TOL, BISECT_RTOL)) > 0) is fires
