@@ -300,9 +300,21 @@ def _gated(spec: PotentialSpec, grid: Grid1D, scheme: str):
     return d, np.where(v == reflected, v, 0.5 * v + 0.5 * reflected)
 
 
-def _coupling(d: np.ndarray, v: np.ndarray, pp: PhysParams):
-    """cP = -i c hbar D and V = diag(V(x_j)), the terms of the blocks cP +- V."""
-    return (-1j * pp.c_hbar) * d, np.diag(v.astype(complex))
+def _coupling(d: np.ndarray, v: np.ndarray, pp: PhysParams, plus: np.ndarray,
+              minus: np.ndarray) -> None:
+    """Write the blocks cP + V and cP - V into ``plus`` and ``minus`` (N x N complex).
+
+    cP = -i c hbar D and V = diag(V(x_j)).  The entries are those of cP +-
+    diag(V) in complex arithmetic, bit for bit, with no N x N temporary:
+    cP + 0 and cP - 0 off the diagonal (adding +0.0 makes a zero +0.0,
+    subtracting it leaves every entry as is), cP +- V(x_j) on it.
+    """
+    np.multiply(-1j * pp.c_hbar, d, out=minus)
+    np.add(minus, 0.0, out=plus)
+    j = np.arange(len(v))
+    cp = minus[j, j]
+    plus[j, j] = cp + v
+    minus[j, j] = cp - v
 
 
 PRODUCT_EXACT = "product_exact"
@@ -316,11 +328,22 @@ def _refuse_past_max_dim(n: int) -> None:
 
 
 def assemble_dirac_blocks(d: np.ndarray, v: np.ndarray, pp: PhysParams) -> np.ndarray:
-    """Raw block assembly [[mI, cP+V], [cP-V, -mI]]; no evenness gate; 2N <= MAX_DIM."""
-    _refuse_past_max_dim(len(v))
-    cp, vd = _coupling(d, v, pp)
-    m = pp.rest_energy * np.eye(len(v))
-    return np.block([[m, cp + vd], [cp - vd, -m]])
+    """Raw block assembly [[mI, cP+V], [cP-V, -mI]]; no evenness gate; 2N <= MAX_DIM.
+
+    Each block is written in place into the one 2N x 2N array, with the
+    bits of the ``np.block`` of m I, cP +- V and -m I, signs of zeros
+    included: m = m0 c^2 >= 0 is finite, so the zeros of -m I are -0.0.
+    """
+    n = len(v)
+    _refuse_past_max_dim(n)
+    h = np.zeros((2 * n, 2 * n), complex)
+    _coupling(d, v, pp, h[:n, n:], h[n:, :n])
+    rest = pp.rest_energy
+    h.real[n:, n:] = -0.0
+    j = np.arange(n)
+    h.real[j, j] = rest
+    h.real[j + n, j + n] = -rest
+    return h
 
 
 def build_dirac_grid(
@@ -447,7 +470,8 @@ def solve_dirac(
     h = build_dirac_grid(spec, grid, pp, scheme)
     n, perm = grid.n_points, reflection_permutation(grid)
     coupling = h[:n, n:]  # cP + V = iY + V: the certificate is about this very H
-    y, v = np.ascontiguousarray(coupling.imag), coupling.real.diagonal()
+    y, v = coupling.imag.copy(), coupling.real.diagonal().copy()
+    del h, coupling  # copies, so H is freed before the solve
     return _solve_rotated(y, v, perm, pp.rest_energy, _solve_a(y, v, perm, tol)[1], tol)
 
 
@@ -473,8 +497,9 @@ def build_reduced(
 def assemble_reduced(d, v, spec: PotentialSpec, grid: Grid1D, pp: PhysParams, form: str):
     """``build_reduced``'s matrix from the gated D and V."""
     if form == PRODUCT_EXACT:
-        cp, vd = _coupling(d, v, pp)
-        matrix = (cp + vd) @ (cp - vd)
+        plus, minus = np.empty((2, len(v), len(v)), complex)
+        _coupling(d, v, pp, plus, minus)
+        matrix = plus @ minus
     elif form == ANALYTIC_U:
         vprime = spec.derivative_values(grid)
         ch = pp.c_hbar
@@ -588,11 +613,18 @@ def _witness(a: np.ndarray, rest: float) -> np.ndarray:
     """Eigenvalues of M = [[rest I, A], [-A, -rest I]], H in the basis diag(Q, Q R).
 
     They come from ``np.linalg.eigvals`` (dgeev without vectors), a solve
-    apart from A's: the independent 2N side of the reduction identity.
+    apart from A's: the independent 2N side of the reduction identity.  M
+    is written block by block into one real 2N x 2N array, with the bits of
+    its ``np.block`` form: +0.0 off the diagonals of +-rest I.
     """
     n = len(a)
-    return np.linalg.eigvals(np.block([[np.diag(np.full(n, rest)), a],
-                                       [-a, np.diag(np.full(n, -rest))]]))
+    m = np.zeros((2 * n, 2 * n))
+    m[:n, n:] = a
+    np.negative(a, out=m[n:, :n])
+    j = np.arange(n)
+    m[j, j] = rest
+    m[j + n, j + n] = -rest
+    return np.linalg.eigvals(m)
 
 
 def solve_pair(
@@ -624,6 +656,7 @@ def solve_pair(
     dirac = _solve_rotated(y, v, perm, pp.rest_energy, es, tol)
     reduced = (_solve_real_reduced(y, v, perm, a, es, tol) if u is None
                else eigendecompose(u, tol).values)
+    del es, y, u  # only A goes on to the 2N witness solve
     mismatch = reduction_identity_mismatch(_witness(a, pp.rest_energy), reduced, pp)
     return d, v, dirac, reduced, mismatch
 

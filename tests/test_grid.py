@@ -581,6 +581,87 @@ def test_solve_dirac_builds_h_once_and_solves_a_once():
     assert values.shape == (96,) and vectors.shape == (96, 96) and resid <= 1e-14
 
 
+@pytest.mark.parametrize("build", [build_dirac_grid, build_reduced])
+def test_h_and_u_are_built_through_coupling_once(build):
+    # the "H was built" tests patch _coupling; each build must pass through it
+    with mock.patch.object(gridmod, "_coupling", wraps=gridmod._coupling) as coupled:
+        build(COS, make_grid(math.pi, 16), PP, FOURIER)
+    assert coupled.call_count == 1
+
+
+def _block_factors(d, v, pp):
+    """cP + V and cP - V as complex arrays of their own, the way np.block's operands were."""
+    cp, vd = (-1j * pp.c_hbar) * d, np.diag(v.astype(complex))
+    return cp + vd, cp - vd
+
+
+def _block_h(d, v, pp):
+    plus, minus = _block_factors(d, v, pp)
+    m = pp.rest_energy * np.eye(len(v))
+    return np.block([[m, plus], [minus, -m]])
+
+
+_BLOCK_GRIDS = [(make_grid(math.pi, 16), FOURIER), (make_grid(math.pi, 16), CENTRAL2),
+                (make_grid(math.pi, 17, DIRICHLET), CENTRAL2)]
+
+
+@pytest.mark.parametrize("pp", [PP, PhysParams(m0=0.0)], ids=["m0=1", "m0=0"])
+@pytest.mark.parametrize("g, scheme", _BLOCK_GRIDS,
+                         ids=["periodic-fourier", "periodic-central2", "dirichlet-central2"])
+def test_in_place_blocks_have_the_bytes_of_np_block(g, scheme, pp):
+    # tobytes, not array_equal, so the sign of every zero counts
+    spec = PotentialSpec.gaussian(0.7, 0.5)
+    d, v = gridmod._gated(spec, g, scheme)
+    reference = _block_h(d, v, pp)
+    assert np.signbit(reference.real[reference.real == 0]).any()  # -m I's zeros are -0.0
+    assert build_dirac_grid(spec, g, pp, scheme).tobytes() == reference.tobytes()
+    plus, minus = _block_factors(d, v, pp)
+    assert build_reduced(spec, g, pp, scheme).tobytes() == (plus @ minus).tobytes()
+
+
+def test_in_place_blocks_keep_the_bytes_of_an_odd_v():
+    # assemble_dirac_blocks has no evenness gate
+    g = make_grid(math.pi, 16)
+    d, v = derivative_matrix(g, CENTRAL2), np.sin(g.points) + 0.25
+    assert assemble_dirac_blocks(d, v, PP).tobytes() == _block_h(d, v, PP).tobytes()
+
+
+@pytest.mark.parametrize("rest", [1.0, 0.0])
+def test_witness_has_the_bytes_of_np_block(rest):
+    g = make_grid(math.pi, 16)
+    d, v = gridmod._gated(COS, g, FOURIER)
+    y, perm = -PP.c_hbar * d, reflection_permutation(g)
+    a = gridmod._root_matrix(y, v, perm, np.empty_like(y))
+    n = len(a)
+    reference = np.block([[np.diag(np.full(n, rest)), a], [-a, np.diag(np.full(n, -rest))]])
+    with mock.patch.object(np.linalg, "eigvals", wraps=np.linalg.eigvals) as solved:
+        values = gridmod._witness(a, rest)
+    assert solved.call_args.args[0].tobytes() == reference.tobytes()
+    assert values.tobytes() == np.linalg.eigvals(reference).tobytes()
+
+
+def _traced_peak(fn, *args) -> int:
+    # tracemalloc sees numpy's arrays, not LAPACK's own work buffers
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("scheme", [FOURIER, CENTRAL2])
+def test_h_is_assembled_in_place_and_released_before_the_solve(scheme):
+    # one 2N x 2N complex H plus D and one N x N real temporary: no np.block
+    # operands; then the solve holds Y, not H, so it adds at most one N x N
+    # real array to the build's peak
+    n = 512
+    g = make_grid(math.pi, n)
+    build = _traced_peak(build_dirac_grid, COS, g, PP, scheme)
+    assert build <= (2 * n) ** 2 * 16 + 2 * n * n * 8
+    assert _traced_peak(solve_dirac, COS, g, PP, scheme) <= build + n * n * 8
+
+
 @pytest.mark.parametrize("scheme", [FOURIER, CENTRAL2])
 def test_solve_dirac_holds_no_2n_vectors(scheme):
     # the 2N x 2N complex vectors are built a 2N x PANEL slab at a time, so
