@@ -48,10 +48,12 @@ from .linalg import (
     as_cmatrix,
     certify,
     eigendecompose,
+    finite_values,
     frob_norm,
     real_times_complex,
     relative_residual,
     sort_by_re_im,
+    take_nearest,
 )
 from .models import PhysParams, _square
 
@@ -672,29 +674,29 @@ def reduction_identity_mismatch(dirac_values, reduced_values, pp: PhysParams) ->
     """Largest relative gap between the Dirac spectrum and the mapped one.
 
     Both multisets are sorted by (Re, Im); each Dirac value, in that order,
-    is then matched to the nearest unused mapped value.  The search spans
-    the whole list, because the sort order is not a matching: conjugate
-    pairs can differ in the last ulp of their real parts, and on an all
-    imaginary spectrum the real parts are rounding noise, so a value's
-    partner can sit anywhere in the other list.  Every value is matched:
+    is then matched to the nearest unused mapped value (``take_nearest``,
+    the lowest index among equals).  The search spans the whole list,
+    because the sort order is not a matching: conjugate pairs can differ in
+    the last ulp of their real parts, and on an all imaginary spectrum the
+    real parts are rounding noise, so a value's partner can sit anywhere in
+    the other list.  Every value is matched:
     det(H - E) = det((E^2 - m0^2 c^4) I - U) for every E (the block
     determinant, then Sylvester's identity), so no value, -m0 c^2 included,
-    is a singular point of the elimination.
+    is a singular point of the elimination.  Raises ValueError on a value,
+    given or mapped, that is not finite.
     """
-    a = np.asarray(dirac_values, dtype=np.complex128).ravel()
-    b = reduced_to_dirac_energies(reduced_values, pp)
+    a = finite_values(dirac_values, "Dirac values")
+    eps = finite_values(reduced_values, "reduced values")
+    b = finite_values(reduced_to_dirac_energies(eps, pp), "mapped Dirac energies")
     if len(a) != len(b):
         raise ValueError(f"spectrum sizes differ: {len(a)} vs {len(b)}")
     a = a[sort_by_re_im(a)]
     b = b[sort_by_re_im(b)]
-    n = len(a)
-    used = np.zeros(n, dtype=bool)
+    free = np.ones(len(b), dtype=bool)
     worst = 0.0
-    for i in range(n):
-        cand = np.flatnonzero(~used)
-        j = cand[int(np.argmin(np.abs(b[cand] - a[i])))]
-        used[j] = True
-        worst = max(worst, abs(a[i] - b[j]) / max(1.0, abs(a[i])))
+    for x in a:
+        j = take_nearest(x, b, free)
+        worst = max(worst, abs(x - b[j]) / max(1.0, abs(x)))
     return float(worst)
 
 

@@ -137,6 +137,28 @@ def sort_by_re_im(values: np.ndarray) -> np.ndarray:
     return np.lexsort((values.imag, values.real))
 
 
+def finite_values(values, what: str) -> np.ndarray:
+    """``values`` as a flat complex128 array; ValueError naming one that is not finite."""
+    v = np.asarray(values, dtype=np.complex128).ravel()
+    if not np.isfinite(v).all():
+        raise ValueError(f"{what} must be finite, got {v[~np.isfinite(v)][0]}")
+    return v
+
+
+def take_nearest(x, pool: np.ndarray, free: np.ndarray) -> int | None:
+    """Index of the ``free`` value of ``pool`` nearest ``x``, the lowest among equals.
+
+    The greedy step of every spectrum matching.  Marks the index taken in
+    ``free``; returns None when no value is free.
+    """
+    cand = free.nonzero()[0]
+    if not len(cand):
+        return None
+    j = int(cand[np.abs(x - pool[cand]).argmin()])
+    free[j] = False
+    return j
+
+
 @dataclass(frozen=True)
 class EigenSystem:
     """Eigenvalues and right eigenvectors with a residual certificate.

@@ -19,10 +19,12 @@ from .linalg import (
     adjoint,
     as_cmatrix,
     eigendecompose,
+    finite_values,
     hermiticity_defect,
     mat_exp,
     min_eig_hermitian_part,
     relative_residual,
+    take_nearest,
 )
 from .models import PhysParams
 
@@ -139,68 +141,34 @@ def eta_inner(f, g, eta) -> complex:
     return complex(np.vdot(fv, em @ gv))
 
 
-#: Largest spectrum paired in a plain Python loop.  Below about this size
-#: numpy's cost per call outweighs its vectorised nearest-partner search.
-LOOP_PAIRING_MAX = 32
-
-
 def classify_spectrum(values, tol: float = DEFAULT_TOL) -> str:
     """Sort a spectrum into all_real / conjugate_pairs / mixed.
 
-    A value is real when |Im| <= tol * max(1, |value|).  Otherwise a
-    greedy matching (sorted by Re, then |Im|) pairs each value with the
-    nearest conjugate partner, the lowest index among equals; if every value
-    is matched the spectrum is conjugate-paired, else mixed.  Real values
-    pair with themselves.
+    A value is real when |Im| <= tol * max(1, |value|).  Otherwise the
+    values are visited in order of (Re, |Im|), and each non-real one not yet
+    matched takes the nearest conjugate of a value neither visited nor
+    matched (``take_nearest``, the lowest index among equals).  If each finds
+    one within tol * max(1, |value|) the spectrum is conjugate-paired, else
+    mixed.  Real values pair with themselves.  Raises ValueError on a value
+    that is not finite.
     """
-    vals = np.asarray(values, dtype=np.complex128).ravel()
+    vals = finite_values(values, "spectrum values")
     is_real = np.abs(vals.imag) <= tol * np.maximum(1.0, np.abs(vals))
     if np.all(is_real):
         return ALL_REAL
-    pair = _pair_by_loop if len(vals) <= LOOP_PAIRING_MAX else _pair_vectorised
-    return CONJUGATE_PAIRS if pair(vals, is_real, tol) else MIXED
-
-
-def _pair_by_loop(vals: np.ndarray, is_real: np.ndarray, tol: float) -> bool:
-    """``classify_spectrum``'s greedy pairing over Python complex numbers."""
+    partners = vals.conj()
     v, real = vals.tolist(), is_real.tolist()
-    taken = [False] * len(v)  # visited or matched
-    for i in sorted(range(len(v)), key=lambda i: (v[i].real, abs(v[i].imag))):
-        if taken[i]:
+    free = np.ones(len(v), dtype=bool)  # neither visited nor matched
+    for i in np.lexsort((np.abs(vals.imag), vals.real)).tolist():
+        if not free[i]:
             continue
-        taken[i] = True
+        free[i] = False
         if real[i]:
             continue
-        # (distance, index): the lowest index wins a tie
-        best = min(((abs(v[i] - w.conjugate()), j) for j, w in enumerate(v) if not taken[j]),
-                   default=None)
-        if best is None or not best[0] <= tol * max(1.0, abs(v[i])):
-            return False
-        taken[best[1]] = True
-    return True
-
-
-def _pair_vectorised(vals: np.ndarray, is_real: np.ndarray, tol: float) -> bool:
-    """``classify_spectrum``'s greedy pairing, each search one numpy pass."""
-    order = np.lexsort((np.abs(vals.imag), vals.real))  # stable: ties by index
-    partners = vals.conj()
-    # a value stays a candidate partner until it is visited or matched
-    unmatched = np.ones(len(vals), dtype=bool)
-    visited = 0
-    for rank in np.flatnonzero(~is_real[order]).tolist():
-        i = order[rank]
-        unmatched[order[visited:rank]] = False  # real values pair with themselves
-        visited = rank + 1
-        if not unmatched[i]:
-            continue
-        unmatched[i] = False
-        dist = np.abs(vals[i] - partners)
-        dist[~unmatched] = np.inf
-        j = int(np.argmin(dist))  # the lowest index among equals
-        if not dist[j] <= tol * max(1.0, abs(vals[i])):
-            return False
-        unmatched[j] = False
-    return True
+        j = take_nearest(v[i], partners, free)
+        if j is None or not abs(v[i] - v[j].conjugate()) <= tol * max(1.0, abs(v[i])):
+            return MIXED
+    return CONJUGATE_PAIRS
 
 
 def evolve(h, t: float, pp: PhysParams) -> np.ndarray:

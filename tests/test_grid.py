@@ -8,6 +8,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hyp
 
 from conftest import certified_solve, dense_residual, spectrum_gap
 from pseudospec import grid as gridmod
@@ -540,6 +542,87 @@ def test_identity_mismatch_matches_the_value_at_minus_the_rest_energy():
     assert abs(dirac[at_rest] + PP.rest_energy) <= 1e-14
     dirac[at_rest] += 1e-9
     assert reduction_identity_mismatch(dirac, reduced, PP) == pytest.approx(1e-9, rel=1e-5)
+
+
+def test_identity_mismatch_refuses_spectra_of_different_sizes():
+    with pytest.raises(ValueError, match=r"^spectrum sizes differ: 3 vs 2$"):
+        reduction_identity_mismatch([1.0, -1.0, 2.0], [0.0], PP)
+
+
+@pytest.mark.parametrize("dirac, reduced, pp, what", [
+    ([math.nan, -1.0], [0.0], PP, "Dirac values"),
+    ([math.inf, -1.0], [0.0], PP, "Dirac values"),
+    ([1.0, complex(-1.0, -math.inf)], [0.0], PP, "Dirac values"),
+    ([1.0, -1.0], [math.nan], PP, "reduced values"),
+    ([1.0, -1.0], [complex(0.0, math.inf)], PP, "reduced values"),
+    # eps + (m0 c^2)^2 overflows: 1.7e308 + 1e308
+    ([1.0, -1.0], [1.7e308], PhysParams(m0=1e154), "mapped Dirac energies"),
+])
+def test_identity_mismatch_refuses_non_finite_values(dirac, reduced, pp, what):
+    # max(0.0, nan) keeps 0.0, so each of these read as a perfect match
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=f"^{what} must be finite, got .*(inf|nan)"):
+            reduction_identity_mismatch(dirac, reduced, pp)
+
+
+def _identity_mismatch_by_loop(dirac_values, reduced_values, pp):
+    """reduction_identity_mismatch as a loop with its own nearest-unused search.
+
+    The reference for the shared ``take_nearest`` step: both lists sorted by
+    (Re, Im), each Dirac value in turn matched to the nearest unused mapped
+    value, the lowest index among equals.
+    """
+    a = np.asarray(dirac_values, dtype=np.complex128).ravel()
+    b = reduced_to_dirac_energies(reduced_values, pp)
+    a = a[np.lexsort((a.imag, a.real))]
+    b = b[np.lexsort((b.imag, b.real))]
+    used = np.zeros(len(a), dtype=bool)
+    worst = 0.0
+    for i in range(len(a)):
+        cand = np.flatnonzero(~used)
+        j = cand[int(np.argmin(np.abs(b[cand] - a[i])))]
+        used[j] = True
+        worst = max(worst, abs(a[i] - b[j]) / max(1.0, abs(a[i])))
+    return float(worst)
+
+
+# Eighths are exact in binary, and eps = -2, -1, 0 or 3 maps to exact
+# +-1j, 0, +-1 or +-2, so distances tie exactly.  "ulp" moves a value's real
+# part by one ulp, which splits a conjugate pair's real parts; the tiny real
+# shifts are the rounding noise of an all-imaginary spectrum.
+_EIGHTHS = hyp.integers(-24, 24).map(lambda k: k / 8)
+_EPS = hyp.builds(complex, _EIGHTHS, _EIGHTHS)
+_SHIFT = hyp.one_of(
+    hyp.just(0j),
+    hyp.just("ulp"),
+    hyp.builds(complex, hyp.sampled_from([1e-17, -1e-17, 3e-17, -2e-17]), hyp.just(0.0)),
+    hyp.builds(complex, _EIGHTHS, _EIGHTHS),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(hyp.lists(_EPS, max_size=6), hyp.lists(_EPS, max_size=4),
+       hyp.lists(_SHIFT, max_size=8), hyp.randoms())
+# all imaginary: eps = -2, -5 map to +-1j, +-2j, and the noise in the real
+# parts sorts the Dirac values as -2e-17+2j, -1e-17-1j, 1e-17-2j, 3e-17+1j
+# against -2j, -1j, 1j, 2j: the sort order is not the matching
+@example([], [-2 + 0j, -5 + 0j], [3e-17 + 0j, -1e-17 + 0j, -2e-17 + 0j, 1e-17 + 0j], None)
+# conjugate eps give conjugate Dirac pairs; "ulp" splits their real parts
+@example([0.5 + 0.25j], [], ["ulp", 0j], None)
+# 0 sits halfway between -1 and 1: taking the lower index leaves 1 to 1
+@example([], [0j], [0j, 1 + 0j], None)
+def test_identity_mismatch_is_the_greedy_loop(paired, loose, shifts, rnd):
+    reduced = paired + [e.conjugate() for e in paired] + loose
+    dirac = reduced_to_dirac_energies(reduced, PP).tolist()
+    for k, shift in enumerate(shifts[: len(dirac)]):
+        if shift == "ulp":
+            dirac[k] = complex(np.nextafter(dirac[k].real, np.inf), dirac[k].imag)
+        else:
+            dirac[k] += shift
+    if rnd is not None:
+        rnd.shuffle(dirac)
+    expected = _identity_mismatch_by_loop(dirac, reduced, PP)
+    assert reduction_identity_mismatch(dirac, reduced, PP) == expected
 
 
 # ------------------------------------------------------ real N x N route

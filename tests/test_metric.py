@@ -1,11 +1,10 @@
-from unittest import mock
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pseudospec import metric
 from pseudospec.errors import (
     ComplexSpectrum,
     DimensionMismatch,
@@ -219,6 +218,20 @@ def test_classify_mixed():
     assert classify_spectrum([1.0, 0.3 + 1j]) == MIXED
 
 
+@pytest.mark.parametrize("values", [
+    [math.inf],
+    [1.0, -math.inf],
+    [math.nan, 1.0],
+    [complex(1, math.inf), complex(1, -math.inf)],
+    [complex(math.nan, 1), complex(math.nan, -1)],
+    [2 + 3j, 2 - 3j, complex(0.5, math.nan)],
+])
+def test_classify_refuses_non_finite_values(values):
+    # an inf spectrum read all_real, and a NaN one mixed, with no error
+    with pytest.raises(ValueError, match="spectrum values must be finite, got .*(inf|nan)"):
+        classify_spectrum(values)
+
+
 def test_classify_conjugation_invariance():
     rng = np.random.default_rng(24)
     for _ in range(20):
@@ -231,7 +244,7 @@ def test_classify_conjugation_invariance():
 def _classify_by_loop(values, tol=1e-8):
     """classify_spectrum's conjugate pairing as a pure-Python greedy loop.
 
-    The reference for the vectorised pairing: values sorted by (Re, |Im|),
+    The reference for the pairing: values sorted by (Re, |Im|),
     each unmatched one paired with the nearest unmatched conjugate, ties to
     the lowest index (the ascending iteration over a set of small ints).
     """
@@ -284,9 +297,6 @@ def test_classify_pairs_as_the_greedy_loop(paired, loose, rnd, tol):
         rnd.shuffle(values)
     expected = _classify_by_loop(values, tol)
     assert classify_spectrum(values, tol) == expected
-    # the vectorised search, which spectra above LOOP_PAIRING_MAX values take
-    with mock.patch.object(metric, "LOOP_PAIRING_MAX", -1):
-        assert classify_spectrum(values, tol) == expected
 
 
 def test_evolve_basics():
