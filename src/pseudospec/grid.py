@@ -45,8 +45,10 @@ from .errors import (
 from .linalg import (
     DEFAULT_TOL,
     MAX_DIM,
+    PANEL,
     as_cmatrix,
     certify,
+    eigen_residual,
     eigendecompose,
     finite_values,
     frob_norm,
@@ -383,36 +385,11 @@ def _solve_a(y: np.ndarray, v: np.ndarray, perm: np.ndarray, tol: float):
 
 def _apply_q(x: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """Q X = ((1 + i) X + (1 - i) R X) / 2, with R applied as a row permutation."""
-    return 0.5 * ((1 + 1j) * x + (1 - 1j) * x[perm])
-
-
-def _apply_h(y: np.ndarray, v: np.ndarray, rest: float, x: np.ndarray) -> np.ndarray:
-    """H [t; b] = [m t + v b + i Y b; i Y t - v t - m b], applied by blocks.
-
-    H = [[m I, iY + V], [iY - V, -m I]] with Y = -c hbar D and V = diag(v),
-    so Y acts on the complex halves in real arithmetic (``real_times_complex``)
-    and no 2N x 2N array is made.
-    """
-    n = len(v)
-    t, b = x[:n], x[n:]
-    top = real_times_complex(y, b)
-    top *= 1j
-    top += rest * t + v[:, None] * b
-    bottom = real_times_complex(y, t)
-    bottom *= 1j
-    bottom -= v[:, None] * t + rest * b
-    return np.concatenate([top, bottom])
-
-
-def _certify_h(y, v, rest: float, columns, values, tol: float) -> float:
-    """``certify`` eigenpairs of H, applied by its blocks (``_apply_h``).
-
-    The residual is relative to ||H||_F = sqrt(2N m^2 + 2||Y||_F^2 + 2||v||^2),
-    which holds since Y has a zero diagonal.
-    """
-    norm = math.sqrt(2) * math.hypot(math.sqrt(len(v)) * rest, frob_norm(y),
-                                     float(np.linalg.norm(v)))
-    return certify(functools.partial(_apply_h, y, v, rest), columns, values, norm, tol)
+    out = x[perm]
+    out *= 1 - 1j
+    out += (1 + 1j) * x
+    out *= 0.5
+    return out
 
 
 def _solve_rotated(y: np.ndarray, v: np.ndarray, perm: np.ndarray, rest: float, es,
@@ -424,8 +401,19 @@ def _solve_rotated(y: np.ndarray, v: np.ndarray, perm: np.ndarray, rest: float, 
     s = sqrt((rest - mu)(rest + mu)), the vector [x; beta x], and E = -s the
     vector [beta x; x], where beta = -mu / (s + rest).  Re s >= 0, so s + rest
     = 0 only where rest = 0 and s = 0 (mu = 0, or mu^2 underflows); beta is 0
-    there, and E = 0 has [x; 0] and [0; x].  The vectors are built and
-    certified a 2N x PANEL slab at a time, and never stored.
+    there, and E = 0 has [x; 0] and [0; x].
+
+    Both members of each pair are certified against H = [[rest I, iY + V],
+    [iY - V, -rest I]], applied by its blocks from Y and v, from one product
+    with Y.  For a panel X of PANEL / 2 of A's vectors, T = Q X and
+    B = Q R X, the +s vectors are [u T; beta u B] and the -s ones
+    [beta u T; u B], u = 1 / sqrt(1 + |beta|^2); H [T; 0] = [rest T; iYT - VT]
+    and H [0; B] = [VB + iYB; -rest B] come from one ``real_times_complex``
+    of Y with [T | B], and both residuals follow from them by linearity.
+    The 2N vectors are never formed: the certificate holds a 2N x PANEL
+    residual block at a time.  The residual is relative to
+    ||H||_F = sqrt(2N rest^2 + 2||Y||_F^2 + 2||v||^2), which holds since Y
+    has a zero diagonal.
     """
     n = len(perm)
     mu, x = es.values, es.vectors
@@ -434,19 +422,36 @@ def _solve_rotated(y: np.ndarray, v: np.ndarray, perm: np.ndarray, rest: float, 
         beta = -mu / (root + rest)
         beta[root + rest == 0] = 0
         unit = 1 / np.hypot(1.0, np.abs(beta))  # Q and R keep the norm of [x; beta x]
-        upper = np.concatenate([unit, beta * unit])
-        lower = np.concatenate([beta * unit, unit])
     values = np.concatenate([root, -root])
-    order = sort_by_re_im(values)
-    values, upper, lower = values[order], upper[order], lower[order]
-    cols = order % n  # column j of the sorted vectors comes from x[:, cols[j]]
+    values = values[sort_by_re_im(values)]
 
-    def columns(span):  # Q on the top half, Q R below
-        panel = x[:, cols[span]]
-        return np.concatenate([_apply_q(panel, perm) * upper[span],
-                               _apply_q(panel[perm], perm) * lower[span]])
+    def residual(span):  # [+s columns | -s columns] of A's pairs in span
+        panel = x[:, span]
+        k = panel.shape[1]
+        tb = _apply_q(np.concatenate([panel, panel[perm]], axis=1), perm)  # [T | B]
+        t, b = tb[:, :k], tb[:, k:]
+        h = real_times_complex(y, tb)
+        h *= 1j
+        h[:, :k] -= v[:, None] * t  # iYT - VT, the bottom of H [T; 0]
+        h[:, k:] += v[:, None] * b  # VB + iYB, the top of H [0; B]
+        ht, hb = h[:, :k], h[:, k:]
+        s, u = root[span], unit[span]
+        bu = beta[span] * u
+        out = np.empty((2 * n, 2 * k), complex)
+        # H [uT; buB] - s [uT; buB], then H [buT; uB] + s [buT; uB]
+        np.multiply(t, (rest - s) * u, out=out[:n, :k])
+        out[:n, :k] += hb * bu
+        np.multiply(ht, u, out=out[n:, :k])
+        out[n:, :k] -= b * ((rest + s) * bu)
+        np.multiply(t, (rest + s) * bu, out=out[:n, k:])
+        out[:n, k:] += hb * u
+        np.multiply(ht, bu, out=out[n:, k:])
+        out[n:, k:] -= b * ((rest - s) * u)
+        return out
 
-    _certify_h(y, v, rest, columns, values, tol)
+    norm = math.sqrt(2) * math.hypot(math.sqrt(n) * rest, frob_norm(y),
+                                     float(np.linalg.norm(v)))
+    certify(residual, n, norm, tol, PANEL // 2)
     return values
 
 
@@ -467,7 +472,9 @@ def solve_dirac(
     carry an error of about rounding x ||H||, as the 2N solve's do.  Every
     eigenpair is certified against the 2N operator:
     ||H v - E v|| / max(1, ||H||_F) <= tol for unit v, with H applied by its
-    blocks, in real arithmetic and ``linalg.PANEL`` columns at a time.
+    blocks in real arithmetic; both members of each +-E pair are certified
+    from one product of Y with Q x and Q R x (``_solve_rotated``), and the
+    2N vectors are never formed.
     """
     h = build_dirac_grid(spec, grid, pp, scheme)
     n, perm = grid.n_points, reflection_permutation(grid)
@@ -515,8 +522,8 @@ def assemble_reduced(d, v, spec: PotentialSpec, grid: Grid1D, pp: PhysParams, fo
 def _apply_u(y: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
     """U X = (iY + V)(iY - V) X, applied by blocks.
 
-    Y = -c hbar D acts in real arithmetic (``real_times_complex``), as in
-    ``_apply_h``, and no N x N complex U is made.
+    Y = -c hbar D acts in real arithmetic (``real_times_complex``), and no
+    N x N complex U is made.
     """
     w = real_times_complex(y, x)
     w *= 1j
@@ -543,7 +550,7 @@ def _solve_real_reduced(y: np.ndarray, v: np.ndarray, perm: np.ndarray, a: np.nd
     order = sort_by_re_im(eps)
     eps = eps[order]
     columns = lambda span: _apply_q(es.vectors[:, order[span]], perm)
-    certify(functools.partial(_apply_u, y, v), columns, eps, norm, tol)
+    certify(eigen_residual(functools.partial(_apply_u, y, v), columns, eps), len(eps), norm, tol)
     return eps
 
 

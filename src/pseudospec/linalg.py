@@ -104,24 +104,22 @@ def real_times_complex(r: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (r @ x.view(np.float64)).view(np.complex128)
 
 
-def certify(apply, columns, values, norm: float, tol: float) -> float:
+def certify(residual, count: int, norm: float, tol: float, width: int = PANEL) -> float:
     """max_i ||A v_i - lambda_i v_i||_2 relative to max(1, ``norm``), checked against ``tol``.
 
-    ``columns(span)`` returns the unit vectors of ``values[span]`` in the
-    basis ``apply`` acts in, for slices ``span`` of PANEL columns, and
-    ``apply(X)`` returns A X as a new array.  A NaN in any column's residual
-    ends the check at once, so it never reads as a smaller number.  Returns
-    the relative residual; raises ConvergenceFailure past ``tol``, and
-    ValueError (``relative_residual``'s) where the residual or ``norm`` is
-    not finite.
+    ``residual(span)`` returns, as a new array, the residual columns
+    A v_i - lambda_i v_i of the eigenpairs that ``span`` indexes, for
+    slices ``span`` of ``width`` indices of range(``count``); a span may
+    stand for more columns than indices (``grid._solve_rotated`` gives each
+    eigenpair of its A the +E and the -E column of H).  A NaN in any
+    column's residual ends the check at once, so it never reads as a
+    smaller number.  Returns the relative residual; raises
+    ConvergenceFailure past ``tol``, and ValueError (``relative_residual``'s)
+    where the residual or ``norm`` is not finite.
     """
     worst = 0.0
-    for j in range(0, len(values), PANEL):
-        span = slice(j, j + PANEL)
-        cols = columns(span)
-        residual = apply(cols)
-        residual -= cols * values[span]
-        top = float(np.linalg.norm(residual, axis=0).max())
+    for j in range(0, count, width):
+        top = float(np.linalg.norm(residual(slice(j, j + width)), axis=0).max())
         if math.isnan(top):
             worst = top
             break
@@ -130,6 +128,21 @@ def certify(apply, columns, values, norm: float, tol: float) -> float:
     if not resid <= tol:
         raise ConvergenceFailure(f"eigen residual {resid:.3e} exceeds tolerance {tol:.3e}")
     return resid
+
+
+def eigen_residual(apply, columns, values):
+    """``certify``'s ``residual`` for the unit vectors ``columns(span)`` of ``values[span]``.
+
+    ``columns(span)`` returns the vectors in the basis ``apply`` acts in,
+    and ``apply(X)`` returns A X as a new array; X diag(values) is taken
+    from it in place.
+    """
+    def residual(span):
+        cols = columns(span)
+        out = apply(cols)
+        out -= cols * values[span]
+        return out
+    return residual
 
 
 def sort_by_re_im(values: np.ndarray) -> np.ndarray:
@@ -204,7 +217,8 @@ def eigendecompose(a, tol: float = DEFAULT_TOL) -> EigenSystem:
         apply = lambda x: real_times_complex(m, x)
     else:
         apply = m.__matmul__
-    resid = certify(apply, lambda span: vectors[:, span], values, frob_norm(m), tol)
+    resid = certify(eigen_residual(apply, lambda span: vectors[:, span], values), len(values),
+                    frob_norm(m), tol)
     return EigenSystem(values=values, vectors=vectors, residual=resid)
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hyp
 
-from conftest import certified_solve, dense_residual, spectrum_gap
+from conftest import certified_solve, dense_residual, reference_pairs, spectrum_gap
 from pseudospec import grid as gridmod
 from pseudospec.cli import EXIT_SOLVER, main
 from pseudospec.errors import (
@@ -47,7 +47,14 @@ from pseudospec.grid import (
     solve_pair,
     solve_reduced,
 )
-from pseudospec.linalg import eigendecompose, frob_distance, frob_norm
+from pseudospec.linalg import (
+    PANEL,
+    EigenSystem,
+    certify,
+    eigendecompose,
+    frob_distance,
+    frob_norm,
+)
 from pseudospec.metric import ALL_REAL, CONJUGATE_PAIRS, classify_spectrum
 from pseudospec.models import PhysParams
 
@@ -747,8 +754,10 @@ def test_h_is_assembled_in_place_and_released_before_the_solve(scheme):
 
 @pytest.mark.parametrize("scheme", [FOURIER, CENTRAL2])
 def test_solve_dirac_holds_no_2n_vectors(scheme):
-    # the 2N x 2N complex vectors are built a 2N x PANEL slab at a time, so
-    # past H's build the solve holds at most one N x N complex array more
+    # the 2N x 2N complex vectors are never formed: the certificate holds Q X
+    # and Q R X for PANEL / 2 of A's vectors and a 2N x PANEL residual block
+    # at a time, so past H's build the solve holds at most one N x N complex
+    # array more
     g = make_grid(math.pi, 512)
 
     def traced_peak(build):
@@ -760,6 +769,104 @@ def test_solve_dirac_holds_no_2n_vectors(scheme):
             tracemalloc.stop()
 
     assert traced_peak(solve_dirac) <= traced_peak(build_dirac_grid) + 512 * 512 * 16
+
+
+# A hypothesis draw: on this 11-point central2 box, A = Y + V R has the
+# eigenvalue mu = V for a constant V, exactly 0 at V = 0
+_BOX11 = make_grid(3.6752967764632216, 11, DIRICHLET)
+_MASSLESS = PhysParams(m0=0.0, c=1.964846077550007, hbar=1.5549686171721004)
+
+
+def _rotated_inputs(spec, g, pp, scheme):
+    """(D, V, Y, R as a permutation, A's eigenpairs) of ``_solve_rotated``'s callers."""
+    d, v = gridmod._gated(spec, g, scheme)
+    y, perm = -pp.c_hbar * d, reflection_permutation(g)
+    return d, v, y, perm, gridmod._solve_a(y, v, perm, 1e-10)[1]
+
+
+def _certified_blocks(*args):
+    """_solve_rotated(*args)'s certificate, or its error, and each residual block it measured."""
+    blocks, results = [], []
+
+    def recording(residual, *rest):
+        results.append(certify(lambda span: blocks.append(residual(span)) or blocks[-1], *rest))
+        return results[-1]
+
+    with mock.patch.object(gridmod, "certify", side_effect=recording):
+        try:
+            gridmod._solve_rotated(*args)
+        except (ConvergenceFailure, ValueError) as exc:
+            return exc, blocks
+    return results[0], blocks
+
+
+@pytest.mark.parametrize("fault", [0.0, 1e-3], ids=["even v", "v off at one point"])
+@pytest.mark.parametrize("spec, g, pp, scheme", [
+    # 100 of A's vectors: a panel of PANEL / 2 and a last partial one
+    (COS, make_grid(math.pi, 100), PP, FOURIER),
+    (PotentialSpec.gaussian(0.7, 0.5), make_grid(math.pi, 100), PP, CENTRAL2),
+    (PotentialSpec.gaussian(0.7, 0.5), make_grid(math.pi, 101, DIRICHLET), PP, CENTRAL2),
+    (COS, make_grid(math.pi, 32), PhysParams(m0=0.0), FOURIER),
+    # A's double zero: E = m0 c^2 and E = -m0 c^2 twice each
+    (COS, make_grid(math.pi, 32), PP, FOURIER),
+    # beta = 0: E = 0 twice, from [x; 0] and [0; x]
+    (PotentialSpec.constant(0.0), _BOX11, _MASSLESS, CENTRAL2),
+], ids=["periodic fourier", "periodic central2", "dirichlet central2", "massless",
+        "double zero mode", "beta = 0"])
+def test_dirac_certificate_measures_every_column(spec, g, pp, scheme, fault):
+    # the shared +-E pass yields one residual column for each of H's 2N
+    # eigenpairs, and each is the dense H w - E w to rounding; with V off at
+    # one point the certificate sees an H whose vectors these are not, so
+    # every column's residual is large and its own
+    d, v, y, perm, es = _rotated_inputs(spec, g, pp, scheme)
+    v = v.copy()
+    v[-1] += fault
+    resid, blocks = _certified_blocks(y, v, perm, pp.rest_energy, es, 0.5)
+    h = gridmod.assemble_dirac_blocks(d, v, pp)
+    values, vectors = reference_pairs(solve_dirac, es, g, pp)
+    norm = max(1.0, frob_norm(h))
+    dense = np.linalg.norm(h @ vectors - vectors * values, axis=0) / norm
+    measured = np.concatenate([np.linalg.norm(b, axis=0) for b in blocks]) / norm
+    assert len(blocks) == -(-g.n_points // (PANEL // 2))
+    assert len(measured) == 2 * g.n_points
+    assert np.abs(np.sort(measured) - np.sort(dense)).max() <= 2**-52
+    assert abs(resid - dense.max()) <= 2**-52
+    if fault:
+        assert resid > 1e-8
+        err, _ = _certified_blocks(y, v, perm, pp.rest_energy, es, 1e-10)
+        assert isinstance(err, ConvergenceFailure)
+        assert str(err) == f"eigen residual {resid:.3e} exceeds tolerance 1.000e-10"
+
+
+@pytest.mark.parametrize("column", [0, 99], ids=["first panel", "last partial panel"])
+def test_dirac_certificate_refuses_a_nan_eigenvector(column):
+    # a NaN stops the certificate at its panel and is refused, never passed
+    g = make_grid(math.pi, 100)
+    _, v, y, perm, es = _rotated_inputs(COS, g, PP, FOURIER)
+    vectors = es.vectors.copy()
+    vectors[7, column] = np.nan
+    err, blocks = _certified_blocks(y, v, perm, PP.rest_energy,
+                                    EigenSystem(es.values, vectors, es.residual), 1e-10)
+    assert isinstance(err, ValueError)
+    assert str(err).startswith("residual norm nan against matrix norm")
+    assert len(blocks) == 1 + column // (PANEL // 2)
+
+
+def test_dirac_certificate_holds_a_2n_x_panel_residual_block():
+    # the certificate's working set at N = 512: the residual block, Q X and
+    # Q R X, and their product with Y are each at most 2N x PANEL complex, and
+    # it stays within three such blocks (6 MiB); certifying each vector of
+    # the pair by itself, 2N x PANEL slabs of vectors and of H times them,
+    # took 9.1 MiB
+    n = 512
+    _, v, y, perm, es = _rotated_inputs(COS, make_grid(math.pi, n), PP, FOURIER)
+    tracemalloc.start()
+    try:
+        gridmod._solve_rotated(y, v, perm, PP.rest_energy, es, 1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * (2 * n) * PANEL * 16
 
 
 @pytest.mark.parametrize("pp, spec, g, scheme", [
@@ -781,11 +888,6 @@ def test_solve_dirac_takes_the_real_route_where_the_product_fell_back(pp, spec, 
     # scaled by ||H||_F: at g = 1e100 both solves put E = 0 at about 1e84
     assert spectrum_gap(values / norm, eigendecompose(h).values / norm) <= 1e-14
 
-
-# A hypothesis draw: on this 11-point central2 box, A = Y + V R has the
-# eigenvalue mu = V for a constant V, exactly 0 at V = 0
-_BOX11 = make_grid(3.6752967764632216, 11, DIRICHLET)
-_MASSLESS = PhysParams(m0=0.0, c=1.964846077550007, hbar=1.5549686171721004)
 
 
 @pytest.mark.parametrize("spec, g, pp, scheme", [

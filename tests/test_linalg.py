@@ -12,6 +12,7 @@ from pseudospec.linalg import (
     PANEL,
     adjoint,
     certify,
+    eigen_residual,
     eigendecompose,
     frob_distance,
     frob_norm,
@@ -192,12 +193,13 @@ def test_certify_reaches_the_last_partial_panel():
     values, vectors = _diagonal_system(n, n - 1)
     spans = []
     # norm 0: relative to max(1, 0), so the residual is the absolute one
-    assert certify(a.__matmul__, _panels(vectors, spans), values, 0.0, 0.8) == pytest.approx(
-        2**-0.5)
+    assert certify(eigen_residual(a.__matmul__, _panels(vectors, spans), values), n, 0.0,
+                   0.8) == pytest.approx(2**-0.5)
     assert spans == [(0, 128), (128, 256), (256, 384)]
     with pytest.raises(ConvergenceFailure, match="eigen residual 7.071e-01 exceeds"):
-        certify(a.__matmul__, _panels(vectors, []), values, 0.0, 0.7)
-    assert certify(a.__matmul__, _panels(np.eye(n), []), values, 0.0, 1e-10) == 0.0
+        certify(eigen_residual(a.__matmul__, _panels(vectors, []), values), n, 0.0, 0.7)
+    assert certify(eigen_residual(a.__matmul__, _panels(np.eye(n), []), values), n, 0.0,
+                   1e-10) == 0.0
 
 
 def test_certify_stops_at_a_nan_residual():
@@ -207,7 +209,7 @@ def test_certify_stops_at_a_nan_residual():
     vectors[0, 0] = np.nan
     spans = []
     with pytest.raises(ValueError, match="residual norm nan against matrix norm 0.000e"):
-        certify(a.__matmul__, _panels(vectors, spans), values, 0.0, 0.9)
+        certify(eigen_residual(a.__matmul__, _panels(vectors, spans), values), n, 0.0, 0.9)
     assert spans == [(0, 128)]
 
 
