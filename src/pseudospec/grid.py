@@ -618,24 +618,6 @@ def first_order_split(
     return np.array(split)
 
 
-def _witness(a: np.ndarray, rest: float) -> np.ndarray:
-    """Eigenvalues of M = [[rest I, A], [-A, -rest I]], H in the basis diag(Q, Q R).
-
-    They come from ``np.linalg.eigvals`` (dgeev without vectors), a solve
-    apart from A's: the independent 2N side of the reduction identity.  M
-    is written block by block into one real 2N x 2N array, with the bits of
-    its ``np.block`` form: +0.0 off the diagonals of +-rest I.
-    """
-    n = len(a)
-    m = np.zeros((2 * n, 2 * n))
-    m[:n, n:] = a
-    np.negative(a, out=m[n:, :n])
-    j = np.arange(n)
-    m[j, j] = rest
-    m[j + n, j + n] = -rest
-    return np.linalg.eigvals(m)
-
-
 def solve_pair(
     spec: PotentialSpec,
     grid: Grid1D,
@@ -649,13 +631,15 @@ def solve_pair(
     Returns (D, V(x_j), values of H, values of U, their mismatch), for H the
     2N x 2N Dirac operator and U the reduced one of ``form``.  A is solved
     once (``_solve_a``): H's values are ``solve_dirac``'s, the same bits,
-    and U's are ``solve_reduced``'s for ``product_exact``; an ``analytic_U``
-    U takes the complex N solve.  The mismatch is taken against the
-    eigenvalues of the real 2N matrix M (``_witness``), so the 2N side stays
-    an independent check of the identity.  Neither H nor a ``product_exact``
-    U is built: a caller that needs them assembles them from D and V.
-    Errors come in one order: a 2N past MAX_DIM before anything 2N exists,
-    a build error of U before any solve.
+    and its eps = -mu^2 are ``solve_reduced``'s.  The mismatch checks the
+    elimination in eps space, against a witness built from D and V, not
+    from A: for ``product_exact`` the values of the N x N U = (cP+V)(cP-V)
+    (``np.linalg.eigvals``, made after A is freed), and for ``analytic_U``
+    the certified values of that U, the values returned, from the complex
+    N solve.  Comparing in eps keeps the check off sqrt's derivative
+    1/(2E), unbounded where E = 0.  Nothing 2N is built.  Errors come in
+    one order: a 2N past MAX_DIM first, a build error of an ``analytic_U``
+    U before any solve.
     """
     d, v = _gated(spec, grid, scheme)
     _refuse_past_max_dim(len(v))
@@ -663,11 +647,13 @@ def solve_pair(
     y, perm = -pp.c_hbar * d, reflection_permutation(grid)
     a, es = _solve_a(y, v, perm, tol)
     dirac = _solve_rotated(y, v, perm, pp.rest_energy, es, tol)
-    reduced = (_solve_real_reduced(y, v, perm, a, es, tol) if u is None
-               else eigendecompose(u, tol).values)
-    del es, y, u  # only A goes on to the 2N witness solve
-    mismatch = reduction_identity_mismatch(_witness(a, pp.rest_energy), reduced, pp)
-    return d, v, dirac, reduced, mismatch
+    if u is not None:
+        reduced = eigendecompose(u, tol).values
+        return d, v, dirac, reduced, _nearest_gap(reduced, -es.values**2)
+    eps = _solve_real_reduced(y, v, perm, a, es, tol)
+    del a, es, y  # freed before the witness U is built
+    witness = np.linalg.eigvals(assemble_reduced(d, v, spec, grid, pp, PRODUCT_EXACT))
+    return d, v, dirac, eps, _nearest_gap(witness, eps)
 
 
 def reduced_to_dirac_energies(eps, pp: PhysParams) -> np.ndarray:
@@ -677,34 +663,43 @@ def reduced_to_dirac_energies(eps, pp: PhysParams) -> np.ndarray:
     return np.column_stack([roots, -roots]).ravel()
 
 
+def _nearest_gap(values: np.ndarray, partners: np.ndarray) -> float:
+    """Largest gap |x - y| / max(1, |x|) of a greedy matching of ``values`` to ``partners``.
+
+    Both multisets are sorted by (Re, Im); each value, in that order, is
+    then matched to the nearest unused partner (``take_nearest``, the lowest
+    index among equals).  The search spans the whole list, because the sort
+    order is not a matching: conjugate pairs can differ in the last ulp of
+    their real parts, and on an all imaginary spectrum the real parts are
+    rounding noise, so a value's partner can sit anywhere in the other list.
+    """
+    if len(values) != len(partners):
+        raise ValueError(f"spectrum sizes differ: {len(values)} vs {len(partners)}")
+    values = values[sort_by_re_im(values)]
+    partners = partners[sort_by_re_im(partners)]
+    free = np.ones(len(partners), dtype=bool)
+    worst = 0.0
+    for x in values:
+        j = take_nearest(x, partners, free)
+        worst = max(worst, abs(x - partners[j]) / max(1.0, abs(x)))
+    return float(worst)
+
+
 def reduction_identity_mismatch(dirac_values, reduced_values, pp: PhysParams) -> float:
     """Largest relative gap between the Dirac spectrum and the mapped one.
 
-    Both multisets are sorted by (Re, Im); each Dirac value, in that order,
-    is then matched to the nearest unused mapped value (``take_nearest``,
-    the lowest index among equals).  The search spans the whole list,
-    because the sort order is not a matching: conjugate pairs can differ in
-    the last ulp of their real parts, and on an all imaginary spectrum the
-    real parts are rounding noise, so a value's partner can sit anywhere in
-    the other list.  Every value is matched:
-    det(H - E) = det((E^2 - m0^2 c^4) I - U) for every E (the block
-    determinant, then Sylvester's identity), so no value, -m0 c^2 included,
-    is a singular point of the elimination.  Raises ValueError on a value,
-    given or mapped, that is not finite.
+    Each reduced eps is mapped to +-sqrt(eps + m0^2 c^4)
+    (``reduced_to_dirac_energies``), and the Dirac values are matched to
+    those, relative to max(1, |E|) (``_nearest_gap``).  Every value is
+    matched: det(H - E) = det((E^2 - m0^2 c^4) I - U) for every E (the
+    block determinant, then Sylvester's identity), so no value, -m0 c^2
+    included, is a singular point of the elimination.  Raises ValueError on
+    a value, given or mapped, that is not finite.
     """
     a = finite_values(dirac_values, "Dirac values")
     eps = finite_values(reduced_values, "reduced values")
-    b = finite_values(reduced_to_dirac_energies(eps, pp), "mapped Dirac energies")
-    if len(a) != len(b):
-        raise ValueError(f"spectrum sizes differ: {len(a)} vs {len(b)}")
-    a = a[sort_by_re_im(a)]
-    b = b[sort_by_re_im(b)]
-    free = np.ones(len(b), dtype=bool)
-    worst = 0.0
-    for x in a:
-        j = take_nearest(x, b, free)
-        worst = max(worst, abs(x - b[j]) / max(1.0, abs(x)))
-    return float(worst)
+    return _nearest_gap(a, finite_values(reduced_to_dirac_energies(eps, pp),
+                                         "mapped Dirac energies"))
 
 
 def grid_parity_residual(matrix: np.ndarray, grid: Grid1D) -> float:
@@ -790,8 +785,7 @@ def convergence_study(
     ref_n = REF_FACTOR * max(ns)
     if bc == DIRICHLET and ref_n % 2 == 0:
         ref_n += 1
-    if ref_n > MAX_DIM:
-        raise DimensionMismatch(f"reference grid of {ref_n} points exceeds limit {MAX_DIM}")
+    _refuse_past_max_dim(ref_n)
     # every grid first, so a bad N is refused before the reference solve
     ref_grid, *grids = (make_grid(half_length, n, bc) for n in (ref_n, *ns))
 

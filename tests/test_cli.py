@@ -815,13 +815,16 @@ _COSINE_GRID = ["--model", "scalar_grid", "--potential", "cosine", "--g", "1"]
         (["reduce", *_COSINE_GRID, "--grid-n", "1025"], "grid of 1025 points exceeds limit 1024"),
         (["sweep", *_COSINE_GRID, "--grid-n", "1025", "--sweep-param", "g", "--sweep-min", "0",
           "--sweep-max", "1", "--sweep-steps", "2"], "grid of 1025 points exceeds limit 1024"),
+        # the reference grid, 4x the largest N, past MAX_DIM as a 2N operator
         (["converge", *_COSINE_GRID, "--N", "8", "--N", "300"],
-         "reference grid of 1200 points exceeds limit 1024"),
+         "dimension 2400 exceeds limit 1024"),
+        (["converge", *_COSINE_GRID, "--N", "64", "--N", "256"],
+         "dimension 2048 exceeds limit 1024"),
         # a dirichlet reference grid is rounded up to odd: 4 x 256 + 1
         (["converge", *_COSINE_GRID, "--bc", "dirichlet", "--scheme", "central2", "--N", "256"],
-         "reference grid of 1025 points exceeds limit 1024"),
+         "dimension 2050 exceeds limit 1024"),
     ],
-    ids=["spectrum", "reduce", "sweep", "converge", "converge-dirichlet"],
+    ids=["spectrum", "reduce", "sweep", "converge", "converge-2n", "converge-dirichlet"],
 )
 def test_oversized_grids_are_refused_before_any_matrix(argv, message, monkeypatch, capsys):
     def refuse(*_args, **_kwargs):

@@ -716,20 +716,6 @@ def test_in_place_blocks_keep_the_bytes_of_an_odd_v():
     assert assemble_dirac_blocks(d, v, PP).tobytes() == _block_h(d, v, PP).tobytes()
 
 
-@pytest.mark.parametrize("rest", [1.0, 0.0])
-def test_witness_has_the_bytes_of_np_block(rest):
-    g = make_grid(math.pi, 16)
-    d, v = gridmod._gated(COS, g, FOURIER)
-    y, perm = -PP.c_hbar * d, reflection_permutation(g)
-    a = gridmod._root_matrix(y, v, perm, np.empty_like(y))
-    n = len(a)
-    reference = np.block([[np.diag(np.full(n, rest)), a], [-a, np.diag(np.full(n, -rest))]])
-    with mock.patch.object(np.linalg, "eigvals", wraps=np.linalg.eigvals) as solved:
-        values = gridmod._witness(a, rest)
-    assert solved.call_args.args[0].tobytes() == reference.tobytes()
-    assert values.tobytes() == np.linalg.eigvals(reference).tobytes()
-
-
 def _traced_peak(fn, *args) -> int:
     # tracemalloc sees numpy's arrays, not LAPACK's own work buffers
     tracemalloc.start()
@@ -953,10 +939,11 @@ def test_the_real_route_raises_its_own_error(solve, spec, tol, error, solved):
 
 
 def test_solve_pair_solves_both_sides_in_real_arithmetic():
-    # one N x N dgeev of A serves both sides; H in the basis diag(Q, Q R) is
-    # the real M = [[m I, A], [-A, -m I]], whose values alone are the witness
+    # one N x N dgeev of A serves both sides; the witness is the values alone
+    # of the N x N U built from D and V, compared with A's eps in eps space
     g = make_grid(math.pi, 16)
-    with mock.patch.object(np.linalg, "eig", wraps=np.linalg.eig) as vectors:
+    with mock.patch.object(np.linalg, "eig", wraps=np.linalg.eig) as vectors, \
+         mock.patch.object(np.linalg, "eigvals", wraps=np.linalg.eigvals) as witnessed:
         (d, v, dirac, reduced, mismatch), solved = _solve_counted(
             solve_pair, COS, g, PP, FOURIER)
     assert solved == [((16, 16), np.float64)]
@@ -965,23 +952,25 @@ def test_solve_pair_solves_both_sides_in_real_arithmetic():
     assert np.array_equal(v, COS.values(g))
     assert np.array_equal(dirac, solve_dirac(COS, g, PP, FOURIER))
     assert np.array_equal(reduced, solve_reduced(COS, g, PP, FOURIER))
-    y, perm = -PP.c_hbar * d, reflection_permutation(g)
-    witness = gridmod._witness(gridmod._root_matrix(y, v, perm, np.empty_like(y)),
-                               PP.rest_energy)
-    h = build_dirac_grid(COS, g, PP, FOURIER)
-    assert spectrum_gap(witness, eigendecompose(h).values) <= 1e-14
-    assert mismatch == reduction_identity_mismatch(witness, reduced, PP)
+    (call,) = witnessed.call_args_list
+    u = build_reduced(COS, g, PP, FOURIER)
+    assert call.args[0].tobytes() == u.tobytes()
+    witness = np.linalg.eigvals(u)
+    assert spectrum_gap(witness, eigendecompose(u).values) <= 1e-14
+    assert mismatch == gridmod._nearest_gap(witness, reduced) <= 1e-13
 
 
 def test_solve_pair_takes_the_complex_n_solve_for_analytic_u():
     # its d @ d is not exactly reflection-symmetric, and it is not the product A^2
     g = make_grid(math.pi, 16)
-    (_, _, dirac, reduced, _), solved = _solve_counted(
+    (_, _, dirac, reduced, mismatch), solved = _solve_counted(
         solve_pair, COS, g, PP, FOURIER, ANALYTIC_U)
     assert solved == [((16, 16), np.float64), ((16, 16), np.complex128)]
     assert np.array_equal(dirac, solve_dirac(COS, g, PP, FOURIER))
     assert np.array_equal(reduced,
                           eigendecompose(build_reduced(COS, g, PP, FOURIER, ANALYTIC_U)).values)
+    # no witness solve: its gap is to A's eps, the product_exact values
+    assert mismatch == gridmod._nearest_gap(reduced, solve_reduced(COS, g, PP, FOURIER))
 
 
 @pytest.mark.parametrize("spec, flags, n, bc, scheme", [
@@ -1140,14 +1129,30 @@ def test_a_fault_in_a_fails_the_command(argv, capsys):
     assert json.loads(line)["error"]["type"] == "ConvergenceFailure"
 
 
-def test_reduce_builds_neither_h_nor_u_on_the_real_route(capsys):
-    refuse = mock.Mock(side_effect=AssertionError("H or U was built"))
+def test_reduce_builds_nothing_2n(capsys):
+    # no H, and LAPACK sees only N x N arrays: A, then the witness U, which
+    # is build_reduced's product_exact U byte for byte
+    refuse = mock.Mock(side_effect=AssertionError("H was built"))
     with mock.patch.object(gridmod, "assemble_dirac_blocks", refuse), \
-         mock.patch.object(gridmod, "assemble_reduced", refuse), \
-         mock.patch.object(gridmod, "_coupling", refuse):
+         mock.patch.object(np.linalg, "eig", wraps=np.linalg.eig) as vectors, \
+         mock.patch.object(np.linalg, "eigvals", wraps=np.linalg.eigvals) as values:
         assert main(["reduce", *_COS_ARGV]) == 0
     assert json.loads(capsys.readouterr().out)["reduction"]["identity_mismatch"] <= 1e-13
     refuse.assert_not_called()
+    solved = [c.args[0] for c in vectors.call_args_list + values.call_args_list]
+    assert [(x.shape, x.dtype) for x in solved] == [((16, 16), np.float64),
+                                                   ((16, 16), np.complex128)]
+    assert solved[1].tobytes() == build_reduced(COS, make_grid(math.pi, 16), PP).tobytes()
+
+
+def test_verify_passes_the_identity_at_an_exceptional_point(capsys):
+    # V0 = m0 c^2 on the p = 0 mode: E = 0 with a Jordan block, where E's
+    # rounding is sqrt(rounding); in eps the two sides meet to rounding
+    assert main(["verify", "--model", "scalar_grid", "--v0", "1", "--grid-n", "8",
+                 "--grid-L", "1", "--scheme", "central2"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    (check,) = [c for c in record["checks"] if c["name"] == "reduction_identity_mismatch"]
+    assert record["all_passed"] is True and check["value"] <= 1e-13
 
 
 def test_grid_sweep_takes_one_real_solve_per_point(capsys):

@@ -15,8 +15,9 @@ bit and certified against the complex reduced operator.  That solve is of
 A = R+ R, where R+- are the real blocks in the reflection basis, and the
 identity R R+ R = -R- it rests on holds bit for bit.  ``solve_pair``
 solves A once: its Dirac values are ``solve_dirac``'s bit for bit, and
-they and the eigenvalues of its real 2N witness M match the complex 2N
-solve to rounding x ||H||_F wherever that is well conditioned.  Over
+they match the complex 2N solve to rounding x ||H||_F wherever that is
+well conditioned, and its witness, the eigenvalues of the N x N U, meets
+A's eps to rounding x ||U||_F wherever U is.  Over
 gaussian and cosine shapes on grids of N <= 64, ``first_order_split``
 finds a split level only where the reduced spectrum at g = 1e-9 is already
 not all real, so a sweep that reports its threshold at g = 0 agrees with
@@ -257,23 +258,29 @@ def test_solve_reduced_takes_the_real_route(case):
 def test_solve_pair_matches_the_complex_2n_solve(case):
     spec, grid, pp, scheme = case
     with mock.patch.object(gridmod, "eigendecompose", wraps=eigendecompose) as solves, \
-         mock.patch.object(gridmod, "_witness", wraps=gridmod._witness) as witnessed:
-        _, _, dirac, _, _ = solve_pair(spec, grid, pp, scheme)
+         mock.patch.object(np.linalg, "eigvals", wraps=np.linalg.eigvals) as witnessed:
+        _, _, dirac, reduced, mismatch = solve_pair(spec, grid, pp, scheme)
     # every drawn potential is exactly even: one real N solve of A, whose
-    # pairs give the Dirac values, and the values of the real 2N M
+    # pairs give the Dirac values and eps, and the values alone of the N x N U
     n = grid.n_points
     assert [(c.args[0].shape, c.args[0].dtype) for c in solves.call_args_list] == [
         ((n, n), np.float64)]
     assert np.array_equal(dirac, solve_dirac(spec, grid, pp, scheme))
     (call,) = witnessed.call_args_list
-    witness = gridmod._witness(*call.args)
+    u = build_reduced(spec, grid, pp, scheme)
+    assert call.args[0].tobytes() == u.tobytes()
+    # the witness is held to A's eps in eps space, where both carry rounding
+    # x ||U||_F away from exceptional points of U
+    assert mismatch == gridmod._nearest_gap(np.linalg.eigvals(u), reduced)
+    u_scale = max(1.0, frob_norm(u))
+    if _first_order_errors(eigendecompose(u), u).max() <= 1e-13 * u_scale:
+        assert mismatch <= 1e-12 * u_scale
     h = build_dirac_grid(spec, grid, pp, scheme)
     dense = eigendecompose(h)
     scale = max(1.0, frob_norm(h))
-    # away from exceptional points, where every solve promises rounding x ||H||_F
+    # away from exceptional points of H, where every solve promises rounding x ||H||_F
     if _first_order_errors(dense, h).max() <= 1e-13 * scale:
-        for values in (dirac, witness):
-            assert spectrum_gap(values / scale, dense.values / scale) <= 1e-12
+        assert spectrum_gap(dirac / scale, dense.values / scale) <= 1e-12
 
 
 @st.composite
