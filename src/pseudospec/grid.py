@@ -637,9 +637,11 @@ def solve_pair(
     (``np.linalg.eigvals``, made after A is freed), and for ``analytic_U``
     the certified values of that U, the values returned, from the complex
     N solve.  Comparing in eps keeps the check off sqrt's derivative
-    1/(2E), unbounded where E = 0.  Nothing 2N is built.  Errors come in
-    one order: a 2N past MAX_DIM first, a build error of an ``analytic_U``
-    U before any solve.
+    1/(2E), unbounded where E = 0.  Both sides carry rounding times ||U||,
+    which grows as (c hbar k_max)^2, so each gap is taken relative to
+    max(1, ||U||_F).  Nothing 2N is built.  Errors come in one order: a 2N
+    past MAX_DIM first, a build error of an ``analytic_U`` U before any
+    solve.
     """
     d, v = _gated(spec, grid, scheme)
     _refuse_past_max_dim(len(v))
@@ -649,11 +651,11 @@ def solve_pair(
     dirac = _solve_rotated(y, v, perm, pp.rest_energy, es, tol)
     if u is not None:
         reduced = eigendecompose(u, tol).values
-        return d, v, dirac, reduced, _nearest_gap(reduced, -es.values**2)
+        return d, v, dirac, reduced, _nearest_gap(reduced, -es.values**2, frob_norm(u))
     eps = _solve_real_reduced(y, v, perm, a, es, tol)
     del a, es, y  # freed before the witness U is built
-    witness = np.linalg.eigvals(assemble_reduced(d, v, spec, grid, pp, PRODUCT_EXACT))
-    return d, v, dirac, eps, _nearest_gap(witness, eps)
+    u = assemble_reduced(d, v, spec, grid, pp, PRODUCT_EXACT)
+    return d, v, dirac, eps, _nearest_gap(np.linalg.eigvals(u), eps, frob_norm(u))
 
 
 def reduced_to_dirac_energies(eps, pp: PhysParams) -> np.ndarray:
@@ -663,8 +665,8 @@ def reduced_to_dirac_energies(eps, pp: PhysParams) -> np.ndarray:
     return np.column_stack([roots, -roots]).ravel()
 
 
-def _nearest_gap(values: np.ndarray, partners: np.ndarray) -> float:
-    """Largest gap |x - y| / max(1, |x|) of a greedy matching of ``values`` to ``partners``.
+def _nearest_gap(values: np.ndarray, partners: np.ndarray, scale: float = 0.0) -> float:
+    """Largest gap |x - y| / max(1, scale, |x|) of a greedy matching of ``values`` to ``partners``.
 
     Both multisets are sorted by (Re, Im); each value, in that order, is
     then matched to the nearest unused partner (``take_nearest``, the lowest
@@ -681,7 +683,7 @@ def _nearest_gap(values: np.ndarray, partners: np.ndarray) -> float:
     worst = 0.0
     for x in values:
         j = take_nearest(x, partners, free)
-        worst = max(worst, abs(x - partners[j]) / max(1.0, abs(x)))
+        worst = max(worst, abs(x - partners[j]) / max(1.0, scale, abs(x)))
     return float(worst)
 
 
@@ -690,7 +692,10 @@ def reduction_identity_mismatch(dirac_values, reduced_values, pp: PhysParams) ->
 
     Each reduced eps is mapped to +-sqrt(eps + m0^2 c^4)
     (``reduced_to_dirac_energies``), and the Dirac values are matched to
-    those, relative to max(1, |E|) (``_nearest_gap``).  Every value is
+    those, relative to max(1, |E|) (``_nearest_gap``).  This E-space gap
+    is not the mismatch ``solve_pair`` returns, which ``reduce`` and grid
+    ``verify`` report: that one is taken in eps space, relative to
+    max(1, ||U||_F), against the eigenvalues of U.  Every value is
     matched: det(H - E) = det((E^2 - m0^2 c^4) I - U) for every E (the
     block determinant, then Sylvester's identity), so no value, -m0 c^2
     included, is a singular point of the elimination.  Raises ValueError on

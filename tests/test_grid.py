@@ -957,7 +957,7 @@ def test_solve_pair_solves_both_sides_in_real_arithmetic():
     assert call.args[0].tobytes() == u.tobytes()
     witness = np.linalg.eigvals(u)
     assert spectrum_gap(witness, eigendecompose(u).values) <= 1e-14
-    assert mismatch == gridmod._nearest_gap(witness, reduced) <= 1e-13
+    assert mismatch == gridmod._nearest_gap(witness, reduced, frob_norm(u)) <= 1e-13
 
 
 def test_solve_pair_takes_the_complex_n_solve_for_analytic_u():
@@ -970,7 +970,9 @@ def test_solve_pair_takes_the_complex_n_solve_for_analytic_u():
     assert np.array_equal(reduced,
                           eigendecompose(build_reduced(COS, g, PP, FOURIER, ANALYTIC_U)).values)
     # no witness solve: its gap is to A's eps, the product_exact values
-    assert mismatch == gridmod._nearest_gap(reduced, solve_reduced(COS, g, PP, FOURIER))
+    u = build_reduced(COS, g, PP, FOURIER, ANALYTIC_U)
+    assert mismatch == gridmod._nearest_gap(reduced, solve_reduced(COS, g, PP, FOURIER),
+                                            frob_norm(u))
 
 
 @pytest.mark.parametrize("spec, flags, n, bc, scheme", [
@@ -1145,11 +1147,18 @@ def test_reduce_builds_nothing_2n(capsys):
     assert solved[1].tobytes() == build_reduced(COS, make_grid(math.pi, 16), PP).tobytes()
 
 
-def test_verify_passes_the_identity_at_an_exceptional_point(capsys):
+@pytest.mark.parametrize("flags", [
     # V0 = m0 c^2 on the p = 0 mode: E = 0 with a Jordan block, where E's
     # rounding is sqrt(rounding); in eps the two sides meet to rounding
-    assert main(["verify", "--model", "scalar_grid", "--v0", "1", "--grid-n", "8",
-                 "--grid-L", "1", "--scheme", "central2"]) == 0
+    ["--v0", "1", "--grid-n", "8", "--grid-L", "1", "--scheme", "central2"],
+    # ||U|| grows as (c hbar k_max)^2, and both sides carry rounding times
+    # ||U||: the gap is taken relative to it, not to |eps|
+    ["--potential", "gaussian", "--c", "137", "--grid-n", "128"],
+    ["--potential", "gaussian", "--hbar", "100", "--grid-n", "384"],
+    ["--potential", "gaussian", "--grid-L", "0.01", "--grid-n", "64"],
+])
+def test_verify_passes_the_identity_in_eps_space(capsys, flags):
+    assert main(["verify", "--model", "scalar_grid", *flags]) == 0
     record = json.loads(capsys.readouterr().out)
     (check,) = [c for c in record["checks"] if c["name"] == "reduction_identity_mismatch"]
     assert record["all_passed"] is True and check["value"] <= 1e-13
