@@ -348,10 +348,10 @@ def _verify_block(cfg: RunConfig) -> list[dict]:
 
 def _verify_grid(cfg: RunConfig, flags: GridFlags, spec, g, pp: PhysParams) -> list[dict]:
     perm = gridmod.reflection_permutation(g)
-    d, v, _, reduced_values, mismatch = gridmod.solve_pair(
+    d, v, u, _, reduced_values, mismatch = gridmod.solve_pair(
         spec, g, pp, flags.scheme, gridmod.PRODUCT_EXACT, cfg.tol
     )
-    # H and U are assembled after the solves, one at a time, for their symmetry checks
+    # the symmetry checks read solve_pair's witness U, and H by its N x N blocks
     checks = [
         _check(
             "derivative_reflects_odd",
@@ -360,14 +360,12 @@ def _verify_grid(cfg: RunConfig, flags: GridFlags, spec, g, pp: PhysParams) -> l
         ),
         _check(
             "grid_parity_pseudo_hermiticity",
-            gridmod.grid_parity_residual(gridmod.assemble_dirac_blocks(d, v, pp), g),
+            gridmod.coupling_parity_residual(d, v, pp, g),
             1e-12,
         ),
         _check(
             "reduced_reflection_conjugation",
-            gridmod.reflection_conjugation_residual(
-                gridmod.assemble_reduced(d, v, spec, g, pp, gridmod.PRODUCT_EXACT), g
-            ),
+            gridmod.reflection_conjugation_residual(u, g),
             1e-12,
         ),
         _check("reduction_identity_mismatch", mismatch, 1e-8),
@@ -621,9 +619,10 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
 def run_reduce(cfg: RunConfig) -> ResultRecord:
     """Grid solve: Dirac spectrum, component-eliminated spectrum, exact identity check."""
     flags, spec, g, pp = _grid_inputs(cfg)
-    *_, dirac_values, reduced_values, mismatch = gridmod.solve_pair(
+    # D, V and U are dropped here, not held through serialization
+    dirac_values, reduced_values, mismatch = gridmod.solve_pair(
         spec, g, pp, flags.scheme, cfg.form, cfg.tol
-    )
+    )[3:]
     mapped = gridmod.reduced_to_dirac_energies(reduced_values, pp)
     mapped = mapped[sort_by_re_im(mapped)]
     reduced_kind = classify_spectrum(reduced_values, cfg.tol)

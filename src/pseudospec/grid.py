@@ -55,6 +55,7 @@ from .linalg import (
     real_times_complex,
     relative_residual,
     sort_by_re_im,
+    sorted_eig,
     take_nearest,
 )
 from .models import PhysParams, _square
@@ -301,7 +302,16 @@ def _gated(spec: PotentialSpec, grid: Grid1D, scheme: str):
         raise OddPotential(
             f"potential fails the evenness gate: max |V(x) - V(-x)| = {defect:.3e}"
         )
-    return d, np.where(v == reflected, v, 0.5 * v + 0.5 * reflected)
+    return d, _reflection_part(v, reflected)
+
+
+def _reflection_part(x: np.ndarray, mirrored: np.ndarray) -> np.ndarray:
+    """(x + mirrored) / 2, halved term by term so it cannot overflow, and x's own bits where equal.
+
+    With ``mirrored`` = x[perm] it is x's R-even part, with -x[perm] its
+    R-odd part.
+    """
+    return np.where(x == mirrored, x, 0.5 * x + 0.5 * mirrored)
 
 
 def _coupling(d: np.ndarray, v: np.ndarray, pp: PhysParams, plus: np.ndarray,
@@ -504,13 +514,22 @@ def build_reduced(
 
 
 def assemble_reduced(d, v, spec: PotentialSpec, grid: Grid1D, pp: PhysParams, form: str):
-    """``build_reduced``'s matrix from the gated D and V."""
+    """``build_reduced``'s complex N x N matrix from the gated D and V.
+
+    ``analytic_U`` takes the R-odd part of V', as the gate takes V's even
+    part, so that Q^dag U Q is real but for the rounding of D @ D
+    (``_solve_analytic``).
+    """
     if form == PRODUCT_EXACT:
         plus, minus = np.empty((2, len(v), len(v)), complex)
         _coupling(d, v, pp, plus, minus)
         matrix = plus @ minus
     elif form == ANALYTIC_U:
+        # V' of an even V is odd, but the ring's point -L is its own mirror,
+        # where V' of a V not smooth across +-L (gaussian) is not 0: the odd
+        # part sets it to 0, the mean of the derivatives from either side
         vprime = spec.derivative_values(grid)
+        vprime = _reflection_part(vprime, -vprime[reflection_permutation(grid)])
         ch = pp.c_hbar
         ch2 = _square(ch, "c hbar", "the analytic_U term c^2 hbar^2 D^2")
         matrix = -ch2 * (d @ d) + np.diag(1j * ch * vprime - v**2)
@@ -532,6 +551,50 @@ def _apply_u(y: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
     out *= 1j
     out += v[:, None] * w
     return out
+
+
+def _rotated(u: np.ndarray, perm: np.ndarray):
+    """Q^dag U Q as its real part and the Frobenius norm of its imaginary part.
+
+    Q^dag U Q = (U + RUR + i(RU - UR)) / 2, so with U = Ur + i Ui the real
+    part is (Ur + R Ur R - R Ui + Ui R) / 2 and the imaginary part
+    (Ui + R Ui R + R Ur - Ur R) / 2: index work on real N x N arrays, with
+    R applied as ``perm`` and no complex temporary.  Each term is halved
+    first, so an exactly R-even Ur keeps its bits.  The real part, Ur's
+    R-even part plus Ui's R-odd part times R, is a new C-contiguous float64
+    array, which LAPACK solves with dgeev.  The imaginary part is 0 for an
+    R-even Ur and an R-odd Ui.
+    """
+    rows = np.ix_(perm, perm)
+    ur, ui = 0.5 * u.real, 0.5 * u.imag
+    part = ui[rows]
+    part += ui
+    part += ur[perm]
+    part -= ur[:, perm]
+    imag = frob_norm(part)
+    part = ur[rows]
+    part += ur
+    part -= ui[perm]
+    part += ui[:, perm]
+    return part, imag
+
+
+def _solve_analytic(u: np.ndarray, perm: np.ndarray, norm: float, tol: float) -> np.ndarray:
+    """Sorted values of the ``analytic_U`` U from one real N x N solve, certified against U.
+
+    Q^dag U Q = S + diag(w) R, with S = -c^2 hbar^2 D^2 - diag(V^2), R-even,
+    and w = c hbar V', R-odd, is real; D @ D and V' are even and odd only to
+    rounding, so ``_rotated`` takes S's even part and w's odd part, and
+    LAPACK solves that real matrix (dgeev).  Its pairs (lambda, x) are
+    certified once, as the unit vectors Q x against U as built, relative to
+    max(1, ``norm``), ``norm`` = ||U||_F: what the rotation drops, S's odd
+    part and w's even part, is in that residual.  The values of a real
+    matrix are closed under conjugation exactly.
+    """
+    values, vectors = sorted_eig(_rotated(u, perm)[0])
+    columns = lambda span: _apply_q(vectors[:, span], perm)
+    certify(eigen_residual(u.__matmul__, columns, values), len(values), norm, tol)
+    return values
 
 
 def _solve_real_reduced(y: np.ndarray, v: np.ndarray, perm: np.ndarray, a: np.ndarray, es,
@@ -628,18 +691,23 @@ def solve_pair(
 ):
     """Both grid spectra from one evenness gate and one solve of A, and their identity mismatch.
 
-    Returns (D, V(x_j), values of H, values of U, their mismatch), for H the
-    2N x 2N Dirac operator and U the reduced one of ``form``.  A is solved
-    once (``_solve_a``): H's values are ``solve_dirac``'s, the same bits,
-    and its eps = -mu^2 are ``solve_reduced``'s.  The mismatch checks the
+    Returns (D, V(x_j), U, values of H, values of U, their mismatch), for H
+    the 2N x 2N Dirac operator and U the N x N reduced one of ``form``,
+    built from D and V (``assemble_reduced``).  A is solved once
+    (``_solve_a``): H's values are ``solve_dirac``'s, the same bits, and its
+    eps = -mu^2 are ``solve_reduced``'s.  The mismatch checks the
     elimination in eps space, against a witness built from D and V, not
-    from A: for ``product_exact`` the values of the N x N U = (cP+V)(cP-V)
-    (``np.linalg.eigvals``, made after A is freed), and for ``analytic_U``
-    the certified values of that U, the values returned, from the complex
-    N solve.  Comparing in eps keeps the check off sqrt's derivative
-    1/(2E), unbounded where E = 0.  Both sides carry rounding times ||U||,
-    which grows as (c hbar k_max)^2, so each gap is taken relative to
-    max(1, ||U||_F).  Nothing 2N is built.  Errors come in one order: a 2N
+    from A, and solved in real arithmetic from the real part of
+    Q^dag U Q (``_rotated``).  For ``product_exact`` the witness is the
+    values alone of that real part (``np.linalg.eigvals``, dgeev without
+    vectors, after A is freed), and the norm of its imaginary part, which
+    is 0 for the exact U, counts as a gap, so an R-odd fault in U fails
+    the check.  For ``analytic_U`` it is the values returned, each pair
+    certified against U (``_solve_analytic``).  Comparing in eps keeps
+    the check off sqrt's derivative 1/(2E), unbounded where E = 0.  Both
+    sides carry rounding times ||U||, which grows as (c hbar k_max)^2, so
+    each gap is taken relative to max(1, ||U||_F).  Nothing 2N is built,
+    and LAPACK sees only real N x N arrays.  Errors come in one order: a 2N
     past MAX_DIM first, a build error of an ``analytic_U`` U before any
     solve.
     """
@@ -650,12 +718,17 @@ def solve_pair(
     a, es = _solve_a(y, v, perm, tol)
     dirac = _solve_rotated(y, v, perm, pp.rest_energy, es, tol)
     if u is not None:
-        reduced = eigendecompose(u, tol).values
-        return d, v, dirac, reduced, _nearest_gap(reduced, -es.values**2, frob_norm(u))
+        norm = frob_norm(u)
+        reduced = _solve_analytic(u, perm, norm, tol)
+        return d, v, u, dirac, reduced, _nearest_gap(reduced, -es.values**2, norm)
     eps = _solve_real_reduced(y, v, perm, a, es, tol)
     del a, es, y  # freed before the witness U is built
     u = assemble_reduced(d, v, spec, grid, pp, PRODUCT_EXACT)
-    return d, v, dirac, eps, _nearest_gap(np.linalg.eigvals(u), eps, frob_norm(u))
+    witness, imag = _rotated(u, perm)
+    norm = frob_norm(u)
+    mismatch = max(_nearest_gap(np.linalg.eigvals(witness), eps, norm),
+                   relative_residual(imag, norm))
+    return d, v, u, dirac, eps, mismatch
 
 
 def reduced_to_dirac_energies(eps, pp: PhysParams) -> np.ndarray:
@@ -719,12 +792,39 @@ def grid_parity_residual(matrix: np.ndarray, grid: Grid1D) -> float:
     perm = reflection_permutation(grid)
     top, bottom = slice(None, n), slice(n, None)
     norms = [
-        # block (rows, cols) of P_D H P_D^-1 is sign x R H[rows, cols] R
-        frob_norm(sign * h[rows, cols][np.ix_(perm, perm)] - h[cols, rows].conj().T)
+        _reflection_defect(h[rows, cols], h[cols, rows], perm, sign)
         for rows, cols, sign in ((top, top, 1), (top, bottom, -1),
                                  (bottom, top, -1), (bottom, bottom, 1))
     ]
     return relative_residual(math.hypot(*norms), h)
+
+
+def _reflection_defect(block: np.ndarray, partner: np.ndarray, perm: np.ndarray,
+                       sign: int) -> float:
+    """||sign R B R - C^dag||_F, exact index work and one subtraction.
+
+    For B = H[rows, cols] and C = H[cols, rows] it is the norm of block
+    (rows, cols) of P_D H P_D^-1 - H^dag, with sign -1 off the diagonal.
+    """
+    return frob_norm(sign * block[np.ix_(perm, perm)] - partner.conj().T)
+
+
+def coupling_parity_residual(d: np.ndarray, v: np.ndarray, pp: PhysParams,
+                             grid: Grid1D) -> float:
+    """``grid_parity_residual`` of ``assemble_dirac_blocks(d, v, pp)``, from its N x N blocks.
+
+    The diagonal blocks +-m I commute with R and are Hermitian, so their
+    defects are exactly 0, and only the coupling blocks cP +- V (``_coupling``)
+    are formed; ||H||_F^2 = 2N m^2 + ||cP + V||_F^2 + ||cP - V||_F^2.
+    Nothing 2N is built.
+    """
+    perm = reflection_permutation(grid)
+    plus, minus = np.empty((2, len(v), len(v)), complex)
+    _coupling(d, v, pp, plus, minus)
+    defect = math.hypot(_reflection_defect(plus, minus, perm, -1),
+                        _reflection_defect(minus, plus, perm, -1))
+    norm = math.hypot(math.sqrt(2 * len(v)) * pp.rest_energy, frob_norm(plus), frob_norm(minus))
+    return relative_residual(defect, norm)
 
 
 def reflection_conjugation_residual(matrix: np.ndarray, grid: Grid1D) -> float:

@@ -172,6 +172,16 @@ def take_nearest(x, pool: np.ndarray, free: np.ndarray) -> int | None:
     return j
 
 
+def sorted_eig(m: np.ndarray):
+    """``np.linalg.eig``'s values and unit right vectors as complex128, sorted by (Re, Im).
+
+    No certificate: the caller certifies the pairs against its own operator.
+    """
+    values, vectors = (x.astype(np.complex128, copy=False) for x in np.linalg.eig(m))
+    order = sort_by_re_im(values)
+    return values[order], vectors[:, order]
+
+
 @dataclass(frozen=True)
 class EigenSystem:
     """Eigenvalues and right eigenvectors with a residual certificate.
@@ -209,10 +219,7 @@ def eigendecompose(a, tol: float = DEFAULT_TOL) -> EigenSystem:
     m = _square_finite(m.astype(np.float64 if np.isrealobj(m) else np.complex128, copy=False))
     if m.shape[0] > MAX_DIM:
         raise DimensionMismatch(f"dimension {m.shape[0]} exceeds limit {MAX_DIM}")
-    values, vectors = (x.astype(np.complex128, copy=False) for x in np.linalg.eig(m))
-    order = sort_by_re_im(values)
-    values = values[order]
-    vectors = vectors[:, order]
+    values, vectors = sorted_eig(m)
     if m.dtype == np.float64:
         apply = lambda x: real_times_complex(m, x)
     else:

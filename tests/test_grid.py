@@ -542,8 +542,8 @@ def test_identity_mismatch_on_an_all_imaginary_spectrum():
 def test_identity_mismatch_matches_the_value_at_minus_the_rest_energy():
     # det(H - E) = det((E^2 - m0^2 c^4) I - U) for every E, so -m0 c^2 is not
     # singular: a Dirac value there that moves by 1e-9 shows in the mismatch.
-    _, _, dirac, reduced, mismatch = solve_pair(PotentialSpec.constant(0.0),
-                                                make_grid(math.pi, 16), PP)
+    *_, dirac, reduced, mismatch = solve_pair(PotentialSpec.constant(0.0),
+                                              make_grid(math.pi, 16), PP)
     assert mismatch <= 1e-14
     at_rest = int(np.argmin(np.abs(dirac + PP.rest_energy)))
     assert abs(dirac[at_rest] + PP.rest_energy) <= 1e-14
@@ -938,39 +938,96 @@ def test_the_real_route_raises_its_own_error(solve, spec, tol, error, solved):
     assert shapes == solved
 
 
+def _dense_q(g):
+    n, perm = g.n_points, reflection_permutation(g)
+    return 0.5 * ((1 + 1j) * np.eye(n) + (1 - 1j) * np.eye(n)[perm])
+
+
 def test_solve_pair_solves_both_sides_in_real_arithmetic():
     # one N x N dgeev of A serves both sides; the witness is the values alone
-    # of the N x N U built from D and V, compared with A's eps in eps space
+    # of the real part of Q^dag U Q, for the N x N U built from D and V,
+    # compared with A's eps in eps space
     g = make_grid(math.pi, 16)
+    perm = reflection_permutation(g)
     with mock.patch.object(np.linalg, "eig", wraps=np.linalg.eig) as vectors, \
          mock.patch.object(np.linalg, "eigvals", wraps=np.linalg.eigvals) as witnessed:
-        (d, v, dirac, reduced, mismatch), solved = _solve_counted(
+        (d, v, u, dirac, reduced, mismatch), solved = _solve_counted(
             solve_pair, COS, g, PP, FOURIER)
     assert solved == [((16, 16), np.float64)]
     assert [c.args[0].shape for c in vectors.call_args_list] == [(16, 16)]
     assert np.array_equal(d, derivative_matrix(g, FOURIER))
     assert np.array_equal(v, COS.values(g))
+    assert u.tobytes() == build_reduced(COS, g, PP, FOURIER).tobytes()
     assert np.array_equal(dirac, solve_dirac(COS, g, PP, FOURIER))
     assert np.array_equal(reduced, solve_reduced(COS, g, PP, FOURIER))
     (call,) = witnessed.call_args_list
-    u = build_reduced(COS, g, PP, FOURIER)
-    assert call.args[0].tobytes() == u.tobytes()
-    witness = np.linalg.eigvals(u)
-    assert spectrum_gap(witness, eigendecompose(u).values) <= 1e-14
-    assert mismatch == gridmod._nearest_gap(witness, reduced, frob_norm(u)) <= 1e-13
+    witness, imag = gridmod._rotated(u, perm)
+    assert call.args[0].dtype == np.float64 and call.args[0].flags.c_contiguous
+    assert call.args[0].tobytes() == witness.tobytes()
+    # the real part of Q^dag U Q, with a dense Q; its imaginary part is rounding
+    q = _dense_q(g)
+    rotated = q.conj().T @ u @ q
+    assert np.abs(witness - rotated.real).max() <= 1e-14 * frob_norm(u)
+    assert imag == pytest.approx(frob_norm(rotated.imag), rel=1e-6, abs=1e-15 * frob_norm(u))
+    values = np.linalg.eigvals(witness)
+    assert spectrum_gap(values / frob_norm(u), eigendecompose(u).values / frob_norm(u)) <= 1e-14
+    assert mismatch == max(gridmod._nearest_gap(values, reduced, frob_norm(u)),
+                           imag / frob_norm(u)) <= 1e-13
 
 
-def test_solve_pair_takes_the_complex_n_solve_for_analytic_u():
-    # its d @ d is not exactly reflection-symmetric, and it is not the product A^2
+def test_rotated_takes_the_even_real_and_odd_imaginary_parts():
+    # for U = S + i diag(w) the real part is S's R-even part plus w's R-odd
+    # part at (j, perm[j]), and the imaginary part is made of the rest
     g = make_grid(math.pi, 16)
-    (_, _, dirac, reduced, mismatch), solved = _solve_counted(
-        solve_pair, COS, g, PP, FOURIER, ANALYTIC_U)
-    assert solved == [((16, 16), np.float64), ((16, 16), np.complex128)]
+    perm = reflection_permutation(g)
+    rows = np.ix_(perm, perm)
+    rng = np.random.default_rng(3)
+    s, w = rng.normal(size=(16, 16)), rng.normal(size=16)
+    re, imag = gridmod._rotated(s + 1j * np.diag(w), perm)
+    expected = 0.5 * (s + s[rows])
+    expected[np.arange(16), perm] += 0.5 * (w - w[perm])
+    assert np.abs(re - expected).max() <= 1e-15
+    rest = 0.5 * (np.diag(w + w[perm]) + s[perm] - s[:, perm])
+    assert imag == pytest.approx(frob_norm(rest), rel=1e-14)
+    # an exactly R-even real part keeps its bits off the entries (j, perm[j]),
+    # and an exactly odd w leaves no imaginary part
+    even = s + s[rows]
+    odd = np.where(w == -w[perm], w, w - w[perm])
+    re, imag = gridmod._rotated(even + 1j * np.diag(odd), perm)
+    coupled = np.zeros((16, 16), dtype=bool)
+    coupled[np.arange(16), perm] = True
+    assert re[~coupled].tobytes() == even[~coupled].tobytes() and imag == 0.0
+    expected = even[coupled] + odd
+    assert np.abs(re[coupled] - expected).max() <= 2.3e-16 * np.abs(expected).max()
+
+
+def test_solve_pair_takes_a_real_n_solve_for_analytic_u():
+    # Q^dag U Q of the analytic U is real but for the rounding of d @ d: its
+    # real part is solved by dgeev, and its pairs are certified once, as Q x
+    # against U as built, with no certificate against the real matrix
+    g = make_grid(math.pi, 16)
+    perm = reflection_permutation(g)
+    with mock.patch.object(np.linalg, "eig", wraps=np.linalg.eig) as eig, \
+         mock.patch.object(gridmod, "certify", wraps=certify) as certified:
+        (_, _, u, dirac, reduced, mismatch), solved = _solve_counted(
+            solve_pair, COS, g, PP, FOURIER, ANALYTIC_U)
+    assert solved == [_F64_16]  # A, through eigendecompose
+    assert [(c.args[0].shape, c.args[0].dtype) for c in eig.call_args_list] == [_F64_16] * 2
+    assert eig.call_args_list[1].args[0].tobytes() == gridmod._rotated(u, perm)[0].tobytes()
+    assert u.tobytes() == build_reduced(COS, g, PP, FOURIER, ANALYTIC_U).tobytes()
     assert np.array_equal(dirac, solve_dirac(COS, g, PP, FOURIER))
-    assert np.array_equal(reduced,
-                          eigendecompose(build_reduced(COS, g, PP, FOURIER, ANALYTIC_U)).values)
+    # the values of a real matrix: closed under conjugation bit for bit
+    assert np.array_equal(np.sort_complex(reduced), np.sort_complex(reduced.conj()))
+    assert spectrum_gap(reduced / frob_norm(u), eigendecompose(u).values / frob_norm(u)) <= 1e-14
+    # H's certificate, then U's: Q x against the dense U, relative to ||U||_F
+    assert len(certified.call_args_list) == 2
+    residual, count, norm, tol = certified.call_args_list[1].args
+    assert (count, norm, tol) == (16, frob_norm(u), 1e-10)
+    values, x = gridmod.sorted_eig(gridmod._rotated(u, perm)[0])
+    assert np.array_equal(values, reduced)
+    qx = _dense_q(g) @ x
+    assert np.abs(residual(slice(0, 16)) - (u @ qx - qx * values)).max() <= 1e-14 * norm
     # no witness solve: its gap is to A's eps, the product_exact values
-    u = build_reduced(COS, g, PP, FOURIER, ANALYTIC_U)
     assert mismatch == gridmod._nearest_gap(reduced, solve_reduced(COS, g, PP, FOURIER),
                                             frob_norm(u))
 
@@ -985,7 +1042,7 @@ def test_solve_pair_takes_the_complex_n_solve_for_analytic_u():
 def test_spectrum_and_reduce_print_one_set_of_dirac_bytes(spec, flags, n, bc, scheme, capsys):
     # both take H's values from the pairs of the one A, not from separate solves
     g = make_grid(math.pi, n, bc)
-    assert np.array_equal(solve_pair(spec, g, PP, scheme)[2], solve_dirac(spec, g, PP, scheme))
+    assert np.array_equal(solve_pair(spec, g, PP, scheme)[3], solve_dirac(spec, g, PP, scheme))
     printed = []
     for command in ("spectrum", "reduce"):
         assert main([command, "--model", "scalar_grid", *flags, "--grid-n", str(n), "--bc", bc,
@@ -1131,20 +1188,65 @@ def test_a_fault_in_a_fails_the_command(argv, capsys):
     assert json.loads(line)["error"]["type"] == "ConvergenceFailure"
 
 
-def test_reduce_builds_nothing_2n(capsys):
-    # no H, and LAPACK sees only N x N arrays: A, then the witness U, which
-    # is build_reduced's product_exact U byte for byte
+@pytest.mark.parametrize("command", ["reduce", "verify"])
+def test_reduce_builds_nothing_2n(command, capsys):
+    # no H, and LAPACK sees only real N x N arrays: A, then the witness, the
+    # real part of Q^dag U Q for build_reduced's product_exact U
     refuse = mock.Mock(side_effect=AssertionError("H was built"))
     with mock.patch.object(gridmod, "assemble_dirac_blocks", refuse), \
          mock.patch.object(np.linalg, "eig", wraps=np.linalg.eig) as vectors, \
          mock.patch.object(np.linalg, "eigvals", wraps=np.linalg.eigvals) as values:
-        assert main(["reduce", *_COS_ARGV]) == 0
-    assert json.loads(capsys.readouterr().out)["reduction"]["identity_mismatch"] <= 1e-13
+        assert main([command, *_COS_ARGV]) == 0
+    record = json.loads(capsys.readouterr().out)
+    if command == "reduce":
+        assert record["reduction"]["identity_mismatch"] <= 1e-13
+    else:
+        assert record["all_passed"] is True
     refuse.assert_not_called()
     solved = [c.args[0] for c in vectors.call_args_list + values.call_args_list]
-    assert [(x.shape, x.dtype) for x in solved] == [((16, 16), np.float64),
-                                                   ((16, 16), np.complex128)]
-    assert solved[1].tobytes() == build_reduced(COS, make_grid(math.pi, 16), PP).tobytes()
+    assert [(x.shape, x.dtype) for x in solved] == [_F64_16, _F64_16]
+    g = make_grid(math.pi, 16)
+    u = build_reduced(COS, g, PP)
+    assert solved[1].tobytes() == gridmod._rotated(u, reflection_permutation(g))[0].tobytes()
+
+
+def test_verify_builds_one_u_and_checks_h_by_blocks(capsys):
+    # grid verify builds U once, in solve_pair, and hands that U to its
+    # conjugation check; H's parity check reads H's N x N blocks
+    assemble, built = gridmod.assemble_reduced, []
+
+    def assemble_once(*args):
+        built.append(assemble(*args))
+        return built[-1]
+
+    with mock.patch.object(gridmod, "assemble_reduced", assemble_once), \
+         mock.patch.object(gridmod, "reflection_conjugation_residual",
+                           wraps=reflection_conjugation_residual) as conjugation:
+        assert main(["verify", *_COS_ARGV]) == 0
+    checks = {c["name"]: c["value"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    (u,) = built
+    (call,) = conjugation.call_args_list
+    assert call.args[0] is u
+    g = make_grid(math.pi, 16)
+    d, v = gridmod._gated(COS, g, FOURIER)
+    assert checks["grid_parity_pseudo_hermiticity"] == grid_parity_residual(
+        assemble_dirac_blocks(d, v, PP), g) == 0.0
+
+
+@pytest.mark.parametrize("n, bc, scheme", [(16, PERIODIC, FOURIER), (24, PERIODIC, CENTRAL2),
+                                           (15, DIRICHLET, CENTRAL2)])
+@pytest.mark.parametrize("pp", [PP, PhysParams(m0=0.0), PhysParams(m0=2.0, c=0.5, hbar=3.0)])
+def test_coupling_parity_residual_is_the_2n_residual(n, bc, scheme, pp):
+    g = make_grid(math.pi, n, bc)
+    d = derivative_matrix(g, scheme)
+    even = gridmod._gated(COS, g, scheme)[1]
+    assert gridmod.coupling_parity_residual(d, even, pp, g) == 0.0
+    # an odd part: the same defect, and ||H||_F summed by blocks
+    v = even + 0.3 * np.sin(g.points)
+    blocks = gridmod.coupling_parity_residual(d, v, pp, g)
+    assert blocks == pytest.approx(grid_parity_residual(assemble_dirac_blocks(d, v, pp), g),
+                                   rel=1e-15)
+    assert blocks > 1e-2
 
 
 @pytest.mark.parametrize("flags", [
@@ -1215,3 +1317,97 @@ def test_a_first_bracket_at_zero_without_a_split_is_bisected(capsys):
     (call,) = rule.call_args_list  # the rule ran on the first bracket and found no split
     assert len(gridmod.first_order_split(*call.args)) == 0
     assert record["threshold"] == {"param": "g", "value": 5.166824741754681}
+
+
+_GAUSS_ARGV = ["--model", "scalar_grid", "--potential", "gaussian", "--g", "1.2", "--width",
+               "0.5", "--grid-n", "16"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", *_COS_ARGV, "--form", PRODUCT_EXACT],
+    ["reduce", *_COS_ARGV, "--form", ANALYTIC_U],
+    ["reduce", *_GAUSS_ARGV, "--scheme", CENTRAL2, "--form", ANALYTIC_U],
+    ["verify", *_COS_ARGV],
+    ["spectrum", *_COS_ARGV],
+    ["sweep", *_COS_ARGV, "--sweep-param", "g", "--sweep-min", "5", "--sweep-max", "20",
+     "--sweep-steps", "4"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_grid_commands_hand_lapack_only_real_arrays(argv, capsys):
+    with mock.patch.object(np.linalg, "eig", wraps=np.linalg.eig) as eig, \
+         mock.patch.object(np.linalg, "eigvals", wraps=np.linalg.eigvals) as eigvals:
+        assert main(argv) == 0
+    capsys.readouterr()
+    solved = [c.args[0] for c in eig.call_args_list + eigvals.call_args_list]
+    assert solved and all(np.asarray(x).dtype == np.float64 for x in solved)
+
+
+def _with_odd_part(assemble):
+    # U plus a real antisymmetric R-odd matrix of 1e-6 ||U||_F: it moves no
+    # simple eigenvalue at first order, but it makes Q^dag U Q non-real
+    def faulty(d, v, spec, grid, pp, form):
+        u = assemble(d, v, spec, grid, pp, form)
+        perm = reflection_permutation(grid)
+        m = np.random.default_rng(11).normal(size=u.shape)
+        m -= m.T
+        odd = m - m[np.ix_(perm, perm)]
+        return u + odd * (1e-6 * frob_norm(u) / frob_norm(odd))
+    return faulty
+
+
+@pytest.mark.parametrize("command", ["reduce", "verify"])
+def test_an_r_odd_fault_in_the_witness_u_fails_the_identity(command, capsys):
+    # the values of the faulty U meet A's eps to 2.2e-10 of ||U||_F; the norm
+    # of the imaginary part of Q^dag U Q is what fails
+    with mock.patch.object(gridmod, "assemble_reduced",
+                           _with_odd_part(gridmod.assemble_reduced)):
+        assert main([command, *_GAUSS_ARGV]) == 0
+    record = json.loads(capsys.readouterr().out)
+    if command == "reduce":
+        mismatch = record["reduction"]["identity_mismatch"]
+    else:
+        (check,) = [c for c in record["checks"] if c["name"] == "reduction_identity_mismatch"]
+        assert check["pass"] is False and record["all_passed"] is False
+        mismatch = check["value"]
+    assert mismatch >= 5e-7
+
+
+def _w_on_the_diagonal(u, perm):
+    # a fault in the analytic route: w = c hbar V' put at (j, j), not (j, perm[j])
+    return np.ascontiguousarray(u.real + np.diag(u.imag.diagonal())), 0.0
+
+
+def test_a_fault_in_the_analytic_real_matrix_fails_its_certificate(capsys):
+    with mock.patch.object(gridmod, "_rotated", _w_on_the_diagonal):
+        assert main(["reduce", *_COS_ARGV, "--form", ANALYTIC_U]) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    error = json.loads(line)["error"]
+    assert error["type"] == "ConvergenceFailure"
+    resid = float(re.fullmatch(r"eigen residual (\S+) exceeds tolerance 1\.000e-10",
+                               error["message"])[1])
+    assert resid > 1e-3
+
+
+def test_analytic_u_spectrum_is_conjugate_closed(capsys):
+    # the analytic U's values come from a real matrix, so its complex levels
+    # pair exactly; zgeev of the complex U made this spectrum mixed
+    assert main(["reduce", *_GAUSS_ARGV, "--form", ANALYTIC_U]) == 0
+    reduction = json.loads(capsys.readouterr().out)["reduction"]
+    assert reduction["reduced_classification"] == CONJUGATE_PAIRS
+
+
+@pytest.mark.parametrize("spec, n, bc", [
+    (PotentialSpec.gaussian(1.2, 0.5), 16, PERIODIC),
+    (PotentialSpec.gaussian(1.2, 0.5), 15, DIRICHLET),
+    (COS, 32, PERIODIC),
+    (PotentialSpec.cosine(0.5, 2), 33, DIRICHLET),
+])
+def test_analytic_u_takes_the_odd_part_of_v_prime(spec, n, bc):
+    # the ring's point -L is its own mirror, where the gaussian's V' is not 0
+    g = make_grid(math.pi, n, bc)
+    perm = reflection_permutation(g)
+    w = build_reduced(spec, g, PP, CENTRAL2, ANALYTIC_U).imag.diagonal()
+    assert np.array_equal(w, -w[perm])
+    raw = spec.derivative_values(g)
+    assert np.array_equal(w[perm != np.arange(n)], raw[perm != np.arange(n)])

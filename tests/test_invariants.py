@@ -16,8 +16,10 @@ A = R+ R, where R+- are the real blocks in the reflection basis, and the
 identity R R+ R = -R- it rests on holds bit for bit.  ``solve_pair``
 solves A once: its Dirac values are ``solve_dirac``'s bit for bit, and
 they match the complex 2N solve to rounding x ||H||_F wherever that is
-well conditioned, and its witness, the eigenvalues of the N x N U, meets
-A's eps to rounding x ||U||_F wherever U is.  Over
+well conditioned, and its witness, the eigenvalues of the real part of
+Q^dag U Q for the N x N U, meets A's eps to rounding x ||U||_F wherever U
+is, with an imaginary part of rounding x ||U||_F.  Its ``analytic_U``
+values come from a real solve too, closed under conjugation bit for bit.  Over
 gaussian and cosine shapes on grids of N <= 64, ``first_order_split``
 finds a split level only where the reduced spectrum at g = 1e-9 is already
 not all real, so a sweep that reports its threshold at g = 0 agrees with
@@ -259,20 +261,26 @@ def test_solve_pair_matches_the_complex_2n_solve(case):
     spec, grid, pp, scheme = case
     with mock.patch.object(gridmod, "eigendecompose", wraps=eigendecompose) as solves, \
          mock.patch.object(np.linalg, "eigvals", wraps=np.linalg.eigvals) as witnessed:
-        _, _, dirac, reduced, mismatch = solve_pair(spec, grid, pp, scheme)
+        _, _, u, dirac, reduced, mismatch = solve_pair(spec, grid, pp, scheme)
     # every drawn potential is exactly even: one real N solve of A, whose
-    # pairs give the Dirac values and eps, and the values alone of the N x N U
+    # pairs give the Dirac values and eps, and the values alone of the real
+    # part of Q^dag U Q for the N x N U
     n = grid.n_points
     assert [(c.args[0].shape, c.args[0].dtype) for c in solves.call_args_list] == [
         ((n, n), np.float64)]
     assert np.array_equal(dirac, solve_dirac(spec, grid, pp, scheme))
+    assert u.tobytes() == build_reduced(spec, grid, pp, scheme).tobytes()
     (call,) = witnessed.call_args_list
-    u = build_reduced(spec, grid, pp, scheme)
-    assert call.args[0].tobytes() == u.tobytes()
+    witness, imag = gridmod._rotated(u, reflection_permutation(grid))
+    assert call.args[0].dtype == np.float64
+    assert call.args[0].tobytes() == witness.tobytes()
     # the witness is held to A's eps in eps space, relative to ||U||_F, where
-    # both carry rounding x ||U||_F away from exceptional points of U
-    assert mismatch == gridmod._nearest_gap(np.linalg.eigvals(u), reduced, frob_norm(u))
+    # both carry rounding x ||U||_F away from exceptional points of U, and
+    # the imaginary part of Q^dag U Q, rounding too, counts as a gap
     u_scale = max(1.0, frob_norm(u))
+    assert imag <= 1e-14 * u_scale
+    assert mismatch == max(gridmod._nearest_gap(np.linalg.eigvals(witness), reduced,
+                                                frob_norm(u)), imag / u_scale)
     if _first_order_errors(eigendecompose(u), u).max() <= 1e-13 * u_scale:
         assert mismatch <= 1e-12
     h = build_dirac_grid(spec, grid, pp, scheme)
@@ -281,6 +289,25 @@ def test_solve_pair_matches_the_complex_2n_solve(case):
     # away from exceptional points of H, where every solve promises rounding x ||H||_F
     if _first_order_errors(dense, h).max() <= 1e-13 * scale:
         assert spectrum_gap(dirac / scale, dense.values / scale) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(_grid_cases())
+def test_solve_pair_solves_analytic_u_in_real_arithmetic(case):
+    # the analytic U's values come from the real part of Q^dag U Q, closed
+    # under conjugation bit for bit, and match zgeev of U to rounding x
+    # ||U||_F wherever that solve is well conditioned
+    spec, grid, pp, scheme = case
+    assume(spec.family != "samples")  # no closed-form V'
+    with mock.patch.object(np.linalg, "eig", wraps=np.linalg.eig) as solves:
+        _, _, u, _, reduced, _ = solve_pair(spec, grid, pp, scheme, gridmod.ANALYTIC_U)
+    assert all(c.args[0].dtype == np.float64 for c in solves.call_args_list)
+    ordered = np.sort_complex(reduced)
+    assert np.array_equal(ordered, np.sort_complex(reduced.conj()))
+    dense = eigendecompose(u)
+    scale = max(1.0, frob_norm(u))
+    if _first_order_errors(dense, u).max() <= 1e-13 * scale:
+        assert spectrum_gap(reduced / scale, dense.values / scale) <= 1e-12
 
 
 @st.composite
