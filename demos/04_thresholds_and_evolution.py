@@ -1,8 +1,9 @@
-"""Reality thresholds by bisection and pseudo-unitary time evolution.
+"""Reality thresholds by a secant search and pseudo-unitary time evolution.
 
 Sweeps the coupling of each model through its reality-breaking point,
-bisects the threshold to eight digits, and shows that the non-unitary
-propagator exp(-iHt/hbar) still conserves the eta inner product.
+finds the threshold to eight digits with a secant search on the gap of
+the colliding levels, and shows that the non-unitary propagator
+exp(-iHt/hbar) still conserves the eta inner product.
 """
 
 import math
@@ -14,7 +15,7 @@ from pseudospec.cli import RunConfig, run_sweep
 
 pp = PhysParams()
 
-print("=== reality thresholds located by sweep + bisection ===")
+print("=== reality thresholds located by sweep + secant search ===")
 for model, param, hi, expected in (
     ("rashba", "lambda", 2.0, math.sqrt(2)),
     ("scalar_const", "v0", 3.0, math.sqrt(2)),

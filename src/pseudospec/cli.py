@@ -104,9 +104,11 @@ _EXIT_CODES = (
 
 #: Most points a sweep takes; np.linspace holds them all at once.
 MAX_SWEEP_STEPS = 10_000
-#: Relative width of the bracket at which a threshold bisection stops;
+#: Relative width of the bracket at which a threshold search stops;
 #: near 0 it is the absolute width.
 BISECT_RTOL = 1e-9
+#: Solves past bisection's count that a threshold search may take.
+SPARE_SOLVES = 8
 
 #: Value of a model parameter that a RunConfig leaves out; 0 for the rest.
 _PARAM_DEFAULTS = {"m0": 1.0, "c": 1.0, "hbar": 1.0, "mode": 1, "width": 1.0}
@@ -532,10 +534,11 @@ def _split_at_zero(cfg: RunConfig, inputs: tuple) -> dict | None:
     """The threshold of a grid sweep of g from 0 whose spectrum is complex from g = 0 on.
 
     Where some level of c^2 P^2 splits at first order in g, visibly at the
-    bisection's stop width (``grid.first_order_split``), the threshold is
-    g = 0 itself, with the count of split levels and the lowest of them.
-    None for any other sweep, which bisects its first bracket.  Only a grid
-    potential has a parameter g, so ``inputs`` are a grid command's.
+    threshold search's stop width (``grid.first_order_split``), the
+    threshold is g = 0 itself, with the count of split levels and the lowest
+    of them.  None for any other sweep, which searches its first bracket
+    (``_find_threshold``).  Only a grid potential has a parameter g, so
+    ``inputs`` are a grid command's.
     """
     if cfg.sweep_param != "g" or cfg.sweep_min != 0:
         return None
@@ -547,15 +550,77 @@ def _split_at_zero(cfg: RunConfig, inputs: tuple) -> dict | None:
             "lowest_split": float(split[0])}
 
 
+def _collision_gap(values: np.ndarray, anchor: float, tol: float) -> float:
+    """f = Re (a - b)^2 for the two distinct levels a, b of ``values`` nearest ``anchor``.
+
+    Values within tol x max(1, |a|) of a count as a's level, so the
+    degenerate doubles of a grid spectrum are one level.  f is the square
+    of the gap while a and b are real and -4 (Im a)^2 once they are a
+    conjugate pair; 0 where every value is one level.
+    """
+    dist = np.abs(values - anchor)
+    a = values[dist.argmin()]
+    apart = np.abs(values - a) > tol * max(1.0, abs(a))
+    if not apart.any():
+        return 0.0
+    b = values[apart][dist[apart].argmin()]
+    return float(((a - b) ** 2).real)
+
+
+def _find_threshold(cfg: RunConfig, inputs: tuple, lo: float, hi: float,
+                    lo_values: np.ndarray, hi_values: np.ndarray) -> float:
+    """The reality threshold in a bracket whose ``lo`` is all real and ``hi`` is not.
+
+    Only ``classify_spectrum`` moves the bracket: an all-real probe becomes
+    ``lo``, any other ``hi``, until hi - lo <= BISECT_RTOL x max(1, |hi|);
+    the midpoint is returned.  The probe is the Illinois regula falsi root
+    of the colliding pair's ``_collision_gap``, analytic in the parameter
+    and negative past the threshold (Kato, ch. II), with the pair taken
+    around Re of the most imaginary value at ``hi``.  It is kept 0.49 stop
+    widths inside the bracket, so that a probe beside the root ends the
+    search.  As in Brent's method (1973, ch. 4), the bracket is bisected
+    instead where f does not change sign across it, where three steps in a
+    row failed to halve it, or where it is wider than bisection would have
+    left it with SPARE_SOLVES solves to spare: the search takes at most
+    SPARE_SOLVES more solves than bisection would.
+    """
+    weight = [1.0, 1.0]  # Illinois weights of f at lo and hi
+    last = None  # the end the last probe replaced
+    slow = 0  # steps in a row that did not halve the bracket
+    cap = (hi - lo) * 2.0 ** SPARE_SOLVES  # the widest bracket the budget allows
+    while (width := hi - lo) > (stop := BISECT_RTOL * max(1.0, abs(hi))):
+        anchor = float(hi_values[np.abs(hi_values.imag).argmax()].real)
+        f_lo = weight[0] * _collision_gap(lo_values, anchor, cfg.tol)
+        f_hi = weight[1] * _collision_gap(hi_values, anchor, cfg.tol)
+        probe = lo + width * f_lo / (f_lo - f_hi) if f_lo >= 0.0 > f_hi else math.nan
+        cap *= 0.5
+        if slow == 3 or width > cap or not lo <= probe <= hi:  # nan where an f overflowed
+            probe, slow = 0.5 * (lo + hi), 0
+        probe = min(max(probe, lo + 0.49 * stop), hi - 0.49 * stop)
+        values, kind = _sweep_point(cfg, inputs, probe)
+        end = int(kind != ALL_REAL)  # the end the probe replaces: 0 lo, 1 hi
+        if end:
+            hi, hi_values = probe, values
+        else:
+            lo, lo_values = probe, values
+        weight[end] = 1.0
+        if end == last:  # the other end was kept twice in a row
+            weight[1 - end] *= 0.5
+        last = end
+        slow = slow + 1 if hi - lo > 0.5 * width else 0
+    return 0.5 * (lo + hi)
+
+
 def run_sweep(cfg: RunConfig) -> ResultRecord:
     """Classify the spectrum along a 1-parameter sweep; find its reality threshold.
 
     For the grid model the classified spectrum is the component-eliminated
     operator's, whose reality breaking is the object of interest.  The
     threshold lies in the first bracket whose lower point is all real and
-    upper point is not, and is bisected to a width of BISECT_RTOL x
-    max(1, |upper end|).  A grid sweep of g from exactly 0 whose first
-    bracket is at 0 is not bisected where some degenerate level of c^2 P^2
+    upper point is not, and is narrowed to a width of BISECT_RTOL x
+    max(1, |upper end|) by ``_find_threshold``, a secant search on the
+    colliding levels.  A grid sweep of g from exactly 0 whose first
+    bracket is at 0 is not searched where some degenerate level of c^2 P^2
     splits at first order in g (``_split_at_zero``): its threshold is 0,
     recorded with ``split_levels`` and ``lowest_split``.
     """
@@ -575,32 +640,18 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
         )
     if not cfg.sweep_max > cfg.sweep_min:
         raise ValueError("sweep range must satisfy max > min")
-    grid_values = np.linspace(cfg.sweep_min, cfg.sweep_max, cfg.sweep_steps)
-    points = []
-    for v in grid_values:
-        values, kind = _sweep_point(cfg, inputs, float(v))
-        points.append(
-            {
-                "value": float(v),
-                "eigenvalues": complex_table(values),
-                "classification": kind,
-            }
-        )
-    kinds = [point["classification"] for point in points]
+    grid_values = np.linspace(cfg.sweep_min, cfg.sweep_max, cfg.sweep_steps).tolist()
+    solved = [_sweep_point(cfg, inputs, v) for v in grid_values]
+    points = [{"value": v, "eigenvalues": complex_table(values), "classification": kind}
+              for v, (values, kind) in zip(grid_values, solved)]
     threshold = None
     for i in range(len(grid_values) - 1):
-        if kinds[i] == ALL_REAL and kinds[i + 1] != ALL_REAL:
+        if solved[i][1] == ALL_REAL and solved[i + 1][1] != ALL_REAL:
             threshold = _split_at_zero(cfg, inputs) if i == 0 else None
             if threshold is None:
-                lo, hi = float(grid_values[i]), float(grid_values[i + 1])
-                while hi - lo > BISECT_RTOL * max(1.0, abs(hi)):
-                    mid = 0.5 * (lo + hi)
-                    _, kind = _sweep_point(cfg, inputs, mid)
-                    if kind == ALL_REAL:
-                        lo = mid
-                    else:
-                        hi = mid
-                threshold = {"param": cfg.sweep_param, "value": 0.5 * (lo + hi)}
+                threshold = {"param": cfg.sweep_param, "value": _find_threshold(
+                    cfg, inputs, grid_values[i], grid_values[i + 1],
+                    solved[i][0], solved[i + 1][0])}
             break
     return _record(
         cfg,
@@ -737,8 +788,9 @@ COMMANDS = {
         ("--form", dict(choices=(gridmod.PRODUCT_EXACT, gridmod.ANALYTIC_U))),
     )),
     "sweep": Command(run_sweep, _ANY,
-                     "1-parameter sweep with its reality threshold: bisected, or 0 for "
-                     "a grid g sweep from 0 whose levels split at first order", (
+                     "1-parameter sweep with its reality threshold: a secant search on the "
+                     "colliding levels, or 0 for a grid g sweep from 0 whose levels split at "
+                     "first order", (
         ("--sweep-param", dict(required=True)),
         ("--sweep-min", dict(type=float, required=True)),
         ("--sweep-max", dict(type=float, required=True)),

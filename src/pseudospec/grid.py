@@ -658,7 +658,7 @@ def first_order_split(
     turns complex at g ~ spread / (2 beta).  It counts as split when:
 
     - beta > tol * max(1, c hbar ||S||_F), above rounding;
-    - spread / (2 beta) <= width, below the g a threshold bisection resolves;
+    - spread / (2 beta) <= width, below the g a threshold search resolves;
     - width * beta > tol * max(1, |eps0|): at g = width the imaginary part
       is past ``classify_spectrum``'s tolerance, so the split shows there.
 

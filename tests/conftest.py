@@ -1,7 +1,9 @@
+import json
 from unittest import mock
 
 import numpy as np
 
+from pseudospec import cli as climod
 from pseudospec import grid as gridmod
 from pseudospec.linalg import certify, eigendecompose, sort_by_re_im
 
@@ -85,3 +87,11 @@ def dense_residual(matrix, vectors, values) -> float:
     """max_i ||M v_i - E_i v_i|| / max(1, ||M||_F), with M applied densely."""
     worst = np.linalg.norm(matrix @ vectors - vectors * values, axis=0).max()
     return worst / max(1.0, np.linalg.norm(matrix))
+
+
+def sweep_solves(capsys, argv: list[str]) -> tuple[int, dict | None]:
+    """Solves a `sweep` argv takes past its grid points, and its threshold."""
+    with mock.patch.object(climod, "_sweep_point", wraps=climod._sweep_point) as points:
+        assert climod.main(argv) == 0
+    record = json.loads(capsys.readouterr().out)
+    return points.call_count - len(record["sweep"]["points"]), record["threshold"]

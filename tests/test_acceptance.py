@@ -272,7 +272,7 @@ def test_criterion_10_reality_thresholds():
     )
     v0_star = rec2.threshold["value"]
     assert v0_star == pytest.approx(math.sqrt(2), rel=1e-6)
-    report(10, f"bisected thresholds lambda*={lam_star:.8f}, v0*={v0_star:.8f} match sqrt(2)")
+    report(10, f"searched thresholds lambda*={lam_star:.8f}, v0*={v0_star:.8f} match sqrt(2)")
 
 
 def test_criterion_11_pseudo_unitarity():

@@ -15,8 +15,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import sweep_solves
+from pseudospec import cli as climod
 from pseudospec import grid as gridmod
 from pseudospec.cli import (
+    BISECT_RTOL,
     COMMANDS,
     EXIT_REGIME,
     EXIT_USAGE,
@@ -33,7 +36,7 @@ from pseudospec.cli import (
     run_sweep,
     run_verify,
 )
-from pseudospec.metric import classify_spectrum
+from pseudospec.metric import ALL_REAL, classify_spectrum
 from pseudospec.records import emit
 
 
@@ -160,6 +163,51 @@ def test_sweep_bisects_the_closed_form_threshold(m0, c, hbar, kx, ky, steps, mod
     threshold = run_sweep(cfg).threshold
     assert threshold is not None and threshold["param"] == param
     assert abs(threshold["value"] - star) <= 1e-8 * max(1.0, star)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m0=_UNIT, c=_UNIT, hbar=_UNIT, kx=_K, ky=_K, steps=st.integers(2, 9),
+       model=st.sampled_from(["rashba", "scalar_const"]))
+def test_sweep_threshold_lies_in_a_classified_stop_width(m0, c, hbar, kx, ky, steps, model):
+    # wherever the secant puts its probes, the spectrum is all real half a
+    # stop width below the reported threshold and not all real above it
+    k_sq = kx * kx + (ky * ky if model == "rashba" else 0.0)
+    assume(k_sq >= 0.04)
+    if model == "rashba":
+        param, star = "lambda", math.sqrt(c * c + (m0 * c * c) ** 2 / (hbar * hbar * k_sq))
+    else:
+        param, star = "v0", math.sqrt((hbar * c * kx) ** 2 + (m0 * c * c) ** 2)
+    params = {"m0": m0, "c": c, "hbar": hbar, "kx": kx}
+    if model == "rashba":
+        params["ky"] = ky
+    cfg = RunConfig(command="sweep", model=model, params=params,
+                    sweep_param=param, sweep_min=0.0, sweep_max=2 * star, sweep_steps=steps)
+    t = run_sweep(cfg).threshold["value"]
+    w = BISECT_RTOL * max(1.0, abs(t))
+    assert climod._sweep_point(cfg, (), t - w / 2)[1] == ALL_REAL
+    assert climod._sweep_point(cfg, (), t + w / 2)[1] != ALL_REAL
+
+
+@pytest.mark.parametrize("argv", [
+    ["--model", "rashba", "--sweep-param", "lambda", "--kx", "1"],
+    ["--model", "scalar_const", "--sweep-param", "v0", "--kx", "1"],
+])
+def test_a_2x2_threshold_takes_a_dozen_solves(capsys, argv):
+    # bisection took 27 past the 21 grid points; lambda* = V0* = sqrt(2)
+    solves, threshold = sweep_solves(
+        capsys, ["sweep", *argv, "--sweep-min", "0", "--sweep-max", "2", "--sweep-steps", "21"])
+    assert solves <= 12
+    assert abs(threshold["value"] - math.sqrt(2)) <= BISECT_RTOL * math.sqrt(2)
+
+
+def test_an_exceptional_point_on_a_grid_point_ends_the_search(capsys):
+    # kx = 0: E = +-sqrt(1 - V0^2), a Jordan block at V0 = 1, the floor of
+    # the bracket [1, 2], where the colliding gap f is 0
+    solves, threshold = sweep_solves(
+        capsys, ["sweep", "--model", "scalar_const", "--kx", "0", "--sweep-param", "v0",
+                 "--sweep-min", "0", "--sweep-max", "2", "--sweep-steps", "3"])
+    assert abs(threshold["value"] - 1.0) <= BISECT_RTOL
+    assert solves <= 2
 
 
 def test_run_sweep_validation():

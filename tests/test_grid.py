@@ -11,9 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hyp
 
-from conftest import certified_solve, dense_residual, reference_pairs, spectrum_gap
+from conftest import (certified_solve, dense_residual, reference_pairs, spectrum_gap,
+                      sweep_solves)
 from pseudospec import grid as gridmod
-from pseudospec.cli import EXIT_SOLVER, main
+from pseudospec.cli import BISECT_RTOL, EXIT_SOLVER, SPARE_SOLVES, main
 from pseudospec.errors import (
     AsymmetricGrid,
     ConvergenceFailure,
@@ -1272,7 +1273,7 @@ def test_grid_sweep_takes_one_real_solve_per_point(capsys):
         assert main(["sweep", *_COS_ARGV, "--sweep-param", "g", "--sweep-min", "5",
                      "--sweep-max", "20", "--sweep-steps", "4"]) == 0
     assert json.loads(capsys.readouterr().out)["threshold"] is not None
-    assert points.call_count > 4  # the grid points and the bisection
+    assert points.call_count > 4  # the grid points and the threshold search
     shapes = [(c.args[0].shape, c.args[0].dtype) for c in solves.call_args_list]
     assert shapes == [((16, 16), np.float64)] * points.call_count
 
@@ -1292,7 +1293,7 @@ def test_gaussian_sweep_threshold_is_the_sweep_min(scheme, lowest, capsys):
     # Degenerate levels of c^2 P^2 (the +-k pairs of the ring, and the
     # central2 doublers) split at first order in g, so the reduced spectrum
     # is complex for every g > 0: the threshold is --sweep-min itself, found
-    # without bisecting, and the lowest split level is k = 1's.
+    # without a search, and the lowest split level is k = 1's.
     argv = ["sweep", "--model", "scalar_grid", "--potential", "gaussian", "--g", "0.5",
             "--width", "0.5", "--grid-n", "128", "--scheme", scheme, "--sweep-param", "g",
             "--sweep-min", "0", "--sweep-max", "3", "--sweep-steps", "11"]
@@ -1300,12 +1301,12 @@ def test_gaussian_sweep_threshold_is_the_sweep_min(scheme, lowest, capsys):
         assert main(argv) == 0
     threshold = json.loads(capsys.readouterr().out)["threshold"]
     assert threshold == {"param": "g", "value": 0.0, "split_levels": 1, "lowest_split": lowest}
-    assert solves.call_count == 11  # the grid points, and no bisection
+    assert solves.call_count == 11  # the grid points, and no threshold search
 
 
-def test_a_first_bracket_at_zero_without_a_split_is_bisected(capsys):
+def test_a_first_bracket_at_zero_without_a_split_is_searched(capsys):
     # cosine mode 1 on the periodic ring couples no +-k pair at first order,
-    # so its first bracket, [0, 20], is bisected
+    # so its first bracket, [0, 20], is searched
     argv = ["sweep", "--model", "scalar_grid", "--potential", "cosine", "--grid-n", "16",
             "--sweep-param", "g", "--sweep-min", "0", "--sweep-max", "20", "--sweep-steps", "2"]
     with mock.patch.object(gridmod, "first_order_split",
@@ -1316,7 +1317,39 @@ def test_a_first_bracket_at_zero_without_a_split_is_bisected(capsys):
                                                                          CONJUGATE_PAIRS]
     (call,) = rule.call_args_list  # the rule ran on the first bracket and found no split
     assert len(gridmod.first_order_split(*call.args)) == 0
-    assert record["threshold"] == {"param": "g", "value": 5.166824741754681}
+    assert record["threshold"] == {"param": "g", "value": 5.166824743255056}
+    # bisection's value, within one stop width
+    assert abs(5.166824743255056 - 5.166824741754681) <= BISECT_RTOL * 5.166824741754681
+
+
+def _g_sweep_solves(capsys, argv: list[str]) -> tuple[int, float]:
+    solves, threshold = sweep_solves(
+        capsys, ["sweep", "--model", "scalar_grid", *argv, "--sweep-param", "g"])
+    return solves, threshold["value"]
+
+
+@pytest.mark.parametrize("argv, most", [
+    # bisection took 29 and 28 solves
+    (["--grid-n", "16", "--sweep-min", "4", "--sweep-max", "6", "--sweep-steps", "2"], 14),
+    (["--grid-n", "64", "--sweep-min", "12", "--sweep-max", "14", "--sweep-steps", "2"], 14),
+    # the golden case, which bisection took 30 solves over
+    (["--grid-n", "16", "--sweep-min", "5", "--sweep-max", "20", "--sweep-steps", "4"], 30 + 2),
+])
+def test_a_grid_threshold_search_takes_few_solves(capsys, argv, most):
+    solves, _ = _g_sweep_solves(capsys, ["--potential", "cosine", *argv])
+    assert solves <= most
+
+
+def test_a_threshold_at_the_bracket_floor_costs_at_most_the_spare_solves(capsys):
+    # without the first-order rule, the split of cosine dirichlet central2
+    # N = 15 at g = 0 leaves the secant no sign change to use: bisection
+    # took 30 solves, and the budget holds the search to 30 + SPARE_SOLVES
+    with mock.patch.object(gridmod, "first_order_split", return_value=np.array([])):
+        solves, threshold = _g_sweep_solves(capsys, [
+            "--potential", "cosine", "--grid-n", "15", "--bc", "dirichlet", "--scheme",
+            "central2", "--sweep-min", "0", "--sweep-max", "1", "--sweep-steps", "2"])
+    assert 0.0 < threshold <= BISECT_RTOL
+    assert solves <= 30 + SPARE_SOLVES
 
 
 _GAUSS_ARGV = ["--model", "scalar_grid", "--potential", "gaussian", "--g", "1.2", "--width",

@@ -23,7 +23,7 @@ values come from a real solve too, closed under conjugation bit for bit.  Over
 gaussian and cosine shapes on grids of N <= 64, ``first_order_split``
 finds a split level only where the reduced spectrum at g = 1e-9 is already
 not all real, so a sweep that reports its threshold at g = 0 agrees with
-what a bisection from 0 would find.
+what a threshold search from 0 would find.
 """
 
 import math
@@ -323,7 +323,7 @@ def _g_sweeps(draw):
 
 
 # Cosine mode 1 on central2 dirichlet N = 15: its first-order split is what
-# makes a bisection from g = 0 end at its floor (4.66e-10 over [0, 1]).
+# makes a threshold search from g = 0 end at its floor (4.77e-10 over [0, 1]).
 _COS_DIRICHLET = (PotentialSpec.cosine(1.0, 1), make_grid(math.pi, 15, DIRICHLET),
                   PhysParams(), CENTRAL2)
 # Cosine mode 1 on the periodic ring couples no +-k pair: beta is rounding,
@@ -338,8 +338,8 @@ _COS_PERIODIC = (PotentialSpec.cosine(1.0, 1), make_grid(math.pi, 64, PERIODIC),
 @example(_COS_PERIODIC)
 def test_a_first_order_split_shows_at_the_bisection_stop_width(case):
     # where the rule reports a threshold of 0, the reduced spectrum at
-    # g = 1e-9 is already not all real, so bisecting from 0 would end
-    # within its stop width of 0
+    # g = 1e-9 is already not all real, so a threshold search from 0 would
+    # end within its stop width of 0
     spec, grid, pp, scheme = case
     split = first_order_split(spec, grid, pp, scheme, DEFAULT_TOL, BISECT_RTOL)
     values = solve_reduced(replace(spec, g=BISECT_RTOL), grid, pp, scheme)
