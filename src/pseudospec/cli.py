@@ -51,6 +51,7 @@ from .linalg import (
     frob_norm,
     relative_residual,
     sort_by_re_im,
+    stacked_eigenvalues,
     validate_tol,
 )
 from .metric import (
@@ -391,17 +392,48 @@ def _block_spectrum(cfg: RunConfig):
     return eigendecompose(h, cfg.tol).values, analytic
 
 
-def _block_sweep(cfg: RunConfig):
-    return eigendecompose(MODELS[cfg.model].matrix(cfg), cfg.tol).values
+def _at(cfg: RunConfig, value: float) -> RunConfig:
+    """``cfg`` with its swept parameter at ``value``."""
+    return replace(cfg, params={**cfg.params, cfg.sweep_param: value})
+
+
+def _block_sweep(cfg: RunConfig, inputs: tuple, values: list):
+    """Each value's sorted eigenvalues, from one stacked solve of the 2x2 model's matrices.
+
+    Each matrix comes from the model's builder, and ``stacked_eigenvalues``
+    gives and certifies each one's values as ``eigendecompose`` would.  A
+    build error is raised once the spectra of the points before it have
+    been taken, so that those points are solved, certified and classified
+    first, as they were one at a time.
+    """
+    build = MODELS[cfg.model].matrix
+    matrices, failed = [], None
+    try:
+        for value in values:
+            matrices.append(build(_at(cfg, value)))
+    except Exception as exc:  # raised below, in its point's turn
+        failed = exc
+    yield from stacked_eigenvalues(matrices, cfg.tol)
+    if failed is not None:
+        raise failed
+
+
+def _grid_sweep(cfg: RunConfig, inputs: tuple, values: list):
+    """The component-eliminated operator's sorted values at each value, one solve each."""
+    flags, _, g, pp = inputs
+    for value in values:
+        yield gridmod.solve_reduced(_potential(_at(cfg, value), flags), g, pp, flags.scheme,
+                                    tol=cfg.tol)
 
 
 @dataclass(frozen=True)
 class Model:
     """What the commands need to know of one model.
 
-    Each callable takes the RunConfig; ``sweep``, ``spectrum`` and
-    ``verify`` take after it the inputs that ``load`` builds once per
-    command (none for the 2x2 models).  The entries reach model functions
+    Each callable takes the RunConfig; ``spectrum`` and ``verify`` take
+    after it the inputs that ``load`` builds once per command (none for the
+    2x2 models), and ``sweep`` takes those inputs as a tuple and then the
+    values of the swept parameter.  The entries reach model functions
     through this module's globals when called, never by holding them, so
     a wrapper installed on a module attribute sees every call.
     """
@@ -409,7 +441,9 @@ class Model:
     params: tuple[str, ...]  # record parameters after m0, c, hbar, in order
     verify: Callable  # the `verify` battery: a list of checks
     spectrum: Callable = _block_spectrum  # `spectrum`'s eigenvalues and closed form
-    sweep: Callable = _block_sweep  # the eigenvalues `sweep` classifies at one point
+    # (cfg, inputs, values) -> the sorted eigenvalues `sweep` classifies at
+    # each value of its parameter, in order
+    sweep: Callable = _block_sweep
     matrix: Callable | None = None  # the 2x2 operator the commands solve
     load: Callable = lambda cfg: ()  # inputs built once per command
     methods: tuple[str, ...] = ()  # what `metric --method all` runs
@@ -450,10 +484,8 @@ MODELS = {
             gridmod.solve_dirac(spec, g, pp, flags.scheme, cfg.tol), None
         ),
         # the component-eliminated operator, whose reality breaking is the
-        # object of interest, at the swept value of the potential parameter
-        sweep=lambda cfg, flags, spec, g, pp: gridmod.solve_reduced(
-            _potential(cfg, flags), g, pp, flags.scheme, tol=cfg.tol
-        ),
+        # object of interest, at each swept value of the potential parameter
+        sweep=_grid_sweep,
         verify=_verify_grid,
     ),
 }
@@ -525,8 +557,8 @@ def run_metric(cfg: RunConfig) -> ResultRecord:
 
 
 def _sweep_point(cfg: RunConfig, inputs: tuple, value: float):
-    sub = replace(cfg, params={**cfg.params, cfg.sweep_param: value})
-    values = MODELS[cfg.model].sweep(sub, *inputs)
+    """The sorted eigenvalues at one value of the swept parameter, and their class."""
+    (values,) = MODELS[cfg.model].sweep(cfg, inputs, [value])
     return values, classify_spectrum(values, cfg.tol)
 
 
@@ -614,15 +646,17 @@ def _find_threshold(cfg: RunConfig, inputs: tuple, lo: float, hi: float,
 def run_sweep(cfg: RunConfig) -> ResultRecord:
     """Classify the spectrum along a 1-parameter sweep; find its reality threshold.
 
-    For the grid model the classified spectrum is the component-eliminated
-    operator's, whose reality breaking is the object of interest.  The
-    threshold lies in the first bracket whose lower point is all real and
-    upper point is not, and is narrowed to a width of BISECT_RTOL x
-    max(1, |upper end|) by ``_find_threshold``, a secant search on the
-    colliding levels.  A grid sweep of g from exactly 0 whose first
-    bracket is at 0 is not searched where some degenerate level of c^2 P^2
-    splits at first order in g (``_split_at_zero``): its threshold is 0,
-    recorded with ``split_levels`` and ``lowest_split``.
+    The model's ``sweep`` entry gives the spectra of all the points in one
+    call: for a 2x2 model, one stacked solve.  For the grid model the
+    classified spectrum is the component-eliminated operator's, whose
+    reality breaking is the object of interest.  The threshold lies in the
+    first bracket whose lower point is all real and upper point is not, and
+    is narrowed to a width of BISECT_RTOL x max(1, |upper end|) by
+    ``_find_threshold``, a secant search on the colliding levels.  A grid
+    sweep of g from exactly 0 whose first bracket is at 0 is not searched
+    where some degenerate level of c^2 P^2 splits at first order in g
+    (``_split_at_zero``): its threshold is 0, recorded with
+    ``split_levels`` and ``lowest_split``.
     """
     if cfg.sweep_param is None or not 2 <= cfg.sweep_steps <= MAX_SWEEP_STEPS:
         raise ValueError(
@@ -641,7 +675,8 @@ def run_sweep(cfg: RunConfig) -> ResultRecord:
     if not cfg.sweep_max > cfg.sweep_min:
         raise ValueError("sweep range must satisfy max > min")
     grid_values = np.linspace(cfg.sweep_min, cfg.sweep_max, cfg.sweep_steps).tolist()
-    solved = [_sweep_point(cfg, inputs, v) for v in grid_values]
+    solved = [(values, classify_spectrum(values, cfg.tol))
+              for values in MODELS[cfg.model].sweep(cfg, inputs, grid_values)]
     points = [{"value": v, "eigenvalues": complex_table(values), "classification": kind}
               for v, (values, kind) in zip(grid_values, solved)]
     threshold = None
@@ -906,8 +941,38 @@ def _error_json(exc: Exception) -> str:
     return json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}})
 
 
+@functools.cache
+def _blas_threads():
+    """(getter, setter) of the thread count of numpy's bundled OpenBLAS, or None.
+
+    numpy's wheels ship scipy-openblas in ``numpy.libs``, and it exports
+    both; loading it again returns the library numpy already holds.  Any
+    other BLAS is left as it is.  Looked up at the first command, not at
+    import.
+    """
+    import ctypes
+    import glob
+    import os
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        try:
+            lib = ctypes.CDLL(path)
+            return lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+    return None
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    # One BLAS thread, restored on return: a blocked LAPACK routine sums in
+    # an order that depends on the thread count, so the last digits of a
+    # large grid solve would too.
+    blas = _blas_threads()
+    threads = blas[0]() if blas else 1
+    if threads != 1:
+        blas[1](1)
     try:
         ns = _build_parser().parse_args(_join_negative_values(argv))
         started = time.monotonic()
@@ -927,6 +992,9 @@ def main(argv: list[str] | None = None) -> int:
     except _REPORTED_ERRORS as exc:
         print(_error_json(exc), file=sys.stderr)
         return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
+    finally:
+        if threads != 1:
+            blas[1](threads)
     print(f"# runtime_ms={elapsed_ms}", file=sys.stderr)
     return 0
 

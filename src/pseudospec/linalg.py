@@ -43,8 +43,9 @@ def validate_tol(tol: float) -> None:
         raise ValueError(f"tolerance must satisfy 0 < tol < 1, got {tol}")
 
 
-def _square_finite(m: np.ndarray) -> np.ndarray:
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+def _square_finite(m: np.ndarray, ndim: int = 2) -> np.ndarray:
+    """``m``, refused unless it has ``ndim`` dims, square in its last two, and is finite."""
+    if m.ndim != ndim or m.shape[-1] != m.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
@@ -104,7 +105,7 @@ def real_times_complex(r: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (r @ x.view(np.float64)).view(np.complex128)
 
 
-def certify(residual, count: int, norm: float, tol: float, width: int = PANEL) -> float:
+def certify(residual, count: int, norm, tol: float, width: int = PANEL):
     """max_i ||A v_i - lambda_i v_i||_2 relative to max(1, ``norm``), checked against ``tol``.
 
     ``residual(span)`` returns, as a new array, the residual columns
@@ -116,18 +117,27 @@ def certify(residual, count: int, norm: float, tol: float, width: int = PANEL) -
     smaller number.  Returns the relative residual; raises
     ConvergenceFailure past ``tol``, and ValueError (``relative_residual``'s)
     where the residual or ``norm`` is not finite.
+
+    For a stack of matrices, ``residual(span)`` stacks their columns along
+    the leading axis and ``norm`` is a list of their norms.  Each matrix is
+    then checked on its own, in stack order, so the first that fails raises
+    what it would raise alone; the list of relative residuals is returned.
     """
-    worst = 0.0
+    norms = norm if isinstance(norm, list) else [norm]
+    worst = [0.0] * len(norms)
     for j in range(0, count, width):
-        top = float(np.linalg.norm(residual(slice(j, j + width)), axis=0).max())
-        if math.isnan(top):
-            worst = top
+        tops = np.linalg.norm(residual(slice(j, j + width)), axis=-2).max(axis=-1)
+        # the larger of each pair, or the NaN of either
+        worst = [w if math.isnan(w) or w >= t else t
+                 for w, t in zip(worst, tops.reshape(-1).tolist())]
+        if all(map(math.isnan, worst)):
             break
-        worst = max(worst, top)
-    resid = relative_residual(worst, norm)
-    if not resid <= tol:
-        raise ConvergenceFailure(f"eigen residual {resid:.3e} exceeds tolerance {tol:.3e}")
-    return resid
+    resids = []
+    for top, den in zip(worst, norms):
+        resids.append(resid := relative_residual(top, den))
+        if not resid <= tol:
+            raise ConvergenceFailure(f"eigen residual {resid:.3e} exceeds tolerance {tol:.3e}")
+    return resids if norms is norm else resids[0]
 
 
 def eigen_residual(apply, columns, values):
@@ -135,12 +145,13 @@ def eigen_residual(apply, columns, values):
 
     ``columns(span)`` returns the vectors in the basis ``apply`` acts in,
     and ``apply(X)`` returns A X as a new array; X diag(values) is taken
-    from it in place.
+    from it in place.  For a stack of matrices, ``values`` holds one row per
+    matrix and the columns are stacked along the leading axis.
     """
     def residual(span):
         cols = columns(span)
         out = apply(cols)
-        out -= cols * values[span]
+        out -= cols * values[..., None, span]
         return out
     return residual
 
@@ -175,11 +186,37 @@ def take_nearest(x, pool: np.ndarray, free: np.ndarray) -> int | None:
 def sorted_eig(m: np.ndarray):
     """``np.linalg.eig``'s values and unit right vectors as complex128, sorted by (Re, Im).
 
-    No certificate: the caller certifies the pairs against its own operator.
+    ``m`` is a square matrix or a stack of them, each sorted on its own.  No
+    certificate: the caller certifies the pairs against its own operator.
     """
     values, vectors = (x.astype(np.complex128, copy=False) for x in np.linalg.eig(m))
     order = sort_by_re_im(values)
-    return values[order], vectors[:, order]
+    if m.ndim == 2:
+        return values[order], vectors[:, order]
+    # one fancy index per array: np.take_along_axis costs twice as much here
+    each = np.arange(len(m))[:, None]
+    rows = np.arange(m.shape[-1])[:, None]
+    return values[each, order], vectors[each[:, None], rows, order[:, None, :]]
+
+
+def _certified_eig(a, ndim: int, tol: float):
+    """``sorted_eig`` of a matrix (``ndim`` 2) or a stack of them (3), and its ``certify``.
+
+    ``a`` is taken as float64 if real, else complex128, and must be
+    ``_square_finite`` of dimension <= MAX_DIM.  A real one applies the
+    vectors in real arithmetic (``real_times_complex``).
+    """
+    m = np.asarray(a)
+    m = _square_finite(m.astype(np.float64 if np.isrealobj(m) else np.complex128, copy=False),
+                       ndim)
+    if m.shape[-1] > MAX_DIM:
+        raise DimensionMismatch(f"dimension {m.shape[-1]} exceeds limit {MAX_DIM}")
+    values, vectors = sorted_eig(m)
+    norm = frob_norm(m) if ndim == 2 else [frob_norm(x) for x in m]
+    apply = (lambda x: real_times_complex(m, x)) if m.dtype == np.float64 else m.__matmul__
+    resid = certify(eigen_residual(apply, lambda span: vectors[..., span], values),
+                    values.shape[-1], norm, tol)
+    return values, vectors, resid
 
 
 @dataclass(frozen=True)
@@ -215,18 +252,24 @@ def eigendecompose(a, tol: float = DEFAULT_TOL) -> EigenSystem:
         Residual bound relative to max(1, ||A||_F); 0 < tol < 1.
     """
     validate_tol(tol)
-    m = np.asarray(a)
-    m = _square_finite(m.astype(np.float64 if np.isrealobj(m) else np.complex128, copy=False))
-    if m.shape[0] > MAX_DIM:
-        raise DimensionMismatch(f"dimension {m.shape[0]} exceeds limit {MAX_DIM}")
-    values, vectors = sorted_eig(m)
-    if m.dtype == np.float64:
-        apply = lambda x: real_times_complex(m, x)
-    else:
-        apply = m.__matmul__
-    resid = certify(eigen_residual(apply, lambda span: vectors[:, span], values), len(values),
-                    frob_norm(m), tol)
+    values, vectors, resid = _certified_eig(a, 2, tol)
     return EigenSystem(values=values, vectors=vectors, residual=resid)
+
+
+def stacked_eigenvalues(matrices, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
+    """Each matrix's ``eigendecompose(matrix, tol).values``, from one LAPACK call.
+
+    ``matrices`` is a sequence of square matrices of one shape and one
+    dtype; a real one in a complex stack would be solved by zgeev, not
+    dgeev.  ``np.linalg.eig`` on their stack runs LAPACK once per matrix,
+    so each matrix's sorted values and vectors, and from them its
+    certificate, are the ones ``eigendecompose`` computes for it alone,
+    bit for bit.  The certificates are checked in order (``certify``), so
+    the first matrix that fails raises what ``eigendecompose`` would raise
+    for it.
+    """
+    validate_tol(tol)
+    return list(_certified_eig(matrices, 3, tol)[0]) if len(matrices) else []
 
 
 def hermiticity_defect(a) -> float:

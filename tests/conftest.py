@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -90,8 +91,22 @@ def dense_residual(matrix, vectors, values) -> float:
 
 
 def sweep_solves(capsys, argv: list[str]) -> tuple[int, dict | None]:
-    """Solves a `sweep` argv takes past its grid points, and its threshold."""
-    with mock.patch.object(climod, "_sweep_point", wraps=climod._sweep_point) as points:
+    """Values a `sweep` argv solves in its threshold search, and its threshold.
+
+    Every solve of a sweep goes through its model's ``sweep`` entry: the
+    first call takes the grid points, each later one a probe of the search.
+    """
+    model = argv[argv.index("--model") + 1]
+    entry = climod.MODELS[model]
+    calls = []
+
+    def sweep(cfg, inputs, values):
+        calls.append(list(values))
+        return entry.sweep(cfg, inputs, values)
+
+    with mock.patch.dict(climod.MODELS, {model: replace(entry, sweep=sweep)}):
         assert climod.main(argv) == 0
     record = json.loads(capsys.readouterr().out)
-    return points.call_count - len(record["sweep"]["points"]), record["threshold"]
+    grid, *probes = calls
+    assert grid == [point["value"] for point in record["sweep"]["points"]]
+    return sum(map(len, probes)), record["threshold"]

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import sweep_solves
@@ -36,6 +36,7 @@ from pseudospec.cli import (
     run_sweep,
     run_verify,
 )
+from pseudospec.linalg import eigendecompose
 from pseudospec.metric import ALL_REAL, classify_spectrum
 from pseudospec.records import emit
 
@@ -208,6 +209,53 @@ def test_an_exceptional_point_on_a_grid_point_ends_the_search(capsys):
                  "--sweep-min", "0", "--sweep-max", "2", "--sweep-steps", "3"])
     assert abs(threshold["value"] - 1.0) <= BISECT_RTOL
     assert solves <= 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(m0=_UNIT, c=_UNIT, hbar=_UNIT, kx=_K, ky=_K, steps=st.integers(2, 9),
+       model=st.sampled_from(["rashba", "scalar_const"]))
+@example(m0=1.0, c=1.0, hbar=1.0, kx=0.0, ky=0.0, steps=3, model="scalar_const")
+def test_a_stacked_sweep_solves_each_point_as_one_point_alone(m0, c, hbar, kx, ky, steps,
+                                                              model):
+    # the grid of [0, 2 x threshold] and the threshold itself; at kx = 0 the
+    # scalar block is a Jordan block at V0* = m0 c^2, a grid point above
+    k_sq = kx * kx + (ky * ky if model == "rashba" else 0.0)
+    if model == "rashba":
+        assume(k_sq >= 0.04)
+        param, star = "lambda", math.sqrt(c * c + (m0 * c * c) ** 2 / (hbar * hbar * k_sq))
+    else:
+        param, star = "v0", math.sqrt((hbar * c * kx) ** 2 + (m0 * c * c) ** 2)
+    params = {"m0": m0, "c": c, "hbar": hbar, "kx": kx}
+    if model == "rashba":
+        params["ky"] = ky
+    cfg = RunConfig(command="sweep", model=model, params=params, sweep_param=param)
+    values = [*np.linspace(0.0, 2 * star, steps).tolist(), star]
+    stacked = list(climod.MODELS[model].sweep(cfg, (), values))
+    assert len(stacked) == len(values)
+    for value, got in zip(values, stacked):
+        alone = eigendecompose(climod.MODELS[model].matrix(climod._at(cfg, value)), cfg.tol)
+        assert got.tobytes() == alone.values.tobytes()
+        assert classify_spectrum(got, cfg.tol) == climod._sweep_point(cfg, (), value)[1]
+
+
+_OVERFLOW_SWEEP = ["sweep", "--model", "rashba", "--kx", "10", "--sweep-param", "lambda",
+                   "--sweep-min", "0", "--sweep-max", "1e308", "--sweep-steps", "3"]
+
+
+def test_a_sweep_reports_the_first_failing_point(capsys):
+    # point 0 fails its certificate at tol 1e-17 before point 1, lambda = 5e307,
+    # overflows its build
+    assert main([*_OVERFLOW_SWEEP, "--tol", "1e-17"]) == 3
+    assert capsys.readouterr().err.splitlines() == [json.dumps({"error": {
+        "type": "ConvergenceFailure",
+        "message": "eigen residual 1.397e-16 exceeds tolerance 1.000e-17"}})]
+
+
+def test_a_sweep_build_error_comes_after_the_points_before_it(capsys):
+    with mock.patch.object(climod, "classify_spectrum", wraps=classify_spectrum) as kinds:
+        assert main(_OVERFLOW_SWEEP) == EXIT_USAGE
+    assert kinds.call_count == 1  # point 0 was solved, certified and classified
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "OverflowError"
 
 
 def test_run_sweep_validation():
@@ -551,6 +599,40 @@ def test_the_environment_sets_no_tolerance():
     assert plain.returncode == with_env.returncode == 0
     assert with_env.stdout == plain.stdout
     assert json.loads(with_env.stdout)["params"]["tol"] == 1e-10
+
+
+def test_grid_bytes_do_not_depend_on_the_blas_thread_count():
+    # at N = 128 two BLAS threads summed A's solve in another order than one
+    # did, until main ran each command on one
+    import os
+
+    argv = ("reduce", "--model", "scalar_grid", "--potential", "cosine", "--g", "1",
+            "--grid-n", "128")
+    runs = [cli(*argv, env=dict(os.environ, **dict.fromkeys(
+        ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads)))
+        for threads in ("1", "2")]
+    assert [r.returncode for r in runs] == [0, 0]
+    assert runs[0].stdout == runs[1].stdout
+
+
+def test_main_runs_on_one_blas_thread_and_restores_the_count(capsys):
+    get, set_threads = climod._blas_threads()
+    before = get()
+    seen = []
+
+    def counted(cfg):
+        seen.append(get())
+        return run(cfg)
+
+    try:
+        set_threads(2)
+        with mock.patch.object(climod, "run", side_effect=counted):
+            assert main(["spectrum", "--model", "rashba", "--kx", "1"]) == 0
+            assert main(["spectrum", "--model", "rashba", "--kx", "1e400"]) == EXIT_USAGE
+        assert seen == [1, 1] and get() == 2  # the second fails in run
+    finally:
+        set_threads(before)
+    capsys.readouterr()
 
 
 def test_cli_main_returns_zero(capsys):
