@@ -217,8 +217,8 @@ def test_an_exceptional_point_on_a_grid_point_ends_the_search(capsys):
 @example(m0=1.0, c=1.0, hbar=1.0, kx=0.0, ky=0.0, steps=3, model="scalar_const")
 def test_a_stacked_sweep_solves_each_point_as_one_point_alone(m0, c, hbar, kx, ky, steps,
                                                               model):
-    # the grid of [0, 2 x threshold] and the threshold itself; at kx = 0 the
-    # scalar block is a Jordan block at V0* = m0 c^2, a grid point above
+    # points across [0, 2 x threshold], and the threshold itself; the example's
+    # scalar block is a Jordan block at its grid point V0* = m0 c^2 = 1
     k_sq = kx * kx + (ky * ky if model == "rashba" else 0.0)
     if model == "rashba":
         assume(k_sq >= 0.04)
@@ -629,7 +629,8 @@ def test_main_runs_on_one_blas_thread_and_restores_the_count(capsys):
         with mock.patch.object(climod, "run", side_effect=counted):
             assert main(["spectrum", "--model", "rashba", "--kx", "1"]) == 0
             assert main(["spectrum", "--model", "rashba", "--kx", "1e400"]) == EXIT_USAGE
-        assert seen == [1, 1] and get() == 2  # the second fails in run
+        assert seen == [1, 1]  # the second fails in run
+        assert get() == 2
     finally:
         set_threads(before)
     capsys.readouterr()
