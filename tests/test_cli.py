@@ -601,6 +601,11 @@ def test_the_environment_sets_no_tolerance():
     assert json.loads(with_env.stdout)["params"]["tol"] == 1e-10
 
 
+_NO_BLAS_SETTER = pytest.mark.skipif(climod._blas_threads() is None,
+                                     reason="numpy's BLAS exports no thread-count setter")
+
+
+@_NO_BLAS_SETTER
 def test_grid_bytes_do_not_depend_on_the_blas_thread_count():
     # at N = 128 two BLAS threads summed A's solve in another order than one
     # did, until main ran each command on one
@@ -615,6 +620,7 @@ def test_grid_bytes_do_not_depend_on_the_blas_thread_count():
     assert runs[0].stdout == runs[1].stdout
 
 
+@_NO_BLAS_SETTER
 def test_main_runs_on_one_blas_thread_and_restores_the_count(capsys):
     get, set_threads = climod._blas_threads()
     before = get()
