@@ -313,7 +313,7 @@ def _verify_block(cfg: RunConfig) -> list[dict]:
     ]
     spinors = model.spinors(cfg)
     try:
-        paper_eta = model.paper_eta(cfg)
+        paper_eta = model.etas["paper"](cfg)
     except SingularDenominator:
         paper_eta = None  # closed form undefined at E^2 = (m0 c^2)^2: no checks
     # u1 belongs to E and u2 to -E
@@ -420,10 +420,10 @@ def _block_sweep(cfg: RunConfig, inputs: tuple, values: list):
 
 def _grid_sweep(cfg: RunConfig, inputs: tuple, values: list):
     """The component-eliminated operator's sorted values at each value, one solve each."""
-    flags, _, g, pp = inputs
+    flags, spec, g, pp = inputs
     for value in values:
-        yield gridmod.solve_reduced(_potential(_at(cfg, value), flags), g, pp, flags.scheme,
-                                    tol=cfg.tol)
+        yield gridmod.solve_reduced(replace(spec, **{cfg.sweep_param: value}), g, pp,
+                                    flags.scheme, tol=cfg.tol)
 
 
 @dataclass(frozen=True)
@@ -433,9 +433,11 @@ class Model:
     Each callable takes the RunConfig; ``spectrum`` and ``verify`` take
     after it the inputs that ``load`` builds once per command (none for the
     2x2 models), and ``sweep`` takes those inputs as a tuple and then the
-    values of the swept parameter.  The entries reach model functions
-    through this module's globals when called, never by holding them, so
-    a wrapper installed on a module attribute sees every call.
+    values of the swept parameter.  ``etas`` maps a ``--method`` name to
+    its closed-form metric; ``metric --method all`` runs them after
+    spectral, and ``verify`` prints "paper".  The entries reach model
+    functions through this module's globals when called, never by holding
+    them, so a wrapper installed on a module attribute sees every call.
     """
 
     params: tuple[str, ...]  # record parameters after m0, c, hbar, in order
@@ -446,10 +448,8 @@ class Model:
     sweep: Callable = _block_sweep
     matrix: Callable | None = None  # the 2x2 operator the commands solve
     load: Callable = lambda cfg: ()  # inputs built once per command
-    methods: tuple[str, ...] = ()  # what `metric --method all` runs
     analytic: Callable | None = None  # closed-form eigenvalue pair
-    paper_eta: Callable | None = None  # published metric candidate
-    diagonal_eta: Callable | None = None  # exact diagonal metric
+    etas: dict = field(default_factory=dict)  # closed-form metric candidates
     spinors: Callable | None = None  # adjoint-block eigenvectors
     checks: Callable | None = None  # (cfg, h) -> model-specific verify checks
 
@@ -459,10 +459,9 @@ MODELS = {
         params=("lambda", "kx", "ky"),
         matrix=lambda cfg: build_rashba(*_rashba_args(cfg)),
         verify=_verify_block,
-        methods=("spectral", "paper", "diagonal"),
         analytic=lambda cfg: rashba_energy(*_rashba_args(cfg)),
-        paper_eta=lambda cfg: eta_paper_rashba(*_rashba_args(cfg)),
-        diagonal_eta=lambda cfg: eta_diag_rashba(_phys(cfg), cfg.param("lambda")),
+        etas={"paper": lambda cfg: eta_paper_rashba(*_rashba_args(cfg)),
+              "diagonal": lambda cfg: eta_diag_rashba(_phys(cfg), cfg.param("lambda"))},
         spinors=lambda cfg: rashba_adjoint_spinors(*_rashba_args(cfg)),
         checks=_rashba_checks,
     ),
@@ -470,9 +469,8 @@ MODELS = {
         params=("v0", "kx"),
         matrix=lambda cfg: build_scalar_const(*_scalar_args(cfg)),
         verify=_verify_block,
-        methods=("spectral", "paper"),
         analytic=lambda cfg: scalar_energy(*_scalar_args(cfg)),
-        paper_eta=lambda cfg: eta_paper_scalar(*_scalar_args(cfg)),
+        etas={"paper": lambda cfg: eta_paper_scalar(*_scalar_args(cfg))},
         spinors=lambda cfg: scalar_adjoint_spinors(*_scalar_args(cfg)),
         checks=_scalar_checks,
     ),
@@ -521,18 +519,16 @@ def run_spectrum(cfg: RunConfig) -> ResultRecord:
 
 
 def _metric_candidates(cfg: RunConfig, h) -> dict:
-    model = MODELS[cfg.model]
+    etas = MODELS[cfg.model].etas
     out: dict = {}
-    # `all` runs the model's methods; a repeated method runs once
-    for method in model.methods if "all" in cfg.methods else dict.fromkeys(cfg.methods):
+    # `all` runs spectral and the model's closed forms; a repeated method runs once
+    for method in ("spectral", *etas) if "all" in cfg.methods else dict.fromkeys(cfg.methods):
         if method == "spectral":
             out[method] = spectral_metric(h, normalize=cfg.normalize, tol=cfg.tol)
-        elif method == "paper":
-            out[method] = make_metric(model.paper_eta(cfg))
-        elif method == "diagonal":
-            if model.diagonal_eta is None:
-                raise ValueError("--method diagonal applies to the rashba model only")
-            out[method] = make_metric(model.diagonal_eta(cfg))
+        elif method in etas:
+            out[method] = make_metric(etas[method](cfg))
+        elif owners := [name for name, model in MODELS.items() if method in model.etas]:
+            raise ValueError(f"--method {method} applies to the {'/'.join(owners)} model only")
         else:
             raise ValueError(f"unknown metric method {method!r}")
     return out

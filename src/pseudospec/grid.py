@@ -145,10 +145,10 @@ def derivative_matrix(grid: Grid1D, scheme: str = FOURIER) -> np.ndarray:
     if scheme == CENTRAL2:
         wall = int(grid.bc == DIRICHLET)
         # Only the two nonzeros are set, so every zero is +0.0: LAPACK's
-        # Householder steps read the sign of a zero.
+        # Householder steps read the sign of a zero.  numpy divides them, so
+        # dx = 0 (L/m underflowed) gives inf entries, which the solves refuse.
         c = np.zeros(n + wall)
-        c[1] = -1.0 / (2 * grid.dx)
-        c[-1] = 1.0 / (2 * grid.dx)
+        c[[1, -1]] = np.array([-1.0, 1.0]) / (2 * grid.dx)
         return _circulant(c, wall)
     if scheme == FOURIER:
         if grid.bc != PERIODIC:
@@ -235,8 +235,11 @@ class PotentialSpec:
             for row in filter(None, reader):  # blank lines are skipped
                 if len(row) < 2:
                     raise ValueError(f"{path}: line {reader.line_num}: expected x,V, got {row!r}")
-                xs.append(float(row[0]))
-                vs.append(float(row[1]))
+                try:
+                    xs.append(float(row[0]))
+                    vs.append(float(row[1]))
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
         return cls.samples(xs, vs, source=path)
 
     def values(self, grid: Grid1D) -> np.ndarray:
@@ -371,8 +374,8 @@ def build_dirac_grid(
     return assemble_dirac_blocks(*_gated(spec, grid, scheme), pp)
 
 
-def _root_matrix(y: np.ndarray, v: np.ndarray, perm: np.ndarray, out: np.ndarray):
-    """Write A = R+ R, the real matrix of every grid route, into ``out``.
+def _root_matrix(y: np.ndarray, v: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """A = R+ R, the real matrix of every grid route.
 
     With Q = P+ + i P-, P+- = (I +- R)/2, the blocks cP +- V = iY +- V, with
     Y = -c hbar D and V = diag(v), become R+- = Q^dag (cP +- V) Q = K +- V,
@@ -382,14 +385,14 @@ def _root_matrix(y: np.ndarray, v: np.ndarray, perm: np.ndarray, out: np.ndarray
     the entries (j, perm[j]), exactly.  Adding +0.0 makes every zero +0.0:
     A is the same bits whether Y was read from H or made from D.
     """
-    np.add(y, 0.0, out=out)
-    out[np.arange(len(v)), perm] += v
-    return out
+    a = y + 0.0
+    a[np.arange(len(v)), perm] += v
+    return a
 
 
 def _solve_a(y: np.ndarray, v: np.ndarray, perm: np.ndarray, tol: float):
     """A of ``_root_matrix`` and its eigenpairs: the one real solve (dgeev) of every grid route."""
-    a = _root_matrix(y, v, perm, np.empty_like(y))
+    a = _root_matrix(y, v, perm)
     return a, eigendecompose(a, tol)
 
 

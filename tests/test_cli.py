@@ -493,6 +493,9 @@ _INF16 = str(pathlib.Path(__file__).parent / "golden" / "inf16.csv")  # cos16.cs
 _GAUSS16 = ["--model", "scalar_grid", "--potential", "gaussian", "--grid-n", "16"]
 _RASHBA1 = ["--model", "rashba", "--lambda", "0.5", "--kx", "1"]
 _LAMBDA_SWEEP = ["sweep", *_RASHBA1, "--sweep-param", "lambda", "--sweep-steps", "3"]
+# L/m underflows to dx = 0: the central2 stencil is +-inf, not a ZeroDivisionError
+_TINY_CENTRAL2 = ["--model", "scalar_grid", "--potential", "cosine", "--g", "1",
+                  "--scheme", "central2", "--grid-L", "5e-324"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -506,14 +509,19 @@ _LAMBDA_SWEEP = ["sweep", *_RASHBA1, "--sweep-param", "lambda", "--sweep-steps",
      "potential is not finite on the grid: V(0) = nan"),
     (["spectrum", *_GAUSS16, "--g", "1", "--width", "0.5", "--grid-L", "5e-324"],
      "matrix entries must be finite"),
+    (["spectrum", *_TINY_CENTRAL2, "--grid-n", "16"], "matrix entries must be finite"),
+    (["sweep", *_TINY_CENTRAL2, "--grid-n", "16", "--sweep-param", "g", "--sweep-min", "1",
+      "--sweep-max", "2", "--sweep-steps", "2"], "matrix entries must be finite"),
+    (["converge", *_TINY_CENTRAL2, "--N", "8", "--N", "16"], "matrix entries must be finite"),
     (["verify", *_RASHBA1, "--hbar", "5e-324"], "matrix entries must be finite"),
     ([*_LAMBDA_SWEEP, "--sweep-min", "0", "--sweep-max", "inf"], "matrix entries must be finite"),
     ([*_LAMBDA_SWEEP, "--sweep-min", "-1e308", "--sweep-max", "1e308"],
      "matrix entries must be finite"),
     (["spectrum", "--model", "scalar_grid", "--potential", "samples", "--file", _INF16,
       "--grid-n", "16"], "potential is not finite on the grid: V(-2.74889) = inf"),
-], ids=["reduce huge g", "verify huge c", "tiny width", "tiny grid-L", "tiny hbar",
-        "sweep to inf", "sweep past max float", "inf samples"])
+], ids=["reduce huge g", "verify huge c", "tiny width", "tiny grid-L",
+        "tiny central2 grid-L", "tiny central2 grid-L sweep", "tiny central2 grid-L converge",
+        "tiny hbar", "sweep to inf", "sweep past max float", "inf samples"])
 def test_non_finite_intermediates_write_only_the_json_line(argv, message, capsys):
     # numpy warns at the invalid value or the division by zero behind each one
     with warnings.catch_warnings(record=True) as caught:
@@ -1059,16 +1067,20 @@ def test_converge_refuses_a_bad_n_before_the_reference_solve(flags, message, mon
 _SAMPLES = ["--model", "scalar_grid", "--potential", "samples", "--grid-n", "8", "--file"]
 
 
-@pytest.mark.parametrize("case", ["directory", "short row", "unwritable out"])
+@pytest.mark.parametrize("case", ["directory", "short row", "not a number", "unwritable out"])
 def test_file_errors_exit_2_with_one_json_line(case, tmp_path, capsys):
     short = tmp_path / "short.csv"
     short.write_text("x,V\n1\n", encoding="utf-8")
+    word = tmp_path / "word.csv"
+    word.write_text("x,V\nabc,1\n", encoding="utf-8")
     out = tmp_path / "missing" / "x.json"
     argv, error_type, message = {
         "directory": (["spectrum", *_SAMPLES, str(tmp_path)], "IsADirectoryError",
                       f"[Errno 21] Is a directory: '{tmp_path}'"),
         "short row": (["spectrum", *_SAMPLES, str(short)], "ValueError",
                       f"{short}: line 2: expected x,V, got ['1']"),
+        "not a number": (["spectrum", *_SAMPLES, str(word)], "ValueError",
+                         f"{word}: line 2: could not convert string to float: 'abc'"),
         "unwritable out": (["spectrum", "--model", "rashba", "--lambda", "0.5", "--kx", "1",
                             "--out", str(out)], "FileNotFoundError",
                            f"[Errno 2] No such file or directory: '{out}'"),
@@ -1214,20 +1226,22 @@ def _values(*valid):
 
 _GAUSSIAN = ["--potential", "gaussian"]
 _LAMBDA_STEPS = ["--sweep-param", "lambda", "--sweep-steps", "3"]
-# Per flag, a hostile value that passes the parser and reaches a refusal or a
-# non-finite intermediate, with the model and the flags it needs to get there.
-# Left to _values, each needs one value of nine, in one draw of ten, on a
-# matching command, model and potential: the 150 draws below reached none.
-_ROUTES = {
-    "--g": ("1e300", "scalar_grid", _GAUSSIAN),
-    "--c": ("1e154", "scalar_grid", _GAUSSIAN),
-    "--width": ("1e-300", "scalar_grid", _GAUSSIAN),
-    "--grid-L": ("5e-324", "scalar_grid", _GAUSSIAN),
-    "--hbar": ("5e-324", "rashba", []),
-    "--sweep-max": ("inf", "rashba", ["--sweep-min", "0", *_LAMBDA_STEPS]),
-    "--sweep-min": ("-1e308", "rashba", ["--sweep-max", "1e308", *_LAMBDA_STEPS]),
-    "--file": (_INF16, "scalar_grid", ["--potential", "samples"]),
-}
+# Routes: a flag with a hostile value that passes the parser and reaches a
+# refusal or a non-finite intermediate, with the model and the flags it needs
+# to get there.  Left to _values, each needs one value of nine, in one draw
+# of ten, on a matching command, model and potential: the 150 draws below
+# reached none.
+_ROUTES = (
+    ("--g", "1e300", "scalar_grid", _GAUSSIAN),
+    ("--c", "1e154", "scalar_grid", _GAUSSIAN),
+    ("--width", "1e-300", "scalar_grid", _GAUSSIAN),
+    ("--grid-L", "5e-324", "scalar_grid", _GAUSSIAN),
+    ("--grid-L", "5e-324", "scalar_grid", [*_GAUSSIAN, "--scheme", "central2"]),
+    ("--hbar", "5e-324", "rashba", []),
+    ("--sweep-max", "inf", "rashba", ["--sweep-min", "0", *_LAMBDA_STEPS]),
+    ("--sweep-min", "-1e308", "rashba", ["--sweep-max", "1e308", *_LAMBDA_STEPS]),
+    ("--file", _INF16, "scalar_grid", ["--potential", "samples"]),
+)
 
 _FUZZ_VALUES = {
     **dict.fromkeys(("--m0", "--c", "--hbar", "--lambda", "--kx", "--ky", "--v0", "--g",
@@ -1264,16 +1278,16 @@ _COMMON_FLAGS = sorted({flag for reads in _FUZZ_READS.values() for flag in reads
 def _hostile_argv(draw):
     # nearly always the command's own flags, some that the model reads, now and
     # then one that it does not read; a third of the draws take one flag's route
-    route = draw(st.sampled_from(list(_ROUTES))) if draw(st.integers(0, 2)) == 0 else None
+    route = draw(st.sampled_from(_ROUTES)) if draw(st.integers(0, 2)) == 0 else None
     if route is None:
         command = draw(st.sampled_from(list(COMMANDS)))
         model = draw(_values(*COMMANDS[command].models))
         fixed = []
     else:
-        value, model, needs = _ROUTES[route]
+        flag, value, model, needs = route
         command = "sweep" if _LAMBDA_STEPS[0] in needs else draw(st.sampled_from(
             [name for name, command in COMMANDS.items() if model in command.models]))
-        fixed = [route, value, *needs]
+        fixed = [flag, value, *needs]
     flags = [flag for flag, _ in COMMANDS[command].flags if draw(st.integers(0, 9))]
     reads = _FUZZ_READS.get(model, _PHYS)
     flags += draw(st.lists(st.sampled_from(reads), max_size=len(reads), unique=True))
